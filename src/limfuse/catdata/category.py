@@ -5,6 +5,12 @@ Fusion throughout is the two-sided parity range: indices a and b fuse to
 every index from |a-b|+1 to a+b-1 of the opposite parity of a+b, always with
 multiplicity one.  Product categories fuse factor-wise with multiplicities
 multiplying, and their weights live in a single aligned parameter.
+
+Inside the engine a weight is a `WeightVec`, its coordinates over
+(x, 1, 1/x, 1/(x+1)) in the category's formal variable x; `weight_vec`
+computes and caches it.  `weight_of` returns the same weight as a `RatFunc`,
+converted once per label and cached, for output and for callers outside the
+engine.
 """
 
 from __future__ import annotations
@@ -22,11 +28,13 @@ from limfuse.catdata.labels import (
     VirasoroT,
 )
 from limfuse.catdata.params import (
-    osp_weight,
-    param_chain,
-    super_weight,
-    verma_weight,
-    virasoro_weight,
+    WeightVec,
+    osp_vec,
+    super_vec,
+    verma_vec,
+    via_kp2_of_s,
+    via_t_of_s,
+    virasoro_vec,
 )
 from limfuse.exact import RatFunc
 from limfuse.fusion.element import FusionElement
@@ -60,13 +68,13 @@ class CategorySpec:
     """Common interface of the built-in ribbon category specifications."""
 
     name: str
-    base_parameter: str  # formal-variable letter used by weight_of
+    base_parameter: str  # formal-variable letter of the weights
     unit: SimpleLabel
 
     def contains(self, x: SimpleLabel) -> bool:
         raise NotImplementedError
 
-    def _weight_raw(self, x: SimpleLabel) -> RatFunc:
+    def _weight_raw(self, x: SimpleLabel) -> WeightVec:
         raise NotImplementedError
 
     def _fusion_raw(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
@@ -94,12 +102,19 @@ class CategorySpec:
         if not self.contains(x):
             raise ForeignLabel(f"{x} is not an object of {self.name}")
 
-    def weight_of(self, x: SimpleLabel) -> RatFunc:
-        cache = self.__dict__.setdefault("_weight_cache", {})
+    def weight_vec(self, x: SimpleLabel) -> WeightVec:
+        cache = self.__dict__.setdefault("_vec_cache", {})
         hit = cache.get(x)
         if hit is None:
             self._require(x)
             hit = cache[x] = self._weight_raw(x)
+        return hit
+
+    def weight_of(self, x: SimpleLabel) -> RatFunc:
+        cache = self.__dict__.setdefault("_weight_cache", {})
+        hit = cache.get(x)
+        if hit is None:
+            hit = cache[x] = self.weight_vec(x).to_ratfunc()
         return hit
 
     def fusion_of(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
@@ -113,14 +128,13 @@ class CategorySpec:
 
     def twist_exponent(self, x: SimpleLabel) -> tuple[RatFunc, int]:
         """Exponent of the ribbon twist on x (its weight) plus the parity flag."""
-        self._require(x)
-        return self._weight_raw(x), self._parity_raw(x)
+        return self.weight_of(x), self._parity_raw(x)
 
     def checklist(self) -> tuple[ChecklistItem, ...]:
         try:
             unit_ok = (
                 self.contains(self.unit)
-                and self._weight_raw(self.unit).is_zero()
+                and self._weight_raw(self.unit).as_constant() == 0
                 and self._fusion_raw(self.unit, self.unit) == FusionElement.of(self.unit)
             )
         except ForeignLabel:
@@ -189,8 +203,8 @@ class VirasoroTCategory(_DoubleIndexCategory):
     def _indices(x: VirasoroT) -> tuple[int, int]:
         return (x.r, x.s)
 
-    def _weight_raw(self, x: VirasoroT) -> RatFunc:
-        return virasoro_weight(x.r, x.s)
+    def _weight_raw(self, x: VirasoroT) -> WeightVec:
+        return virasoro_vec(x.r, x.s)
 
 
 class VirasoroKp2Category(_DoubleIndexCategory):
@@ -206,8 +220,8 @@ class VirasoroKp2Category(_DoubleIndexCategory):
     def _indices(x: VirasoroKp2) -> tuple[int, int]:
         return (x.r, x.s)
 
-    def _weight_raw(self, x: VirasoroKp2) -> RatFunc:
-        return virasoro_weight(x.r, x.s).substitute(param_chain().kp2_of_s)
+    def _weight_raw(self, x: VirasoroKp2) -> WeightVec:
+        return via_kp2_of_s(virasoro_vec(x.r, x.s))
 
 
 class SuperVirCategory(_DoubleIndexCategory):
@@ -223,8 +237,8 @@ class SuperVirCategory(_DoubleIndexCategory):
     def _indices(x: SuperVir) -> tuple[int, int]:
         return (x.n, x.m)
 
-    def _weight_raw(self, x: SuperVir) -> RatFunc:
-        return super_weight(x.n, x.m)
+    def _weight_raw(self, x: SuperVir) -> WeightVec:
+        return super_vec(x.n, x.m)
 
     def _parity_raw(self, x: SuperVir) -> int:
         return ((x.n + x.m) // 2 - 1) % 2
@@ -277,8 +291,8 @@ class KLCategory(_SingleIndexCategory):
     def _index(x: AffineVerma) -> int:
         return x.r
 
-    def _weight_raw(self, x: AffineVerma) -> RatFunc:
-        return verma_weight(x.r)
+    def _weight_raw(self, x: AffineVerma) -> WeightVec:
+        return verma_vec(x.r)
 
 
 class OspCategory(_SingleIndexCategory):
@@ -294,8 +308,8 @@ class OspCategory(_SingleIndexCategory):
     def _index(x: OspMod) -> int:
         return x.n
 
-    def _weight_raw(self, x: OspMod) -> RatFunc:
-        return osp_weight(x.n)
+    def _weight_raw(self, x: OspMod) -> WeightVec:
+        return osp_vec(x.n)
 
     def _parity_raw(self, x: OspMod) -> int:
         return ((x.n - 1) // 2) % 2
@@ -319,7 +333,7 @@ class DeligneCategory(CategorySpec):
             self._convert = {}
         elif params == {"s", "t"}:
             self.base_parameter = "s"
-            self._convert = {"t": param_chain().t_of_s}
+            self._convert = {"t": via_t_of_s}
         else:
             raise ValueError(f"cannot align parameters {params}")
         self.unit = Pair(left.unit, right.unit)
@@ -332,13 +346,13 @@ class DeligneCategory(CategorySpec):
     def contains(self, x: SimpleLabel) -> bool:
         return isinstance(x, Pair) and self.left.contains(x.left) and self.right.contains(x.right)
 
-    def _aligned(self, factor: CategorySpec, w: RatFunc) -> RatFunc:
+    def _aligned(self, factor: CategorySpec, w: WeightVec) -> WeightVec:
         conv = self._convert.get(factor.base_parameter)
-        return w.substitute(conv) if conv is not None else w
+        return conv(w) if conv is not None else w
 
-    def _weight_raw(self, x: Pair) -> RatFunc:
-        return self._aligned(self.left, self.left.weight_of(x.left)) + self._aligned(
-            self.right, self.right.weight_of(x.right)
+    def _weight_raw(self, x: Pair) -> WeightVec:
+        return self._aligned(self.left, self.left.weight_vec(x.left)) + self._aligned(
+            self.right, self.right.weight_vec(x.right)
         )
 
     def _parity_raw(self, x: Pair) -> int:

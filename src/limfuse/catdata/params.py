@@ -5,6 +5,13 @@ Virasoro family, k = (2-3t)/(2t-1) is the affine level, s = 2k+3 the
 super-Virasoro parameter (so 2t-1 = 1/s), and k+2 = (s+1)/2 the shifted
 level.  All conversions are exact rational functions and the defining
 identities are verified once at construction.
+
+Through k+2 = (s+1)/2 and t = (s+1)/(2s) every built-in weight lies in
+span_Q{x, 1, 1/x, 1/(x+1)}, x the category's formal variable.  The engine
+computes with `WeightVec`, a weight's coordinates in that basis; the two
+reparametrizations act on it as constant linear maps, and `RatFunc` appears
+only when a value leaves the engine.  The `RatFunc` formulas below are kept
+as the independent reference for those vectors.
 """
 
 from __future__ import annotations
@@ -12,9 +19,80 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from limfuse.exact import RatFunc
+from limfuse.exact import Poly, RatFunc
 
 _F = Fraction
+
+
+class WeightVec(tuple):
+    """Coordinates (a, b, c, d) of a x + b + c/x + d/(x+1), all Fractions.
+
+    The basis functions are linearly independent, so two weights are equal
+    exactly when their vectors are, and an exponent is a constant exactly
+    when its a, c and d vanish.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a=0, b=0, c=0, d=0):
+        return tuple.__new__(cls, (_F(a), _F(b), _F(c), _F(d)))
+
+    def __add__(self, other: "WeightVec") -> "WeightVec":
+        a, b, c, d = self
+        e, f, g, h = other
+        return tuple.__new__(WeightVec, (a + e, b + f, c + g, d + h))
+
+    def __sub__(self, other: "WeightVec") -> "WeightVec":
+        a, b, c, d = self
+        e, f, g, h = other
+        return tuple.__new__(WeightVec, (a - e, b - f, c - g, d - h))
+
+    def as_constant(self) -> Fraction | None:
+        """The constant value, or None when the variable genuinely occurs."""
+        a, b, c, d = self
+        return b if not (a or c or d) else None
+
+    def eval(self, q: Fraction) -> Fraction:
+        """Value at a rational point; only a genuine pole raises."""
+        a, b, c, d = self
+        out = a * q + b
+        if c:
+            out += c / q
+        if d:
+            out += d / (q + 1)
+        return out
+
+    def to_ratfunc(self) -> RatFunc:
+        """The same function as a normalized RatFunc."""
+        a, b, c, d = self
+        x, x1 = Poly.x(), Poly((1, 1))
+        num, den = Poly((b, a)), Poly(1)
+        if c:
+            num, den = num * x + c, x
+        if d:
+            num, den = num * x1 + den * d, den * x1
+        return RatFunc(num, den)
+
+    def __repr__(self) -> str:
+        return f"WeightVec{tuple(str(v) for v in self)}"
+
+
+def via_t_of_s(v: WeightVec) -> WeightVec:
+    """The t-parameter weight v pushed through t = (s+1)/(2s):
+    (a, b, c, 0) -> (0, a/2 + b + 2c, a/2, -2c)."""
+    a, b, c, d = v
+    if d:
+        raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/(2s) leaves the basis")
+    return WeightVec(0, a / 2 + b + 2 * c, a / 2, -2 * c)
+
+
+def via_kp2_of_s(v: WeightVec) -> WeightVec:
+    """The t-parameter weight v pushed through t = k+2 = (s+1)/2:
+    (a, b, c, 0) -> (a/2, a/2 + b, 0, 2c)."""
+    a, b, c, d = v
+    if d:
+        raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/2 leaves the basis")
+    return WeightVec(a / 2, a / 2 + b, 0, 2 * c)
 
 
 @dataclass(frozen=True)
@@ -84,3 +162,23 @@ def osp_weight(n: int) -> RatFunc:
     """Lowest conformal weight of the n-th affine osp(1|2) module, in s."""
     s = RatFunc.var()
     return _F(n * n - 1, 8) / s
+
+
+def virasoro_vec(r: int, s_idx: int) -> WeightVec:
+    """`virasoro_weight(r, s_idx)` as a basis vector in t."""
+    return WeightVec(_F(r * r - 1, 4), _F(1 - r * s_idx, 2), _F(s_idx * s_idx - 1, 4))
+
+
+def super_vec(n: int, m: int) -> WeightVec:
+    """`super_weight(n, m)` as a basis vector in s."""
+    return WeightVec(_F(n * n - 1, 8), _F(1 - m * n, 4), _F(m * m - 1, 8))
+
+
+def verma_vec(r: int) -> WeightVec:
+    """`verma_weight(r)` as a basis vector in s."""
+    return WeightVec(d=_F(r * r - 1, 2))
+
+
+def osp_vec(n: int) -> WeightVec:
+    """`osp_weight(n)` as a basis vector in s."""
+    return WeightVec(c=_F(n * n - 1, 8))

@@ -104,7 +104,13 @@ def _emit(fmt: str, command: str, header: list[str], rows: list[list[str]], extr
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1")
+
+
 def cmd_weights(args) -> int:
+    _require_positive(args.bound, "--bound")
     cat = _category(args.category)
     rows = [
         [str(x), format_ratfunc(cat.weight_of(x), cat.base_parameter)]
@@ -154,6 +160,7 @@ def cmd_locality(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    _require_positive(args.truncate, "--truncate")
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     mod = induce(alg, base)
@@ -164,9 +171,15 @@ def cmd_induce(args) -> int:
 
 
 def cmd_min_weight(args) -> int:
+    try:
+        sample = parse_rat(args.sample)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--sample is not a rational: {args.sample!r}") from None
+    if sample <= 0:
+        raise ConfigError("--sample must be positive")
+    _require_positive(args.truncate, "--truncate")
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
-    sample = parse_rat(args.sample)
     r_star, weight = min_weight_summand(induce(alg, base), sample=sample, truncate=args.truncate)
     rows = [[str(r_star), format_ratfunc(weight, alg.base_category.base_parameter)]]
     _emit(args.format, "min-weight", ["r", "weight"], rows,

@@ -8,6 +8,7 @@ parts have degree zero (see :func:`RatFunc.as_constant`).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Optional, Union
@@ -180,25 +181,14 @@ def _coerce(v: Scalar) -> RatFunc:
 
 def _int_scaled(f: RatFunc) -> tuple[list[int], list[int]]:
     """Scale num/den jointly to coprime integer coefficient lists (ascending)."""
-    denoms = [c.denominator for c in f.num.coeffs] + [c.denominator for c in f.den.coeffs]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // _gcd(scale, d)
+    scale = math.lcm(*(c.denominator for c in f.num.coeffs + f.den.coeffs))
     num = [int(c * scale) for c in f.num.coeffs]
     den = [int(c * scale) for c in f.den.coeffs]
-    content = 0
-    for c in num + den:
-        content = _gcd(content, abs(c))
+    content = math.gcd(*num, *den)
     if content > 1:
         num = [c // content for c in num]
         den = [c // content for c in den]
     return num, den
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _format_intpoly(coeffs: list[int], var: str) -> str:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from limfuse.catdata.labels import SimpleLabel
+if TYPE_CHECKING:
+    from limfuse.catdata.labels import SimpleLabel
 
 
 class FusionElement:

@@ -2,18 +2,22 @@
 transparent-object scan.
 
 The double braiding acts on a simple summand Z of the fusion of X and Y by
-e^{2*pi*i*(h_Z - h_X - h_Y)}.  Exponents are exact rational functions of the
-category parameter; an exponent counts as trivial only when it is an integer
-constant (the parameter is generic, so a parameter-dependent exponent cannot
-be an integer).
+e^{2*pi*i*(h_Z - h_X - h_Y)}.  Exponents are computed and classified as
+`WeightVec`s, differences of the fixed-basis weight vectors; an exponent
+counts as trivial only when it is an integer constant (the parameter is
+generic, so a parameter-dependent exponent cannot be an integer).  The
+`exponent` of an entry or certificate is the same value as an exact
+`RatFunc` of the category parameter, built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from limfuse.catdata.labels import SimpleLabel
+from limfuse.catdata.params import WeightVec
 from limfuse.exact import Phase, RatFunc, format_ratfunc
 from limfuse.fusion.ring import CategoryMismatch
 
@@ -25,7 +29,7 @@ NON_INTEGER_CONSTANT = "non-integer-constant"
 PARAMETER_DEPENDENT = "parameter-dependent"
 
 
-def exponent_status(e: RatFunc) -> str:
+def exponent_status(e: Union[WeightVec, RatFunc]) -> str:
     c = e.as_constant()
     if c is None:
         return PARAMETER_DEPENDENT
@@ -35,12 +39,16 @@ def exponent_status(e: RatFunc) -> str:
 @dataclass(frozen=True)
 class MonodromyEntry:
     summand: SimpleLabel
-    exponent: RatFunc
+    exponent_vec: WeightVec
     status: str
+
+    @cached_property
+    def exponent(self) -> RatFunc:
+        return self.exponent_vec.to_ratfunc()
 
     @property
     def phase(self) -> Optional[Phase]:
-        c = self.exponent.as_constant()
+        c = self.exponent_vec.as_constant()
         return Phase(c) if c is not None else None
 
     @property
@@ -77,11 +85,10 @@ def monodromy(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyRep
     """Per-summand exponents of the double braiding of x with y."""
     if not cat.contains(x) or not cat.contains(y):
         raise CategoryMismatch(f"labels must come from {cat.name}")
-    hx = cat.weight_of(x)
-    hy = cat.weight_of(y)
+    hxy = cat.weight_vec(x) + cat.weight_vec(y)
     entries = []
     for z, _ in cat.fusion_of(x, y):
-        e = cat.weight_of(z) - hx - hy
+        e = cat.weight_vec(z) - hxy
         entries.append(MonodromyEntry(z, e, exponent_status(e)))
     return MonodromyReport(x, y, cat.base_parameter, tuple(entries))
 
@@ -92,8 +99,12 @@ class TransparencyCertificate:
 
     witness: SimpleLabel
     summand: SimpleLabel
-    exponent: RatFunc
+    exponent_vec: WeightVec
     status: str
+
+    @cached_property
+    def exponent(self) -> RatFunc:
+        return self.exponent_vec.to_ratfunc()
 
 
 def is_transparent(
@@ -105,7 +116,7 @@ def is_transparent(
         report = monodromy(cat, x, w)
         for e in report.entries:
             if not e.trivial:
-                return False, TransparencyCertificate(w, e.summand, e.exponent, e.status)
+                return False, TransparencyCertificate(w, e.summand, e.exponent_vec, e.status)
     return True, None
 
 

@@ -41,29 +41,27 @@ def min_weight_summand(
     """Index of the restriction slice of minimum conformal weight, with the
     exact weight at that slice.
 
-    The rational sample only selects the argmin; the returned weight is the
-    exact symbolic value.  Ties go to the smallest index; an argmin at the
-    truncation edge raises TruncationTooSmall since the true minimum may lie
-    beyond it.
+    The rational sample only selects the argmin, evaluating the weight
+    vectors; the returned weight is the exact symbolic value of the winner.
+    Ties go to the smallest index; an argmin at the truncation edge raises
+    TruncationTooSmall since the true minimum may lie beyond it.
     """
     if sample <= 0:
         raise ValueError("sample point must be positive")
     if truncate < 1:
         raise ValueError("truncate must be >= 1")
     cat = mod.algebra.base_category
-    best: tuple[Fraction, int, RatFunc] | None = None
+    best: tuple[Fraction, int, SimpleLabel] | None = None
     for r in range(1, truncate + 1):
-        rest = mod.restriction(r)
-        for z, _ in rest:
-            w = cat.weight_of(z)
-            v = w.eval(sample)
+        for z, _ in mod.restriction(r):
+            v = cat.weight_vec(z).eval(sample)
             if best is None or v < best[0]:
-                best = (v, r, w)
+                best = (v, r, z)
     if best is None:
         raise ValueError("restriction is identically zero")
-    _, r_star, weight = best
+    _, r_star, z_star = best
     if r_star == truncate:
         raise TruncationTooSmall(
             f"minimum at the truncation edge r={truncate}; increase truncate"
         )
-    return r_star, weight
+    return r_star, cat.weight_of(z_star)

@@ -53,9 +53,8 @@ class LocalityCertificate:
 def _monodromy_exponents(alg: AlgebraObject, base: SimpleLabel, r: int):
     cat = alg.base_category
     a = alg.summand(r)
-    ha = cat.weight_of(a)
-    hb = cat.weight_of(base)
-    return [(z, cat.weight_of(z) - ha - hb) for z, _ in cat.fusion_of(a, base)]
+    hab = cat.weight_vec(a) + cat.weight_vec(base)
+    return [(z, cat.weight_vec(z) - hab) for z, _ in cat.fusion_of(a, base)]
 
 
 def _fit_family(alg: AlgebraObject, base: SimpleLabel) -> Poly:
@@ -83,9 +82,18 @@ def locality(alg: AlgebraObject, base: SimpleLabel, truncate: int = 40) -> Local
 
     Local means every monodromy exponent against every algebra summand is an
     integer; with the closed-form family this is decided for all r at once.
-    Non-local verdicts carry the smallest witness index.
+    Non-local verdicts carry the smallest witness index.  Certificates are
+    cached on the algebra per (base, truncate).
     """
-    alg.base_category._require(base)
+    cache = alg.__dict__.setdefault("_locality_cache", {})
+    hit = cache.get((base, truncate))
+    if hit is None:
+        alg.base_category._require(base)
+        hit = cache[(base, truncate)] = _decide(alg, base, truncate)
+    return hit
+
+
+def _decide(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> LocalityCertificate:
     try:
         family = _fit_family(alg, base)
     except NonPolynomialFamily:

@@ -1,5 +1,6 @@
 """Category data: weights, fusion rules, parameters, checklist."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from limfuse.catdata import (
     ForeignLabel,
     KLCategory,
     OspCategory,
+    OspMod,
     Pair,
     SuperVir,
     SuperVirCategory,
@@ -18,17 +20,22 @@ from limfuse.catdata import (
     VirasoroKp2Category,
     VirasoroT,
     VirasoroTCategory,
+    WeightVec,
     category_by_name,
     central_charge_super,
     central_charge_t,
     load_category,
+    osp_weight,
     param_chain,
     parse_label,
     super_weight,
+    verma_weight,
+    via_kp2_of_s,
+    via_t_of_s,
     virasoro_weight,
 )
 from limfuse.exact import RatFunc, format_ratfunc
-from limfuse.fusion import FusionElement
+from limfuse.fusion import FusionElement, monodromy
 
 X = RatFunc.var()
 VT = VirasoroTCategory()
@@ -141,6 +148,111 @@ class TestParamChain:
                 assert KP2.weight_of(VirasoroKp2(r, s)) == virasoro_weight(r, s).substitute(
                     chain.kp2_of_s
                 )
+
+
+@functools.lru_cache(maxsize=None)
+def formula_weight(x, param: str) -> RatFunc:
+    """Weight of x in `param` from the RatFunc formulas and param_chain()
+    substitutions alone, independent of the weight vectors."""
+    chain = param_chain()
+    if isinstance(x, Pair):
+        return formula_weight(x.left, param) + formula_weight(x.right, param)
+    if isinstance(x, VirasoroT):
+        w = virasoro_weight(x.r, x.s)
+        return w.substitute(chain.t_of_s) if param == "s" else w
+    if isinstance(x, VirasoroKp2):
+        return virasoro_weight(x.r, x.s).substitute(chain.kp2_of_s)
+    if isinstance(x, AffineVerma):
+        return verma_weight(x.r)
+    if isinstance(x, SuperVir):
+        return super_weight(x.n, x.m)
+    assert isinstance(x, OspMod)
+    return osp_weight(x.n)
+
+
+PRODUCTS = [
+    category_by_name(name)
+    for name in (
+        "deligne(virasoro-kp2,virasoro-t)",
+        "deligne(kl-sl2,virasoro-t)",
+        "deligne(virasoro-t,virasoro-t)",
+    )
+]
+
+
+def product_labels(cat, bound, rng):
+    """Every pair with both factors <= 3, plus every factor label <= bound
+    paired with a seeded partner <= bound on the other side.  The full
+    product at bound 12 has up to 20,736 pairs, each a slow RatFunc sum;
+    pair weights are factor sums, so this covers every factor label."""
+    left, right = cat.left.labels_up_to(bound), cat.right.labels_up_to(bound)
+    pairs = {Pair(a, b) for a in cat.left.labels_up_to(3) for b in cat.right.labels_up_to(3)}
+    pairs |= {Pair(a, rng.choice(right)) for a in left}
+    pairs |= {Pair(rng.choice(left), b) for b in right}
+    return sorted(pairs)
+
+
+def random_vec(rng, t_only=False):
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else F(0)
+    return WeightVec(q(), q(), q(), 0 if t_only else q())
+
+
+class TestWeightVectors:
+    """The fixed-basis vectors against the RatFunc formulas."""
+
+    def test_builtins_match_formulas_up_to_12(self):
+        for cat in (VT, KP2, KL, SV, OSP):
+            for x in cat.labels_up_to(12):
+                expected = formula_weight(x, cat.base_parameter)
+                assert cat.weight_vec(x).to_ratfunc() == expected, x
+                assert cat.weight_of(x) == expected
+
+    def test_products_match_formulas_up_to_12(self):
+        rng = random.Random(31)
+        for cat in PRODUCTS:
+            for x in product_labels(cat, 12, rng):
+                assert cat.weight_vec(x).to_ratfunc() == formula_weight(x, cat.base_parameter), x
+
+    def test_parameter_maps_match_substitution(self):
+        chain = param_chain()
+        rng = random.Random(37)
+        for _ in range(200):
+            v = random_vec(rng, t_only=True)
+            w = v.to_ratfunc()
+            assert via_t_of_s(v).to_ratfunc() == w.substitute(chain.t_of_s)
+            assert via_kp2_of_s(v).to_ratfunc() == w.substitute(chain.kp2_of_s)
+
+    def test_maps_reject_shifted_pole(self):
+        for conv in (via_t_of_s, via_kp2_of_s):
+            with pytest.raises(ValueError):
+                conv(WeightVec(d=1))
+
+    def test_vector_operations_match_ratfunc(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            u, v = random_vec(rng), random_vec(rng)
+            a, b, c, d = u
+            expected = a * X + b + c / X + d / (X + 1)
+            assert u.to_ratfunc() == expected
+            assert (u + v).to_ratfunc() == expected + v.to_ratfunc()
+            assert (u - v).to_ratfunc() == expected - v.to_ratfunc()
+            assert u.as_constant() == expected.as_constant()
+            q = F(rng.randint(1, 50), rng.randint(1, 50))
+            assert u.eval(q) == expected.eval(q)
+
+    def test_as_constant_on_sampled_monodromy_exponents(self):
+        rng = random.Random(43)
+        for cat in (VT, KP2, KL, SV, OSP, *PRODUCTS):
+            param = cat.base_parameter
+            labels = cat.labels_up_to(5)
+            for _ in range(12):
+                x, y = rng.choice(labels), rng.choice(labels)
+                hxy = formula_weight(x, param) + formula_weight(y, param)
+                for e in monodromy(cat, x, y).entries:
+                    expected = formula_weight(e.summand, param) - hxy
+                    assert e.exponent_vec.as_constant() == expected.as_constant()
+                    assert e.exponent == expected
 
 
 class TestFusion:

@@ -154,3 +154,39 @@ class TestExitCodes:
         code, _, err = run(capsys, "center", "--category", "supervir",
                            "--bound", "0", "--witness-bound", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("sample", ["abc", "1/0"])
+    def test_min_weight_non_rational_sample(self, capsys, sample):
+        code, out, err = run(capsys, "min-weight", "--algebra", "svir-ext",
+                             "--n", "2", "--m", "2", f"--sample={sample}")
+        assert (code, out) == (2, "")
+        assert "--sample" in err
+
+    def test_min_weight_zero_sample(self, capsys):
+        code, out, err = run(capsys, "min-weight", "--algebra", "svir-ext",
+                             "--n", "2", "--m", "2", "--sample", "0")
+        assert (code, out) == (2, "")
+        assert "positive" in err
+
+    def test_min_weight_truncate_zero(self, capsys):
+        code, out, _ = run(capsys, "min-weight", "--algebra", "svir-ext",
+                           "--n", "2", "--m", "2", "--truncate", "0")
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_weights_bound_below_one(self, capsys, bound):
+        code, out, err = run(capsys, "weights", "--category", "virasoro-t", f"--bound={bound}")
+        assert (code, out) == (2, "")
+        assert "--bound" in err
+
+    def test_induce_truncate_zero(self, capsys):
+        code, out, err = run(capsys, "induce", "--algebra", "osp-ext", "--n", "3",
+                             "--truncate", "0")
+        assert (code, out) == (2, "")
+        assert "--truncate" in err
+
+    def test_config_checked_before_lookup(self, capsys):
+        # a bad option fails as configuration even when the algebra is unknown
+        code, _, err = run(capsys, "min-weight", "--algebra", "nope", "--sample", "0")
+        assert code == 2
+        assert "positive" in err

@@ -1,6 +1,9 @@
 """Fusion ring operations, monodromy reports, transparency scans."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +18,7 @@ from limfuse.catdata import (
     Pair,
     DeligneCategory,
     VirasoroKp2Category,
+    param_chain,
     parse_label,
 )
 from limfuse.exact import RatFunc
@@ -168,7 +172,7 @@ class TestMonodromy:
 
     def test_pair_exponent_additivity(self):
         cat = DeligneCategory(VirasoroKp2Category(), VirasoroTCategory())
-        chain_t = cat._convert["t"]
+        chain_t = param_chain().t_of_s
         kp2, vt = cat.left, cat.right
         rng = random.Random(23)
         for _ in range(40):
@@ -223,3 +227,14 @@ class TestTransparency:
     def test_scan_bad_bounds(self):
         with pytest.raises(ValueError):
             mueger_scan(SV, 0, 3)
+
+
+def test_fusion_package_imports_first():
+    # importing limfuse.fusion before limfuse.catdata must not hit the
+    # element <-> catdata import cycle
+    import limfuse
+
+    src = os.path.dirname(os.path.dirname(limfuse.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for mod in ("limfuse.fusion", "limfuse.fusion.monodromy", "limfuse.induction"):
+        subprocess.run([sys.executable, "-c", f"import {mod}"], check=True, env=env)

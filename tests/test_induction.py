@@ -197,9 +197,36 @@ class TestLocality:
             raise locality_mod.NonPolynomialFamily("forced")
 
         monkeypatch.setattr(locality_mod, "_fit_family", always_raise)
-        cert = locality_mod.locality(SVX, SVX.base_category.unit, truncate=15)
+        # a fresh algebra, so the forced certificate is not cached on SVX
+        alg = svir_extension()
+        cert = locality_mod.locality(alg, alg.base_category.unit, truncate=15)
         assert cert.verdict == UNDECIDABLE
         assert cert.truncated_to == 15
+
+
+    def test_certificates_cached_per_base_and_truncate(self, monkeypatch):
+        import importlib
+
+        locality_mod = importlib.import_module("limfuse.induction.locality")
+        fits = []
+        real_fit = locality_mod._fit_family
+
+        def counting_fit(alg, base):
+            fits.append(base)
+            return real_fit(alg, base)
+
+        monkeypatch.setattr(locality_mod, "_fit_family", counting_fit)
+        alg = svir_extension()
+        b1, b2 = sbase(2, 2), sbase(3, 1)
+        cert = locality(alg, b1)
+        assert locality(alg, b1) is cert
+        assert locality(alg, b1, truncate=10) == cert
+        for _ in range(3):
+            induced_fusion(alg, b1, b2)
+            assert restriction_oracle_check(alg, b1, b2, 4)
+        # one fit per (base, truncate) key, none per repeated query
+        assert fits == [b1, b1, b2]
+        assert locality(svir_extension(), b1) is not cert
 
 
 class TestMinWeight:
