@@ -3,7 +3,9 @@ extension-setup checklist for the built-in generic families.
 
 Fusion throughout is the two-sided parity range: indices a and b fuse to
 every index from |a-b|+1 to a+b-1 of the opposite parity of a+b, always with
-multiplicity one.  Product categories fuse factor-wise with multiplicities
+multiplicity one.  The five generic families share one implementation,
+`_IndexedCategory`, which reads a label's `indices` and applies the range
+slot by slot.  Product categories fuse factor-wise with multiplicities
 multiplying, and their weights live in a single aligned parameter.
 
 Inside the engine a weight is a `WeightVec`, its coordinates over
@@ -16,6 +18,7 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from limfuse.catdata.labels import (
     AffineVerma,
@@ -65,7 +68,12 @@ _CHECKLIST_TEXT = {
 
 
 class CategorySpec:
-    """Common interface of the built-in ribbon category specifications."""
+    """Common interface of the built-in ribbon category specifications.
+
+    Of the five extension-setup checklist items only `unit-object` is
+    computed; the other four are declared metadata of the built-in generic
+    families and their Deligne products, reported as satisfied, not checked.
+    """
 
     name: str
     base_parameter: str  # formal-variable letter of the weights
@@ -91,11 +99,6 @@ class CategorySpec:
         """All labels with indices <= bound, in canonical order."""
         raise NotImplementedError
 
-    # metadata for the extension-setup checklist; built-ins satisfy all of it
-    closed_under_subquotients = True
-    finitely_generated = True
-    braided_tensor = True
-    fusion_image_condition = True
     checklist_note = "generic-parameter semisimple family"
 
     def _require(self, x: SimpleLabel) -> None:
@@ -143,19 +146,14 @@ class CategorySpec:
         return (
             ChecklistItem("unit-object", _CHECKLIST_TEXT["unit-object"], unit_ok,
                           note if unit_ok else "unit missing or of nonzero weight"),
-            ChecklistItem("closed-sub-quot-sum", _CHECKLIST_TEXT["closed-sub-quot-sum"],
-                          self.closed_under_subquotients, note),
-            ChecklistItem("finitely-generated", _CHECKLIST_TEXT["finitely-generated"],
-                          self.finitely_generated, note),
-            ChecklistItem("braided-tensor", _CHECKLIST_TEXT["braided-tensor"],
-                          self.braided_tensor, note),
-            ChecklistItem("fusion-image", _CHECKLIST_TEXT["fusion-image"],
-                          self.fusion_image_condition, note),
+            *(ChecklistItem(key, text, True, note)
+              for key, text in _CHECKLIST_TEXT.items() if key != "unit-object"),
         )
 
 
-class _DoubleIndexCategory(CategorySpec):
-    """Shared machinery of the two-index families."""
+class _IndexedCategory(CategorySpec):
+    """Shared machinery of the families whose labels are tuples of indices:
+    fusion applies the parity range slot by slot."""
 
     label_type: type
     min_index: int = 1
@@ -164,34 +162,24 @@ class _DoubleIndexCategory(CategorySpec):
         self.min_index = min_index
 
     def contains(self, x: SimpleLabel) -> bool:
-        return isinstance(x, self.label_type) and min(self._indices(x)) >= self.min_index
-
-    @staticmethod
-    def _indices(x: SimpleLabel) -> tuple[int, int]:
-        raise NotImplementedError
+        return isinstance(x, self.label_type) and min(x.indices) >= self.min_index
 
     def _fusion_raw(self, x, y) -> FusionElement:
-        a1, a2 = self._indices(x)
-        b1, b2 = self._indices(y)
-        return FusionElement(
-            [(self._make(c1, c2), 1) for c1 in parity_range(a1, b1) for c2 in parity_range(a2, b2)]
-        )
-
-    def _make(self, i1: int, i2: int) -> SimpleLabel:
-        return self.label_type(i1, i2)
+        slots = [parity_range(a, b) for a, b in zip(x.indices, y.indices)]
+        return FusionElement([(self.label_type(*c), 1) for c in product(*slots)])
 
     def labels_up_to(self, bound: int) -> list[SimpleLabel]:
         out = []
-        for i1 in range(self.min_index, bound + 1):
-            for i2 in range(self.min_index, bound + 1):
-                try:
-                    out.append(self._make(i1, i2))
-                except ValueError:
-                    continue
+        span = range(self.min_index, bound + 1)
+        for c in product(span, repeat=len(self.unit.indices)):
+            try:
+                out.append(self.label_type(*c))
+            except ValueError:
+                continue
         return out
 
 
-class VirasoroTCategory(_DoubleIndexCategory):
+class VirasoroTCategory(_IndexedCategory):
     """Simple modules of the generic Virasoro algebra, parametrized by t."""
 
     name = "virasoro-t"
@@ -199,15 +187,11 @@ class VirasoroTCategory(_DoubleIndexCategory):
     unit = VirasoroT(1, 1)
     label_type = VirasoroT
 
-    @staticmethod
-    def _indices(x: VirasoroT) -> tuple[int, int]:
-        return (x.r, x.s)
-
     def _weight_raw(self, x: VirasoroT) -> WeightVec:
         return virasoro_vec(x.r, x.s)
 
 
-class VirasoroKp2Category(_DoubleIndexCategory):
+class VirasoroKp2Category(_IndexedCategory):
     """Same family at the shifted affine level; weights are pushed through
     k+2 = (s+1)/2 so they live in the s-parameter directly."""
 
@@ -216,15 +200,11 @@ class VirasoroKp2Category(_DoubleIndexCategory):
     unit = VirasoroKp2(1, 1)
     label_type = VirasoroKp2
 
-    @staticmethod
-    def _indices(x: VirasoroKp2) -> tuple[int, int]:
-        return (x.r, x.s)
-
     def _weight_raw(self, x: VirasoroKp2) -> WeightVec:
         return via_kp2_of_s(virasoro_vec(x.r, x.s))
 
 
-class SuperVirCategory(_DoubleIndexCategory):
+class SuperVirCategory(_IndexedCategory):
     """Simple modules of the N=1 super Virasoro algebra at generic parameter."""
 
     name = "supervir"
@@ -233,10 +213,6 @@ class SuperVirCategory(_DoubleIndexCategory):
     label_type = SuperVir
     checklist_note = "semisimple image of induction from the even-sum Deligne pairs"
 
-    @staticmethod
-    def _indices(x: SuperVir) -> tuple[int, int]:
-        return (x.n, x.m)
-
     def _weight_raw(self, x: SuperVir) -> WeightVec:
         return super_vec(x.n, x.m)
 
@@ -244,41 +220,7 @@ class SuperVirCategory(_DoubleIndexCategory):
         return ((x.n + x.m) // 2 - 1) % 2
 
 
-class _SingleIndexCategory(CategorySpec):
-    label_type: type
-    min_index: int = 1
-
-    def __init__(self, min_index: int = 1):
-        self.min_index = min_index
-
-    def contains(self, x: SimpleLabel) -> bool:
-        return isinstance(x, self.label_type) and self._index(x) >= self.min_index
-
-    @staticmethod
-    def _index(x: SimpleLabel) -> int:
-        raise NotImplementedError
-
-    def _fusion_raw(self, x, y) -> FusionElement:
-        a, b = self._index(x), self._index(y)
-        out = []
-        for c in parity_range(a, b):
-            try:
-                out.append((self.label_type(c), 1))
-            except ValueError:
-                continue
-        return FusionElement(out)
-
-    def labels_up_to(self, bound: int) -> list[SimpleLabel]:
-        out = []
-        for k in range(self.min_index, bound + 1):
-            try:
-                out.append(self.label_type(k))
-            except ValueError:
-                continue
-        return out
-
-
-class KLCategory(_SingleIndexCategory):
+class KLCategory(_IndexedCategory):
     """Generalized Verma modules of affine sl2 at generic level, fused by the
     same parity-range rule as the first Virasoro index."""
 
@@ -287,15 +229,11 @@ class KLCategory(_SingleIndexCategory):
     unit = AffineVerma(1)
     label_type = AffineVerma
 
-    @staticmethod
-    def _index(x: AffineVerma) -> int:
-        return x.r
-
     def _weight_raw(self, x: AffineVerma) -> WeightVec:
         return verma_vec(x.r)
 
 
-class OspCategory(_SingleIndexCategory):
+class OspCategory(_IndexedCategory):
     """Simple local modules of affine osp(1|2) at generic level."""
 
     name = "osp"
@@ -303,10 +241,6 @@ class OspCategory(_SingleIndexCategory):
     unit = OspMod(1)
     label_type = OspMod
     checklist_note = "semisimple image of induction from the odd-index chain"
-
-    @staticmethod
-    def _index(x: OspMod) -> int:
-        return x.n
 
     def _weight_raw(self, x: OspMod) -> WeightVec:
         return osp_vec(x.n)
@@ -338,10 +272,6 @@ class DeligneCategory(CategorySpec):
             raise ValueError(f"cannot align parameters {params}")
         self.unit = Pair(left.unit, right.unit)
         self.checklist_note = f"product of {left.name} and {right.name}"
-        self.closed_under_subquotients = left.closed_under_subquotients and right.closed_under_subquotients
-        self.finitely_generated = left.finitely_generated and right.finitely_generated
-        self.braided_tensor = left.braided_tensor and right.braided_tensor
-        self.fusion_image_condition = left.fusion_image_condition and right.fusion_image_condition
 
     def contains(self, x: SimpleLabel) -> bool:
         return isinstance(x, Pair) and self.left.contains(x.left) and self.right.contains(x.right)
@@ -371,11 +301,6 @@ class DeligneCategory(CategorySpec):
             for a in self.left.labels_up_to(bound)
             for b in self.right.labels_up_to(bound)
         ]
-
-
-def checklist_report(cat: CategorySpec) -> tuple[ChecklistItem, ...]:
-    """The five extension-setup conditions of a specification, annotated."""
-    return cat.checklist()
 
 
 _BUILTINS = {

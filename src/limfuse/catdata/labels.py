@@ -5,6 +5,10 @@ carry a pair of positive integers, affine Verma labels a single one.  The
 super-Virasoro family only admits index pairs of even sum and the affine
 osp family only odd indices; both constraints come from the locality of the
 corresponding extensions and are enforced at construction.
+
+Every index label exposes its integer fields, in declaration order, as
+`indices`; categories, the CLI and the induction layer read indices only
+through it.  `sort_key()` is the label's tag followed by its indices.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ class SimpleLabel:
     __slots__ = ()
 
     def sort_key(self) -> tuple:
+        """(tag, *indices) for index labels; the canonical label order."""
         raise NotImplementedError
 
     def __lt__(self, other: "SimpleLabel") -> bool:
@@ -48,6 +53,10 @@ class VirasoroT(SimpleLabel):
     def __post_init__(self):
         _check_index(self.r, self.s)
 
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return (self.r, self.s)
+
     def sort_key(self):
         return (0, self.r, self.s)
 
@@ -66,6 +75,10 @@ class VirasoroKp2(SimpleLabel):
     def __post_init__(self):
         _check_index(self.r, self.s)
 
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return (self.r, self.s)
+
     def sort_key(self):
         return (1, self.r, self.s)
 
@@ -81,6 +94,10 @@ class AffineVerma(SimpleLabel):
 
     def __post_init__(self):
         _check_index(self.r)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return (self.r,)
 
     def sort_key(self):
         return (2, self.r)
@@ -101,6 +118,10 @@ class SuperVir(SimpleLabel):
         if (self.n + self.m) % 2 != 0:
             raise ValueError(f"super-Virasoro label needs n+m even, got ({self.n},{self.m})")
 
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return (self.n, self.m)
+
     def sort_key(self):
         return (3, self.n, self.m)
 
@@ -118,6 +139,10 @@ class OspMod(SimpleLabel):
         _check_index(self.n)
         if self.n % 2 == 0:
             raise ValueError(f"osp label needs n odd, got {self.n}")
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return (self.n,)
 
     def sort_key(self):
         return (4, self.n)

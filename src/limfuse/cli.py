@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from limfuse.catdata.category import CategorySpec, category_by_name
@@ -49,15 +48,13 @@ def _pick_label(cat: CategorySpec, first: int | None, second: int | None, what: 
     label_type = getattr(cat, "label_type", None)
     if label_type is None:
         raise ConfigError(f"category {cat.name} has no index selectors; use algebra commands")
-    single = label_type.__dataclass_fields__ and len(label_type.__dataclass_fields__) == 1
+    arity = len(cat.unit.indices)
     if first is None:
         raise ConfigError(f"missing index selector for the {what} label")
+    if arity == 2 and second is None:
+        raise ConfigError(f"missing second index selector for the {what} label")
     try:
-        if single:
-            return label_type(first)
-        if second is None:
-            raise ConfigError(f"missing second index selector for the {what} label")
-        return label_type(first, second)
+        return label_type(*(first, second)[:arity])
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -212,8 +209,7 @@ def cmd_center(args) -> int:
     cat = _category(args.category)
     if args.bound < 1 or args.witness_bound < 1:
         raise ConfigError("scan bounds must be >= 1")
-    threads = int(os.environ.get("VTC_THREADS", "1") or "1")
-    found = mueger_scan(cat, args.bound, args.witness_bound, threads=max(threads, 1))
+    found = mueger_scan(cat, args.bound, args.witness_bound)
     rows = [[str(x)] for x in found]
     _emit(args.format, "center", ["label"], rows,
           {"category": cat.name, "bound": args.bound, "witness_bound": args.witness_bound})
@@ -221,6 +217,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_dirlim_selftest(args) -> int:
+    _require_positive(args.cases, "--cases")
     res = run_selftest(seed=args.seed, cases=args.cases)
     print(f"{res.passed}/{res.cases} passed")
     if not res.ok:
@@ -231,6 +228,14 @@ def cmd_dirlim_selftest(args) -> int:
     return 0
 
 
+_SELECTORS = (
+    ("--n", "first index of the first label"),
+    ("--m", "second index of the first label"),
+    ("--r", "first index of the second label"),
+    ("--s-index", "second index of the second label"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limfuse",
@@ -238,64 +243,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, category=False, algebra=False, selectors=False, bounds=False):
+    def table(name, func, help, source, selectors=0):
+        """A table command: --format, its required --category or --algebra,
+        and the first `selectors` label index selectors."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        if category:
-            p.add_argument("--category", required=True)
-        if algebra:
-            p.add_argument("--algebra", required=True)
-        if selectors:
-            p.add_argument("--n", type=int, default=None, help="first index of the first label")
-            p.add_argument("--m", type=int, default=None, help="second index of the first label")
-            p.add_argument("--r", type=int, default=None, help="first index of the second label")
-            p.add_argument("--s-index", type=int, default=None, help="second index of the second label")
-        if bounds:
-            p.add_argument("--bound", type=int, default=12)
-        p.add_argument("--truncate", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sample", default="355/113")
+        p.add_argument(f"--{source}", required=True)
+        for flag, text in _SELECTORS[:selectors]:
+            p.add_argument(flag, type=int, default=None, help=text)
+        return p
 
-    p = sub.add_parser("weights", help="conformal-weight table")
-    common(p, category=True, bounds=True)
-    p.set_defaults(func=cmd_weights)
+    p = table("weights", cmd_weights, "conformal-weight table", "category")
+    p.add_argument("--bound", type=int, default=12)
 
-    p = sub.add_parser("fuse", help="fusion product of two simples")
-    common(p, category=True, selectors=True)
-    p.set_defaults(func=cmd_fuse)
+    table("fuse", cmd_fuse, "fusion product of two simples", "category", 4)
+    table("monodromy", cmd_monodromy, "per-summand double-braiding exponents", "category", 4)
 
-    p = sub.add_parser("monodromy", help="per-summand double-braiding exponents")
-    common(p, category=True, selectors=True)
-    p.set_defaults(func=cmd_monodromy)
+    p = table("locality", cmd_locality, "locality certificate for an induced module", "algebra", 2)
+    p.add_argument("--truncate", type=int, default=20)
 
-    p = sub.add_parser("locality", help="locality certificate for an induced module")
-    common(p, algebra=True, selectors=True)
-    p.set_defaults(func=cmd_locality)
+    p = table("induce", cmd_induce, "restriction table of an induced module", "algebra", 2)
+    p.add_argument("--truncate", type=int, default=20)
 
-    p = sub.add_parser("induce", help="restriction table of an induced module")
-    common(p, algebra=True, selectors=True)
-    p.set_defaults(func=cmd_induce)
+    p = table("min-weight", cmd_min_weight, "minimum-weight slice of an induced module", "algebra", 2)
+    p.add_argument("--truncate", type=int, default=20)
+    p.add_argument("--sample", default="355/113")
 
-    p = sub.add_parser("min-weight", help="minimum-weight slice of an induced module")
-    common(p, algebra=True, selectors=True)
-    p.set_defaults(func=cmd_min_weight)
+    table("frobenius", cmd_frobenius, "Hom dimension between two induced modules", "algebra", 4)
+    table("fuse-induced", cmd_fuse_induced, "fusion of two induced modules", "algebra", 4)
 
-    p = sub.add_parser("frobenius", help="Hom dimension between two induced modules")
-    common(p, algebra=True, selectors=True)
-    p.set_defaults(func=cmd_frobenius)
-
-    p = sub.add_parser("fuse-induced", help="fusion of two induced modules")
-    common(p, algebra=True, selectors=True)
-    p.set_defaults(func=cmd_fuse_induced)
-
-    p = sub.add_parser("center", help="transparent-object scan")
-    common(p, category=True, bounds=True)
+    p = table("center", cmd_center, "transparent-object scan", "category")
+    p.add_argument("--bound", type=int, default=12)
     p.add_argument("--witness-bound", type=int, default=8)
-    p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("dirlim-selftest", help="seeded property suite for the limit machinery")
-    common(p)
-    p.add_argument("--cases", type=int, default=100)
     p.set_defaults(func=cmd_dirlim_selftest)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cases", type=int, default=100)
 
     return parser
 

@@ -118,9 +118,6 @@ class GradeMap:
             raise ValueError("composition mismatch")
         return GradeMap(other.source, self.target, linalg.matmul(self.matrix, other.matrix, other.source.dim))
 
-    def apply(self, vec: Sequence[Fraction]) -> Vec:
-        return tuple(sum((r * v for r, v in zip(row, vec)), Fraction(0)) for row in self.matrix)
-
     def column(self, c: int) -> Vec:
         return tuple(row[c] for row in self.matrix)
 

@@ -151,10 +151,6 @@ def span_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Rows:
     return rref(rows, ncols)[0]
 
 
-def same_span(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]], ncols: int) -> bool:
-    return span_rows(a, ncols) == span_rows(b, ncols)
-
-
 def span_contains(outer: Sequence[Sequence[Fraction]], inner: Sequence[Sequence[Fraction]], ncols: int) -> bool:
     red, pivots = rref(outer, ncols)
     return all(in_row_space(red, pivots, v) for v in inner)

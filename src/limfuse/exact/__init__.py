@@ -1,7 +1,6 @@
 """Exact rational, polynomial, and rational-function arithmetic."""
 
 from limfuse.exact.poly import (
-    IntPoly,
     Poly,
     Rat,
     first_non_integer_positive,
@@ -22,7 +21,6 @@ from limfuse.exact.phase import Phase
 __all__ = [
     "Rat",
     "Poly",
-    "IntPoly",
     "RatFunc",
     "Phase",
     "DivisionByZero",

@@ -149,13 +149,6 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def compose(self, other: "Poly") -> "Poly":
-        """self(other), evaluated by Horner's rule."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * other + c
-        return out
-
     def eval(self, x: Union[int, Rat]) -> Rat:
         x = Fraction(x)
         out = Fraction(0)
@@ -212,8 +205,3 @@ def interpolate(points: Sequence[tuple[Union[int, Rat], Union[int, Rat]]]) -> Po
             denom *= xi - xj
         total = total + num * (yi / denom)
     return total
-
-
-# The exponent families arising in locality checks are polynomials in the
-# summand index r; the alias keeps that role visible at call sites.
-IntPoly = Poly

@@ -120,34 +120,12 @@ def is_transparent(
     return True, None
 
 
-def mueger_scan(
-    cat: CategorySpec,
-    index_bound: int,
-    witness_bound: int,
-    threads: int = 1,
-) -> list[SimpleLabel]:
+def mueger_scan(cat: CategorySpec, index_bound: int, witness_bound: int) -> list[SimpleLabel]:
     """All labels with indices <= index_bound transparent against every label
-    with indices <= witness_bound, in canonical order.
-
-    Every candidate is evaluated (no early exit), so timing and output are
-    reproducible; candidates are independent, so the scan may fan out over a
-    thread pool and re-sort.
+    with indices <= witness_bound, in canonical order (the order of
+    `labels_up_to`).
     """
     if index_bound < 1 or witness_bound < 1:
         raise ValueError("scan bounds must be >= 1")
-    candidates = cat.labels_up_to(index_bound)
     witnesses = cat.labels_up_to(witness_bound)
-
-    def transparent(label: SimpleLabel) -> bool:
-        return is_transparent(cat, label, witnesses)[0]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(transparent, candidates))
-    else:
-        flags = [transparent(c) for c in candidates]
-    out = [c for c, ok in zip(candidates, flags) if ok]
-    out.sort(key=lambda lbl: lbl.sort_key())
-    return out
+    return [c for c in cat.labels_up_to(index_bound) if is_transparent(cat, c, witnesses)[0]]

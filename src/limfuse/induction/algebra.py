@@ -4,7 +4,9 @@ An algebra object here is a rule r -> simple label (r = 1, 2, ...) whose
 summands are pairs with affinely growing indices; it is never materialized.
 The affine index templates are what make every downstream sum provably
 finite: fusion ranges grow linearly with the summand index, so only a
-bounded window of summands can reach any fixed label.
+bounded window of summands can reach any fixed label.  `summand_window`
+computes that window from per-slot limits, and `pair_slots` reads a pair
+label's indices in the same (factor, slot) layout.
 """
 
 from __future__ import annotations
@@ -144,6 +146,14 @@ class AlgebraObject:
                 if w is not None:
                     bounds.append(w)
         return max(min(bounds), 0)
+
+
+def pair_slots(label: SimpleLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indices of the two factors of a pair label, addressed (factor, slot)
+    like the limits passed to `AlgebraObject.summand_window`."""
+    if not isinstance(label, Pair):
+        raise ValueError(f"expected a pair label, got {label}")
+    return label.left.indices, label.right.indices
 
 
 def _svir_to_induced(base: SimpleLabel) -> SimpleLabel:

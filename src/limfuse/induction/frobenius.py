@@ -4,32 +4,22 @@ The dimension of Hom between modules induced from two base simples equals
 the multiplicity pairing of the first base with the fusion of the algebra
 against the second.  The sum over algebra summands has finite support: the
 fusion range of an affinely growing index can reach a fixed target index
-only within an explicit window, so the sum is exact, not truncated.
+only within an explicit window, computed from the slots `pair_slots` reads
+off both bases, so the sum is exact, not truncated.
 """
 
 from __future__ import annotations
 
-from limfuse.catdata.labels import Pair, SimpleLabel
+from limfuse.catdata.labels import SimpleLabel
 from limfuse.fusion.element import FusionElement
 from limfuse.fusion.ring import hom_dim
-from limfuse.induction.algebra import AlgebraObject
-
-
-def _slot_indices(label: SimpleLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not isinstance(label, Pair):
-        raise ValueError(f"expected a pair label, got {label}")
-
-    def idx(x: SimpleLabel) -> tuple[int, ...]:
-        key = x.sort_key()
-        return tuple(key[1:])
-
-    return idx(label.left), idx(label.right)
+from limfuse.induction.algebra import AlgebraObject, pair_slots
 
 
 def support_bound(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -> int:
     """Largest r for which fusion of summand(r) with base2 can contain base1."""
-    idx1 = _slot_indices(base1)
-    idx2 = _slot_indices(base2)
+    idx1 = pair_slots(base1)
+    idx2 = pair_slots(base2)
 
     def limit(fi: int, si: int) -> int:
         # fusing index e(r) with x produces indices >= |e(r)-x|+1, so the

@@ -14,10 +14,10 @@ a multiplicity mismatch.
 
 from __future__ import annotations
 
-from limfuse.catdata.labels import Pair, SimpleLabel
+from limfuse.catdata.labels import SimpleLabel
 from limfuse.fusion.element import FusionElement
 from limfuse.fusion.ring import ring_mul
-from limfuse.induction.algebra import AlgebraObject
+from limfuse.induction.algebra import AlgebraObject, pair_slots
 from limfuse.induction.locality import locality
 
 
@@ -39,12 +39,6 @@ def induced_fusion(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -
     return FusionElement([(alg.to_induced(z), m) for z, m in product])
 
 
-def _max_index(label: SimpleLabel) -> int:
-    if isinstance(label, Pair):
-        return max(_max_index(label.left), _max_index(label.right))
-    return max(label.sort_key()[1:])
-
-
 def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:
     """Restriction of the module induced from `base`, complete on every label
     with all indices <= truncate.
@@ -54,7 +48,7 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
     """
     acc: dict[SimpleLabel, int] = {}
     cat = alg.base_category
-    slots = _pair_slots(base)
+    slots = pair_slots(base)
 
     def limit(fi: int, si: int) -> int:
         return truncate + slots[fi][si] - 1
@@ -62,7 +56,7 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
     r_max = alg.summand_window(limit)
     for r in range(1, r_max + 1):
         for z, m in cat.fusion_of(alg.summand(r), base):
-            if _max_index(z) <= truncate:
+            if max(*z.left.indices, *z.right.indices) <= truncate:
                 acc[z] = acc.get(z, 0) + m
     return FusionElement(acc)
 
@@ -70,12 +64,6 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
 def _add_scaled(acc: dict[SimpleLabel, int], elem: FusionElement, k: int) -> None:
     for z, m in elem:
         acc[z] = acc.get(z, 0) + k * m
-
-
-def _pair_slots(label: SimpleLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not isinstance(label, Pair):
-        raise ValueError(f"expected a pair label, got {label}")
-    return tuple(label.left.sort_key()[1:]), tuple(label.right.sort_key()[1:])
 
 
 def restriction_oracle_check(

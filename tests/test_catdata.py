@@ -76,6 +76,43 @@ class TestLabels:
         assert labels[:4] == [VirasoroT(1, 1), VirasoroT(1, 2), VirasoroT(1, 3), VirasoroT(2, 1)]
 
 
+BUILTINS = (VT, KP2, KL, SV, OSP)
+
+
+def brute_fusion(x, y):
+    """Slot-by-slot fusion read off the rule |a-b| < c < a+b with
+    c = a+b+1 (mod 2), every term of multiplicity one."""
+    combos = [()]
+    for a, b in zip(x.indices, y.indices):
+        allowed = [c for c in range(1, a + b) if abs(a - b) < c and (a + b + 1 - c) % 2 == 0]
+        combos = [t + (c,) for t in combos for c in allowed]
+    return FusionElement({type(x)(*c): 1 for c in combos})
+
+
+class TestLabelIndices:
+    """`indices` is the one index accessor; categories fuse through it."""
+
+    def test_indices_rebuild_label_and_key_up_to_12(self):
+        for cat in BUILTINS:
+            labels = cat.labels_up_to(12)
+            assert labels == sorted(labels)
+            for x in labels:
+                assert type(x)(*x.indices) == x
+                assert x.sort_key()[1:] == x.indices
+                assert parse_label(str(x)) == x
+
+    def test_fusion_matches_brute_force_up_to_8(self):
+        for cat in BUILTINS:
+            labels = cat.labels_up_to(8)
+            for x in labels:
+                for y in labels:
+                    assert cat.fusion_of(x, y) == brute_fusion(x, y), (x, y)
+
+    def test_product_labels_in_canonical_order(self):
+        labels = PAIR_CAT.labels_up_to(4)
+        assert labels == sorted(labels)
+
+
 class TestWeights:
     def test_unit_weight_zero(self):
         for cat in (VT, KP2, KL, SV, OSP, PAIR_CAT):

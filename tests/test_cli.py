@@ -45,14 +45,7 @@ class TestDeterminism:
         args = ("center", "--category", "supervir", "--bound", "5", "--witness-bound", "5")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
-        assert first == second
-
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        args = ("center", "--category", "supervir", "--bound", "5", "--witness-bound", "5")
-        _, serial, _ = run(capsys, *args)
-        monkeypatch.setenv("VTC_THREADS", "4")
-        _, threaded, _ = run(capsys, *args)
-        assert serial == threaded == "S(1,1)\n"
+        assert first == second == "S(1,1)\n"
 
 
 class TestCommands:
@@ -149,6 +142,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["weights", "--bound", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--category", "osp", "--bound", "3", "--seed", "9"],
+        ["weights", "--category", "osp", "--bound", "3", "--truncate", "-4"],
+        ["locality", "--algebra", "osp-ext", "--n", "3", "--sample", "zz"],
+        ["locality", "--algebra", "osp-ext", "--n", "3", "--r", "5"],
+        ["center", "--category", "supervir", "--sample", "1"],
+        ["dirlim-selftest", "--format", "json"],
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_selftest_cases_below_one(self, capsys, cases):
+        code, out, err = run(capsys, "dirlim-selftest", f"--cases={cases}")
+        assert (code, out) == (2, "")
+        assert "--cases" in err
 
     def test_bad_bounds(self, capsys):
         code, _, err = run(capsys, "center", "--category", "supervir",

@@ -221,9 +221,6 @@ class TestTransparency:
     def test_scan_trivial_bounds(self):
         assert mueger_scan(SV, 1, 1) == [SV.unit]
 
-    def test_scan_threads_agree(self):
-        assert mueger_scan(SV, 5, 5, threads=3) == mueger_scan(SV, 5, 5)
-
     def test_scan_bad_bounds(self):
         with pytest.raises(ValueError):
             mueger_scan(SV, 0, 3)
