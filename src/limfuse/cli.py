@@ -53,6 +53,8 @@ def _pick_label(cat: CategorySpec, first: int | None, second: int | None, what: 
         raise ConfigError(f"missing index selector for the {what} label")
     if arity == 2 and second is None:
         raise ConfigError(f"missing second index selector for the {what} label")
+    if arity == 1 and second is not None:
+        raise ConfigError(f"category {cat.name} needs {arity} index selector(s) per label")
     try:
         return label_type(*(first, second)[:arity])
     except ValueError as e:

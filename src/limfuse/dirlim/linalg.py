@@ -3,13 +3,14 @@
 Elimination runs fraction-free: rows are scaled to integers and updated by
 cross-multiplication with per-row gcd reduction, so no rational arithmetic
 happens inside the pivot loops.  Pivot normalization back to Fractions occurs
-once at the end, producing the canonical reduced row echelon form.
+once at the end, producing the canonical reduced row echelon form.  Matrix
+products are likewise summed on integers and divided back once per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -23,7 +24,7 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
         for c in row:
             d = c.denominator
             scale = scale * d // gcd(scale, d)
-        out.append([int(c * scale) for c in row])
+        out.append([c.numerator * (scale // c.denominator) for c in row])
     return out
 
 
@@ -131,18 +132,34 @@ def solve_matrix(
 
 
 def matmul(a: Rows, b: Rows, ncols_b: int) -> Rows:
-    """Product of row-major matrices; a is n x m, b is m x ncols_b."""
+    """Product of row-major matrices; a is n x m, b is m x ncols_b.
+
+    The products are summed as integers: b is scaled by the lcm of its
+    denominators and each row of a by the lcm of its own, and every entry is
+    divided back once at the end."""
+    db = 1
+    for brow in b:
+        for x in brow:
+            if x.denominator != 1:
+                db = lcm(db, x.denominator)
+    nonzero = [[(k, x.numerator * (db // x.denominator)) for k, x in enumerate(brow) if x] for brow in b]
     out = []
     for row in a:
-        acc = [Fraction(0)] * ncols_b
+        da = 1
+        for v in row:
+            if v.denominator != 1:
+                da = lcm(da, v.denominator)
+        acc = [0] * ncols_b
         for c, v in enumerate(row):
-            if v == 0:
-                continue
-            brow = b[c]
-            for k in range(ncols_b):
-                if brow[k] != 0:
-                    acc[k] += v * brow[k]
-        out.append(tuple(acc))
+            if v:
+                vi = v.numerator * (da // v.denominator)
+                for k, x in nonzero[c]:
+                    acc[k] += vi * x
+        den = da * db
+        if den == 1:
+            out.append(tuple(map(Fraction, acc)))
+        else:
+            out.append(tuple(Fraction(s, den) for s in acc))
     return tuple(out)
 
 

@@ -1,7 +1,9 @@
 """Property suite over seeded random systems, shared by pytest and the CLI.
 
 Each system case constructs the limit and checks, by exact linear algebra:
-leg compatibility, that the top leg's image is everything (union of images),
+agreement with the quotient construction (equal when the greatest element is
+listed last, otherwise isomorphic through the universal map), leg
+compatibility, that the top leg's image is everything (union of images),
 the kernel identity ker(phi_i) = sum of ker(f_i^j) over j >= i, existence and
 uniqueness of the universal map to a concrete target, and injectivity of the
 canonical map for inclusion systems.  Each comparison case checks that the
@@ -22,10 +24,12 @@ from limfuse.dirlim.randgen import (
     random_system,
 )
 from limfuse.dirlim.system import (
+    DirectSystem,
     Target,
     direct_limit,
     kernel_of_leg,
     kernel_union,
+    quotient_limit,
     universal_map,
     validate_system,
 )
@@ -34,12 +38,17 @@ from limfuse.dirlim.tensor import fubini_compare
 
 def check_system_case(seed: int, perturb_entries: int | None = 8) -> list[str]:
     """Run every system property for one seed; returns the failures."""
+    return check_system(random_system(seed), seed, perturb_entries)
+
+
+def check_system(sys: DirectSystem, seed: int, perturb_entries: int | None = 8) -> list[str]:
+    """Run every system property on `sys`; `seed` picks the perturbed entries."""
     problems: list[str] = []
-    sys = random_system(seed)
     report = validate_system(sys)
     if not report.ok:
         return [f"generated system invalid: {p}" for p in report.problems]
     lim = direct_limit(sys)
+    problems.extend(_against_quotient(sys, lim))
 
     for i, j in sys.poset.strict_pairs():
         if lim.legs[j] @ sys.map(i, j) != lim.legs[i]:
@@ -65,6 +74,18 @@ def check_system_case(seed: int, perturb_entries: int | None = 8) -> list[str]:
                 problems.append(f"universal map misses psi_{i}")
         problems.extend(_uniqueness_by_perturbation(seed, lim, tgt, f, perturb_entries))
     return problems
+
+
+def _against_quotient(sys: DirectSystem, lim) -> list[str]:
+    oracle = quotient_limit(sys)
+    if sys.poset.elements[-1] == sys.poset.greatest():
+        return [] if oracle == lim else ["limit differs from the quotient construction"]
+    if oracle.space.graded_dims() != lim.space.graded_dims():
+        return ["graded dimensions differ from the quotient construction"]
+    comparison = universal_map(oracle, Target(lim.space, lim.legs))
+    if comparison.rank() != lim.space.dim:
+        return ["map from the quotient construction is not invertible"]
+    return []
 
 
 def _uniqueness_by_perturbation(seed, lim, tgt, f: GradeMap, limit_entries) -> list[str]:

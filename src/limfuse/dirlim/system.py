@@ -1,16 +1,27 @@
-"""Direct systems of graded vector spaces and their explicit limits.
+"""Direct systems of graded vector spaces and their limits.
 
-The limit of a system over a finite directed poset is constructed as the
-quotient of the direct sum of all stage spaces by the span of the vectors
-q_i(w) - q_j(f_i^j(w)); the quotient is computed grade by grade with exact
-row reduction.  Cover relations suffice as a spanning set: the identification
-along a composite i <= j telescopes along any saturated chain between them.
+A finite directed poset has a greatest element top, so the limit of a system
+over it is V_top itself, with legs f_i^top: every stage maps into V_top, and
+what the limit identifies is already identified there.  `direct_limit`
+returns that space, its basis sorted stably by weight, and runs no row
+reduction.  `quotient_limit` keeps the explicit construction, the quotient of
+the direct sum of all stage spaces by the span of the vectors
+q_i(w) - q_j(f_i^j(w)) over cover pairs, computed grade by grade with exact
+row reduction; the property suite uses it as the oracle.
+
+Functoriality is checked only on the triples i < c <= k whose first step is a
+cover: any i < j < k has a cover i < c <= j, and induction on the interval
+[i, k] turns f_c^k o f_i^c = f_i^k and f_c^j o f_i^c = f_i^j into
+f_j^k o f_i^j = f_i^k.  The same telescoping along saturated chains lets
+universal maps check their cocone along covers only.  A system's report is
+computed once and kept on the system, whose spaces and maps are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from limfuse.dirlim import linalg
@@ -56,6 +67,11 @@ class DirectSystem:
     spaces: Mapping[str, GradedSpace]
     maps: Mapping[tuple[str, str], GradeMap]
 
+    def __post_init__(self):
+        # read-only copies, so that the memoized validation report stays true
+        object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
+        object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
+
     def space(self, i: str) -> GradedSpace:
         try:
             return self.spaces[i]
@@ -94,15 +110,25 @@ class DirectSystem:
 
 
 def validate_system(sys: DirectSystem) -> ValidationReport:
-    """Report every violated identity; an empty report certifies the system."""
+    """Report every violated identity; an empty report certifies the system.
+
+    Composition is checked on the triples whose first step is a cover, which
+    implies it on every triple; the report is computed once per system.
+    """
+    report = sys.__dict__.get("_validation")
+    if report is None:
+        report = sys.__dict__.setdefault("_validation", _validate(sys))
+    return report
+
+
+def _validate(sys: DirectSystem) -> ValidationReport:
     problems = list(sys.poset.violations())
     for e in sys.poset.elements:
         if e not in sys.spaces:
             problems.append(f"missing space for {e}")
     if problems:
         return ValidationReport(tuple(problems))
-    strict = sys.poset.strict_pairs()
-    for i, j in strict:
+    for i, j in sys.poset.strict_pairs():
         f = sys.maps.get((i, j))
         if f is None:
             problems.append(f"missing map for {i} <= {j}")
@@ -119,12 +145,19 @@ def validate_system(sys: DirectSystem) -> ValidationReport:
             problems.append(f"map stored for unrelated pair {i}, {j}")
     if problems:
         return ValidationReport(tuple(problems))
-    for i, j in strict:
+    for i, c in sys.poset.covers():
+        f_ic = sys.maps[(i, c)]
         for k in sys.poset.elements:
-            if k != j and sys.poset.le(j, k) and i != k:
-                if sys.map(j, k) @ sys.map(i, j) != sys.map(i, k):
-                    problems.append(f"composition violated: f_{j}^{k} o f_{i}^{j} != f_{i}^{k}")
+            if k != c and sys.poset.le(c, k):
+                if sys.maps[(c, k)] @ f_ic != sys.maps[(i, k)]:
+                    problems.append(f"composition violated: f_{c}^{k} o f_{i}^{c} != f_{i}^{k}")
     return ValidationReport(tuple(problems))
+
+
+def _require_valid(sys: DirectSystem) -> None:
+    report = validate_system(sys)
+    if not report.ok:
+        raise InvalidSystem(report)
 
 
 @dataclass(frozen=True)
@@ -137,8 +170,8 @@ class Target:
 
 @dataclass(frozen=True)
 class Limit:
-    """The constructed limit: quotient space, one leg per stage, and the
-    system it came from (kept for kernel queries)."""
+    """The constructed limit: its space, one leg per stage, and the system it
+    came from (kept for kernel queries)."""
 
     space: GradedSpace
     legs: Mapping[str, GradeMap]
@@ -152,10 +185,25 @@ class Limit:
 
 
 def direct_limit(sys: DirectSystem) -> Limit:
-    """Quotient-by-relations construction of the limit with its legs."""
-    report = validate_system(sys)
-    if not report.ok:
-        raise InvalidSystem(report)
+    """The limit as the greatest stage V_top, basis ids `top:bid` sorted stably
+    by weight, with legs f_i^top.  Equal to `quotient_limit` whenever top is
+    listed last among the poset's elements, isomorphic to it always."""
+    _require_valid(sys)
+    top = sys.poset.greatest()
+    basis = sys.spaces[top].basis
+    order = sorted(range(len(basis)), key=lambda k: basis[k][1])
+    space = GradedSpace(tuple((f"{top}:{basis[k][0]}", basis[k][1]) for k in order))
+    legs = {}
+    for e in sys.poset.elements:
+        rows = sys.map(e, top).matrix
+        legs[e] = GradeMap(sys.spaces[e], space, tuple(rows[k] for k in order))
+    return Limit(space, legs, sys)
+
+
+def quotient_limit(sys: DirectSystem) -> Limit:
+    """Quotient-by-relations construction of the limit with its legs; the
+    independent oracle for `direct_limit`."""
+    _require_valid(sys)
 
     elements = sys.poset.elements
     offsets: dict[str, int] = {}
@@ -164,7 +212,6 @@ def direct_limit(sys: DirectSystem) -> Limit:
         offsets[e] = len(total_basis)
         for bid, w in sys.spaces[e].basis:
             total_basis.append((e, bid, w))
-    total_dim = len(total_basis)
 
     weights = sorted({w for _, _, w in total_basis})
     grade_cols: dict[Weight, list[int]] = {
@@ -226,7 +273,10 @@ def direct_limit(sys: DirectSystem) -> Limit:
 
 
 def universal_map(lim: Limit, tgt: Target) -> GradeMap:
-    """The unique map F with F o phi_i = psi_i for every stage i."""
+    """The unique map F with F o phi_i = psi_i for every stage i.
+
+    The cocone is checked along covers, and F is solved from the top stage
+    alone: phi_top is onto, and phi_i = phi_top o f_i^top for every i."""
     sys = lim.system
     for i in sys.poset.elements:
         psi = tgt.psis.get(i)
@@ -234,30 +284,21 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
             raise IncompatibleTarget(f"missing target map for {i}")
         if psi.source != sys.spaces[i] or psi.target != tgt.space:
             raise IncompatibleTarget(f"target map for {i} has wrong source or target")
-    for i, j in sys.poset.strict_pairs():
-        if tgt.psis[j] @ sys.map(i, j) != tgt.psis[i]:
-            raise IncompatibleTarget(f"psi_{j} o f_{i}^{j} != psi_{i}")
+    for i, c in sys.poset.covers():
+        if tgt.psis[c] @ sys.map(i, c) != tgt.psis[i]:
+            raise IncompatibleTarget(f"psi_{c} o f_{i}^{c} != psi_{i}")
 
-    lim_blocks = lim.space.blocks()
+    top = sys.poset.greatest()
+    leg, psi = lim.legs[top], tgt.psis[top]
+    top_blocks = sys.spaces[top].blocks()
     tgt_blocks = tgt.space.blocks()
     fmat = [[Fraction(0)] * lim.space.dim for _ in range(tgt.space.dim)]
-    for w, lim_rows in lim_blocks.items():
+    for w, lim_rows in lim.space.blocks().items():
         tgt_rows = tgt_blocks.get(w, [])
-        # columns: all stage basis vectors of weight w
-        acols: list[Vec] = []
-        bcols: list[Vec] = []
-        for e in sys.poset.elements:
-            sp = sys.spaces[e]
-            leg = lim.legs[e]
-            psi = tgt.psis[e]
-            for c in range(sp.dim):
-                if sp.weight(c) != w:
-                    continue
-                acols.append(tuple(leg.matrix[r][c] for r in lim_rows))
-                bcols.append(tuple(psi.matrix[r][c] for r in tgt_rows))
-        if not lim_rows:
-            continue
-        # F_w solves F_w A = B; transpose to A^T F^T = B^T (unique: legs span)
+        cols = top_blocks.get(w, [])
+        acols = [tuple(leg.matrix[r][c] for r in lim_rows) for c in cols]
+        bcols = [tuple(psi.matrix[r][c] for r in tgt_rows) for c in cols]
+        # F_w solves F_w A = B; transpose to A^T F^T = B^T (unique: phi_top is onto)
         x = linalg.solve_matrix(acols, bcols, len(lim_rows), len(tgt_rows))
         if x is None:
             raise IncompatibleTarget("target maps are inconsistent with the limit")

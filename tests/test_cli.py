@@ -156,6 +156,17 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["fuse", "monodromy"])
+    @pytest.mark.parametrize("selectors", [
+        ["--n", "3", "--m", "99", "--r", "3", "--s-index", "7"],
+        ["--n", "3", "--r", "3", "--s-index", "7"],
+        ["--n", "3", "--m", "99", "--r", "3"],
+    ])
+    def test_surplus_selector_on_single_index_category(self, capsys, command, selectors):
+        code, out, err = run(capsys, command, "--category", "osp", *selectors)
+        assert (code, out) == (2, "")
+        assert "needs 1 index selector(s)" in err
+
     @pytest.mark.parametrize("cases", ["0", "-3"])
     def test_selftest_cases_below_one(self, capsys, cases):
         code, out, err = run(capsys, "dirlim-selftest", f"--cases={cases}")

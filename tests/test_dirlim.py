@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import json
+import random
+
 import pytest
 
 from limfuse.dirlim import (
@@ -27,6 +29,8 @@ from limfuse.dirlim import (
     universal_map,
     validate_system,
 )
+from limfuse.dirlim import linalg
+from limfuse.dirlim.system import quotient_limit
 
 Q1 = GradedSpace.std(1, 0)
 Q2 = GradedSpace.std(2, 0)
@@ -71,6 +75,72 @@ class TestValidate:
         problems = validate_system(DirectSystem(sys.poset, sys.spaces, maps)).problems
         assert any("missing map" in p for p in problems)
 
+    def test_wrong_non_cover_map_on_four_chain(self):
+        # every cover map and every composite but f_1^4 is right
+        sys = DirectSystem.constant(DirectedPoset.chain(4), Q2)
+        maps = dict(sys.maps)
+        maps[("1", "4")] = GradeMap.make(Q2, Q2, [[0, 1], [1, 0]])
+        report = validate_system(DirectSystem(sys.poset, sys.spaces, maps))
+        assert not report.ok
+        assert report.problems == ("composition violated: f_2^4 o f_1^2 != f_1^4",)
+
+    def test_non_commuting_square_in_tensor_diamond(self):
+        a = DirectSystem.constant(DirectedPoset.chain(2, "a"), Q2)
+        b = DirectSystem.constant(DirectedPoset.chain(2, "b"), Q2)
+        ts = tensor_system(a, b)
+        maps = dict(ts.maps)
+        swap = GradeMap.make(ts.space("(a1,b1)"), ts.space("(a2,b1)"),
+                             [[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)])
+        maps[("(a1,b1)", "(a2,b1)")] = swap
+        report = validate_system(DirectSystem(ts.poset, ts.spaces, maps))
+        assert not report.ok
+        assert all(p.startswith("composition violated") for p in report.problems)
+
+    def test_every_related_pair_accepted(self):
+        sys = inclusion_chain()
+        maps = dict(sys.maps)
+        for e in sys.poset.elements:
+            maps[(e, e)] = GradeMap.identity(sys.space(e))
+        assert validate_system(DirectSystem(sys.poset, sys.spaces, maps)).ok
+
+    def test_report_memoized_and_inputs_copied(self):
+        sys0 = inclusion_chain()
+        maps = dict(sys0.maps)
+        spaces = dict(sys0.spaces)
+        sys = DirectSystem(sys0.poset, spaces, maps)
+        report = validate_system(sys)
+        assert report.ok
+        maps[("1", "3")] = GradeMap.make(Q1, Q3, [[0], [1], [0]])
+        spaces["1"] = Q2
+        assert sys.maps == sys0.maps and sys.spaces == sys0.spaces
+        assert validate_system(sys) is report
+        assert validate_system(DirectSystem(sys.poset, sys.spaces, maps)).problems == (
+            "composition violated: f_2^3 o f_1^2 != f_1^3",
+        )
+        with pytest.raises(TypeError):
+            sys.maps[("1", "3")] = maps[("1", "3")]
+
+    def test_work_count_on_twelve_chain(self, monkeypatch):
+        # composition is checked once per (cover, upper element) and the
+        # universal map checks its cocone along the 11 covers only
+        spaces = [GradedSpace.make([("a", 0), ("b", 0), ("c", 1)])] * 12
+        step = GradeMap.make(spaces[0], spaces[0], [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        sys = DirectSystem.on_chain(spaces, [step] * 11)
+        calls = []
+        compose = GradeMap.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            return compose(self, other)
+
+        monkeypatch.setattr(GradeMap, "__matmul__", counted)
+        assert validate_system(sys).ok
+        assert validate_system(sys).ok
+        lim = direct_limit(sys)
+        psis = {e: sys.map(e, "12") for e in sys.poset.elements}
+        universal_map(lim, Target(sys.space("12"), psis))
+        assert len(calls) <= 55 + 11
+
 
 class TestDirectLimit:
     def test_constant_system_legs_iso(self):
@@ -111,6 +181,25 @@ class TestDirectLimit:
         for i, j in sys.poset.strict_pairs():
             assert lim.legs[j] @ sys.map(i, j) == lim.legs[i]
 
+    def test_greatest_stage_sorted_by_weight(self):
+        sp = GradedSpace.make([("x", 1), ("y", 0), ("z", 1), ("u", 0)])
+        f = GradeMap.make(sp, sp, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        sys = DirectSystem.on_chain([sp, sp], [f])
+        lim = direct_limit(sys)
+        assert lim.space.ids == ("2:y", "2:u", "2:x", "2:z")
+        assert lim.legs["1"].matrix == tuple(f.matrix[k] for k in (1, 3, 0, 2))
+        assert lim == quotient_limit(sys)
+
+    def test_top_not_last_is_isomorphic_to_quotient(self):
+        sys = inclusion_chain()
+        poset = DirectedPoset(("3", "1", "2"), sys.poset.leq)
+        shuffled = DirectSystem(poset, sys.spaces, sys.maps)
+        lim, oracle = direct_limit(shuffled), quotient_limit(shuffled)
+        assert lim.space.ids == ("3:e1", "3:e2", "3:e3")
+        assert oracle.space.ids == ("3:e3", "2:e1", "2:e2")
+        comparison = universal_map(oracle, Target(lim.space, lim.legs))
+        assert comparison.rank() == 3
+
     def test_graded_quotient(self):
         # two grades, the map kills grade 0 and keeps grade 1
         sp = GradedSpace.make([("a", 0), ("b", 1)])
@@ -143,6 +232,18 @@ class TestUniversalMap:
         psis = {e: GradeMap.zero(sys.space(e), zero) for e in sys.poset.elements}
         f = universal_map(lim, Target(zero, psis))
         assert f.matrix == ()
+
+    def test_failure_along_a_single_cover_rejected(self):
+        spaces = [Q1, Q2, Q3, Q3]
+        steps = [GradeMap.make(Q1, Q2, [[1], [0]]),
+                 GradeMap.make(Q2, Q3, [[1, 0], [0, 1], [0, 0]]),
+                 GradeMap.identity(Q3)]
+        sys = DirectSystem.on_chain(spaces, steps)
+        lim = direct_limit(sys)
+        psis = {e: sys.map(e, "4") for e in sys.poset.elements}
+        psis["1"] = GradeMap.make(Q1, Q3, [[0], [1], [0]])  # breaks only the cover 1 < 2
+        with pytest.raises(IncompatibleTarget, match=r"psi_2 o f_1\^2 != psi_1"):
+            universal_map(lim, Target(Q3, psis))
 
     def test_incompatible_target_rejected(self):
         sys = inclusion_chain()
@@ -291,8 +392,62 @@ class TestSerialization:
         doc = json.loads(json.dumps(system_to_json(sys)))
         assert system_from_json(doc) == sys
 
+    def test_json_text(self):
+        sp = GradedSpace.make([("a", F(1, 2))])
+        sys = DirectSystem.on_chain([sp, sp], [GradeMap.make(sp, sp, [[F(-2, 3)]])])
+        assert json.dumps(system_to_json(sys), sort_keys=True) == (
+            '{"maps": {"1<=2": [["-2/3"]]}, "poset": {"elements": ["1", "2"], '
+            '"leq": [["1", "1"], ["1", "2"], ["2", "2"]]}, '
+            '"spaces": {"1": [["a", "1/2"]], "2": [["a", "1/2"]]}}'
+        )
+
     def test_weight_strings(self):
         sp = GradedSpace.make([("a", F(-3, 4))])
         sys = DirectSystem.constant(DirectedPoset.chain(1), sp)
         doc = system_to_json(sys)
         assert doc["spaces"]["1"] == [["a", "-3/4"]]
+
+
+def _random_matrix(rng, nrows, ncols):
+    pool = [F(0), F(0), F(0), F(1), F(-2), F(3), F(1, 2), F(-5, 6), F(7, 4)]
+    return tuple(tuple(rng.choice(pool) for _ in range(ncols)) for _ in range(nrows))
+
+
+def _reference_rref(rows, ncols):
+    """Plain Gauss-Jordan elimination on Fractions."""
+    mat = [list(r) for r in rows]
+    pivots, prow = [], 0
+    for col in range(ncols):
+        sel = next((r for r in range(prow, len(mat)) if mat[r][col] != 0), None)
+        if sel is None:
+            continue
+        mat[prow], mat[sel] = mat[sel], mat[prow]
+        pv = mat[prow][col]
+        mat[prow] = [x / pv for x in mat[prow]]
+        for r in range(len(mat)):
+            if r != prow and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[prow])]
+        pivots.append(col)
+        prow += 1
+    return tuple(tuple(r) for r in mat[:prow]), tuple(pivots)
+
+
+class TestLinalg:
+    def test_matmul_matches_sum_of_products(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n, m, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            a, b = _random_matrix(rng, n, m), _random_matrix(rng, m, k)
+            expected = tuple(
+                tuple(sum((a[r][c] * b[c][j] for c in range(m)), F(0)) for j in range(k))
+                for r in range(n)
+            )
+            assert linalg.matmul(a, b, k) == expected
+
+    def test_rref_matches_gauss_jordan(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            n, m = rng.randint(0, 5), rng.randint(1, 6)
+            rows = _random_matrix(rng, n, m)
+            assert linalg.rref(rows, m) == _reference_rref(rows, m)
