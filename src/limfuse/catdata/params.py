@@ -22,6 +22,7 @@ from fractions import Fraction
 from limfuse.exact import Poly, RatFunc
 
 _F = Fraction
+_ONE, _X, _X1, _X_X1 = Poly(1), Poly((0, 1)), Poly((1, 1)), Poly((0, 1, 1))
 
 
 class WeightVec(tuple):
@@ -63,15 +64,21 @@ class WeightVec(tuple):
         return out
 
     def to_ratfunc(self) -> RatFunc:
-        """The same function as a normalized RatFunc."""
+        """The same function as a normalized RatFunc, built without a gcd.
+
+        Over the common denominator D = x^[c!=0] (x+1)^[d!=0], which is monic,
+        the numerator N satisfies N(0) = c and N(-1) = -d.  A factor x of D is
+        present only when c != 0 and a factor x+1 only when d != 0, so N shares
+        no root with D and N/D is already in lowest terms.
+        """
         a, b, c, d = self
-        x, x1 = Poly.x(), Poly((1, 1))
-        num, den = Poly((b, a)), Poly(1)
         if c:
-            num, den = num * x + c, x
+            if d:
+                return RatFunc.coprime(Poly((c, b + c + d, a + b, a)), _X_X1)
+            return RatFunc.coprime(Poly((c, b, a)), _X)
         if d:
-            num, den = num * x1 + den * d, den * x1
-        return RatFunc(num, den)
+            return RatFunc.coprime(Poly((b + d, a + b, a)), _X1)
+        return RatFunc.coprime(Poly((b, a)), _ONE)
 
     def __repr__(self) -> str:
         return f"WeightVec{tuple(str(v) for v in self)}"

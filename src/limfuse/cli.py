@@ -4,16 +4,25 @@ Commands: weights, fuse, monodromy, locality, induce, min-weight, frobenius,
 center, dirlim-selftest.  Output ordering is fixed by the canonical label
 order and the given seed, so identical invocations are byte-identical.
 Exit codes: 0 success, 1 computation error, 2 configuration error.
+
+The argparse parser is built once per process, on the first `main()` call,
+and reused: parsing returns a fresh namespace each time, and argparse looks
+up sys.stdout, sys.stderr and the terminal width only when it prints, so
+reuse carries no state from one call to the next.  Work is capped up front:
+`--bound` and `--witness-bound` by the label count bound ** arity (at most
+MAX_LABELS), `--truncate` by MAX_TRUNCATE and `--cases` by MAX_CASES; a
+larger request exits 2 before anything is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from limfuse.catdata.category import CategorySpec, category_by_name
-from limfuse.catdata.labels import ForeignLabel, SimpleLabel
+from limfuse.catdata.labels import ForeignLabel, Pair, SimpleLabel
 from limfuse.exact import format_ratfunc, parse_rat
 from limfuse.exact.ratfunc import RatFunc
 from limfuse.fusion.monodromy import monodromy, mueger_scan
@@ -24,6 +33,11 @@ from limfuse.induction.induced import TruncationTooSmall, induce, min_weight_sum
 from limfuse.induction.frobenius import frobenius_dim
 from limfuse.induction.locality import locality
 from limfuse.dirlim.selftest import run_selftest
+
+
+MAX_LABELS = 100_000
+MAX_TRUNCATE = 1_000
+MAX_CASES = 10_000
 
 
 class ConfigError(ValueError):
@@ -64,8 +78,6 @@ def _pick_label(cat: CategorySpec, first: int | None, second: int | None, what: 
 def _canonical_base(alg: AlgebraObject, values: list[int | None]) -> SimpleLabel:
     """Fill the constant index slots of the summand family with the given
     selector values; growing slots take their first-stage value."""
-    from limfuse.catdata.labels import Pair
-
     vals = [v for v in values if v is not None]
     factors = []
     pos = 0
@@ -108,9 +120,27 @@ def _require_positive(value: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= 1")
 
 
+def _require_at_most(value: int, flag: str, cap: int) -> None:
+    if value > cap:
+        raise ConfigError(f"{flag} {value} exceeds the cap of {cap}")
+
+
+def _arity(x: SimpleLabel) -> int:
+    return _arity(x.left) + _arity(x.right) if isinstance(x, Pair) else len(x.indices)
+
+
+def _require_label_count(cat: CategorySpec, bound: int, flag: str) -> None:
+    """Refuse a scan of the index box whose bound ** arity labels exceed MAX_LABELS."""
+    arity = _arity(cat.unit)
+    if bound**arity > MAX_LABELS:
+        raise ConfigError(f"{flag} {bound} asks for {bound}**{arity} labels of {cat.name}, "
+                          f"above the cap of {MAX_LABELS}")
+
+
 def cmd_weights(args) -> int:
     _require_positive(args.bound, "--bound")
     cat = _category(args.category)
+    _require_label_count(cat, args.bound, "--bound")
     rows = [
         [str(x), format_ratfunc(cat.weight_of(x), cat.base_parameter)]
         for x in cat.labels_up_to(args.bound)
@@ -144,6 +174,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_locality(args) -> int:
+    _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     cert = locality(alg, base, truncate=args.truncate)
@@ -160,6 +191,7 @@ def cmd_locality(args) -> int:
 
 def cmd_induce(args) -> int:
     _require_positive(args.truncate, "--truncate")
+    _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     mod = induce(alg, base)
@@ -177,6 +209,7 @@ def cmd_min_weight(args) -> int:
     if sample <= 0:
         raise ConfigError("--sample must be positive")
     _require_positive(args.truncate, "--truncate")
+    _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     r_star, weight = min_weight_summand(induce(alg, base), sample=sample, truncate=args.truncate)
@@ -211,6 +244,8 @@ def cmd_center(args) -> int:
     cat = _category(args.category)
     if args.bound < 1 or args.witness_bound < 1:
         raise ConfigError("scan bounds must be >= 1")
+    _require_label_count(cat, args.bound, "--bound")
+    _require_label_count(cat, args.witness_bound, "--witness-bound")
     found = mueger_scan(cat, args.bound, args.witness_bound)
     rows = [[str(x)] for x in found]
     _emit(args.format, "center", ["label"], rows,
@@ -220,6 +255,7 @@ def cmd_center(args) -> int:
 
 def cmd_dirlim_selftest(args) -> int:
     _require_positive(args.cases, "--cases")
+    _require_at_most(args.cases, "--cases", MAX_CASES)
     res = run_selftest(seed=args.seed, cases=args.cases)
     print(f"{res.passed}/{res.cases} passed")
     if not res.ok:
@@ -238,7 +274,9 @@ _SELECTORS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="limfuse",
         description="Exact tables for direct limits and generic fusion-category data.",
@@ -288,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

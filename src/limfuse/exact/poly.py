@@ -187,21 +187,25 @@ def first_non_integer_positive(p: Poly) -> int | None:
 
 
 def interpolate(points: Sequence[tuple[Union[int, Rat], Union[int, Rat]]]) -> Poly:
-    """Lagrange interpolation through distinct-abscissa points."""
+    """The polynomial of degree < n through n distinct-abscissa points.
+
+    Newton form: divided differences give p = c0 + (x-x0)(c1 + (x-x1)(c2 +
+    ...)), and Horner steps from the innermost bracket outwards expand it to
+    monomial coefficients, O(n^2) Fraction operations in all.
+    """
     xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    cs = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be distinct")
-    total = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = Poly(1)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly((-xj, 1))
-            denom *= xi - xj
-        total = total + num * (yi / denom)
-    return total
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
+    out: list[Rat] = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - x_k) + c_k, ascending coefficients
+        xk = xs[k]
+        out = [cs[k]] + out
+        for i in range(len(out) - 1):
+            out[i] -= xk * out[i + 1]
+    return Poly(out)

@@ -59,6 +59,15 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    @classmethod
+    def coprime(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num/den taken as it stands, without a gcd: the caller guarantees
+        coprime parts and a monic den (zero as Poly() over Poly(1))."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
     @staticmethod
     def var() -> "RatFunc":
         """The formal variable as a rational function."""

@@ -34,7 +34,7 @@ from limfuse.catdata import (
     via_t_of_s,
     virasoro_weight,
 )
-from limfuse.exact import RatFunc, format_ratfunc
+from limfuse.exact import Poly, RatFunc, format_ratfunc
 from limfuse.fusion import FusionElement, monodromy
 
 X = RatFunc.var()
@@ -259,6 +259,21 @@ class TestWeightVectors:
             w = v.to_ratfunc()
             assert via_t_of_s(v).to_ratfunc() == w.substitute(chain.t_of_s)
             assert via_kp2_of_s(v).to_ratfunc() == w.substitute(chain.kp2_of_s)
+
+    def test_to_ratfunc_against_normalizing_sum(self):
+        # every zero pattern of (a, b, c, d), against RatFunc's gcd normalization
+        rng = random.Random(47)
+        for pattern in range(16):
+            for _ in range(25):
+                coords = [F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+                          if pattern >> k & 1 else F(0) for k in range(4)]
+                a, b, c, d = coords
+                expected = a * X + b + c / X + d / (X + 1)
+                got = WeightVec(*coords).to_ratfunc()
+                assert got.num.coeffs == expected.num.coeffs, coords
+                assert got.den.coeffs == expected.den.coeffs, coords
+                assert got.num.gcd(got.den) == Poly(1)
+                assert got.den.leading == 1
 
     def test_maps_reject_shifted_pole(self):
         for conv in (via_t_of_s, via_kp2_of_s):

@@ -1,10 +1,20 @@
-"""Command-line surface: golden rows, determinism, exit codes, JSON."""
+"""Command-line surface: golden rows, determinism, exit codes, JSON, work caps
+and reuse of the one parser per process."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from limfuse.cli import main
+import limfuse
+from limfuse import cli
+from limfuse.catdata.category import CategorySpec
+from limfuse.cli import MAX_CASES, MAX_LABELS, MAX_TRUNCATE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -213,3 +223,139 @@ class TestExitCodes:
         code, _, err = run(capsys, "min-weight", "--algebra", "nope", "--sample", "0")
         assert code == 2
         assert "positive" in err
+
+
+class Reached(Exception):
+    """Raised by a stubbed worker: the call got past argument validation."""
+
+
+@pytest.fixture
+def stub_workers(monkeypatch):
+    """Replace every capped worker by a stub that raises Reached, so a cap
+    that lets an oversized job through fails fast instead of allocating."""
+    def reached(*args, **kwargs):
+        raise Reached
+    classes = [CategorySpec]
+    for klass in classes:
+        classes += klass.__subclasses__()
+        if "labels_up_to" in vars(klass):
+            monkeypatch.setattr(klass, "labels_up_to", reached)
+    for name in ("mueger_scan", "induce", "locality", "run_selftest"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+_SQRT = math.isqrt(MAX_LABELS)  # largest bound with bound**2 labels under the cap
+_ROOT4 = math.isqrt(_SQRT)  # largest bound with bound**4 labels under the cap
+_PAIR = "deligne(virasoro-kp2,virasoro-t)"
+_ALG = ("--algebra", "osp-ext", "--n", "3")
+
+
+class TestWorkCaps:
+    @pytest.mark.parametrize("argv, flag, cap", [
+        (["weights", "--category", "osp", "--bound", str(MAX_LABELS + 1)], "--bound", MAX_LABELS),
+        (["weights", "--category", "supervir", "--bound", str(_SQRT + 1)], "--bound", MAX_LABELS),
+        (["weights", "--category", _PAIR, "--bound", str(_ROOT4 + 1)], "--bound", MAX_LABELS),
+        (["weights", "--category", "osp", "--bound", "9" * 400], "--bound", MAX_LABELS),
+        (["center", "--category", "supervir", "--bound", str(_SQRT + 1), "--witness-bound", "2"],
+         "--bound", MAX_LABELS),
+        (["center", "--category", "supervir", "--bound", "2", "--witness-bound", str(_SQRT + 1)],
+         "--witness-bound", MAX_LABELS),
+        (["locality", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
+        (["induce", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
+        (["min-weight", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
+        (["dirlim-selftest", "--cases", str(MAX_CASES + 1)], "--cases", MAX_CASES),
+    ])
+    def test_oversized_job_is_refused(self, capsys, stub_workers, argv, flag, cap):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert flag in err and f"cap of {cap}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--category", "osp", "--bound", str(MAX_LABELS)],
+        ["weights", "--category", "supervir", "--bound", str(_SQRT)],
+        ["weights", "--category", _PAIR, "--bound", str(_ROOT4)],
+        ["center", "--category", "supervir", "--bound", str(_SQRT), "--witness-bound", str(_SQRT)],
+        ["locality", *_ALG, "--truncate", str(MAX_TRUNCATE)],
+        ["induce", *_ALG, "--truncate", str(MAX_TRUNCATE)],
+        ["min-weight", *_ALG, "--truncate", str(MAX_TRUNCATE)],
+        ["dirlim-selftest", "--cases", str(MAX_CASES)],
+    ])
+    def test_job_at_the_cap_reaches_the_worker(self, stub_workers, argv):
+        with pytest.raises(Reached):
+            main(argv)
+
+    def test_caps_clear_the_documented_sizes(self):
+        # bounds up to 14 on four-index products, truncations up to 30, 100 cases
+        assert 14**4 <= MAX_LABELS and 30 <= MAX_TRUNCATE and 100 <= MAX_CASES
+
+
+# One in-process sequence over every command, both formats and each exit path.
+_SEQUENCE = [
+    ["weights", "--category", "virasoro-t", "--bound", "2"],
+    ["weights", "--category", _PAIR, "--bound", "2", "--format", "json"],
+    ["fuse", "--category", "virasoro-t", "--n", "2", "--m", "1", "--r", "1", "--s-index", "2"],
+    ["fuse", "--category", "osp", "--n", "3", "--r", "5", "--format", "json"],
+    ["monodromy", "--category", "virasoro-t", "--n", "2", "--m", "1", "--r", "1", "--s-index", "2"],
+    ["monodromy", "--category", "supervir", "--n", "2", "--m", "2", "--r", "1", "--s-index", "3",
+     "--format", "json"],
+    ["locality", "--algebra", "svir-ext", "--n", "2", "--m", "1"],
+    ["locality", "--algebra", "osp-ext", "--n", "3", "--format", "json"],
+    ["induce", "--algebra", "osp-ext", "--n", "3", "--truncate", "3"],
+    ["induce", "--algebra", "svir-ext", "--n", "2", "--m", "2", "--truncate", "2", "--format", "json"],
+    ["min-weight", "--algebra", "svir-ext", "--n", "2", "--m", "2"],
+    ["min-weight", "--algebra", "osp-ext", "--n", "3", "--format", "json"],
+    ["frobenius", "--algebra", "svir-ext", "--n", "2", "--m", "2", "--r", "2", "--s-index", "2"],
+    ["frobenius", "--algebra", "osp-ext", "--n", "3", "--r", "3", "--format", "json"],
+    ["fuse-induced", "--algebra", "osp-ext", "--n", "3", "--r", "3"],
+    ["fuse-induced", "--algebra", "osp-ext", "--n", "3", "--r", "5", "--format", "json"],
+    ["center", "--category", "supervir", "--bound", "3", "--witness-bound", "3"],
+    ["center", "--category", "osp", "--bound", "3", "--witness-bound", "3", "--format", "json"],
+    ["dirlim-selftest", "--seed", "1", "--cases", "3"],
+    ["weights", "--bound", "2"],  # argparse error: SystemExit 2
+    ["weights", "--category", "nope"],  # ConfigError: exit 2
+    ["fuse-induced", "--algebra", "svir-ext", "--n", "2", "--m", "1", "--r", "2", "--s-index", "2"],
+    ["weights", "--category", "supervir", "--bound", "3"],
+]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv, env):
+    proc = subprocess.run([sys.executable, "-m", "limfuse.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def child_env(monkeypatch):
+    # argparse wraps usage text to the terminal width; pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(limfuse.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_sequence_matches_fresh_processes(self, capsys, child_env):
+        in_process = [_in_process(capsys, argv) for argv in _SEQUENCE]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fresh = list(pool.map(lambda argv: _fresh_process(argv, child_env), _SEQUENCE))
+        for argv, got, want in zip(_SEQUENCE, in_process, fresh):
+            assert got == want, argv
+        assert {code for code, _, _ in in_process} == {0, 1, 2}
+
+    def test_import_builds_no_parser(self, child_env):
+        probe = "import limfuse.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env,
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out == "0\n"

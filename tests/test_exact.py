@@ -16,6 +16,7 @@ from limfuse.exact import (
     format_rat,
     format_ratfunc,
     integer_valued_on_positives,
+    interpolate,
     parse_rat,
     parse_ratfunc,
 )
@@ -122,6 +123,51 @@ class TestIntegerValued:
             p = Poly([F(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(deg + 1)])
             brute = all(p.eval(r).denominator == 1 for r in range(1, 101))
             assert integer_valued_on_positives(p) == brute
+
+
+def lagrange(points):
+    """Reference interpolant: the sum of y_i times the i-th Lagrange basis polynomial."""
+    xs = [F(x) for x, _ in points]
+    total = Poly()
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = Poly(1), F(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = basis * Poly((-xj, 1))
+                denom *= xi - xj
+        total = total + basis * (F(yi) / denom)
+    return total
+
+
+class TestInterpolate:
+    def test_empty_is_zero(self):
+        assert interpolate([]) == Poly()
+
+    def test_one_point_is_constant(self):
+        assert interpolate([(F(3, 2), F(-5, 7))]) == Poly(F(-5, 7))
+        assert interpolate([(4, 0)]) == Poly()
+
+    def test_duplicate_abscissae_raise(self):
+        with pytest.raises(ValueError):
+            interpolate([(1, 2), (3, 4), (F(2, 2), 5)])
+
+    def test_fit_of_an_exponent_family(self):
+        # -(r-1)/2 sampled at r = 1..5: the family of a non-local svir base
+        assert interpolate([(r, F(1 - r, 2)) for r in range(1, 6)]) == Poly((F(1, 2), F(-1, 2)))
+
+    @pytest.mark.parametrize("integer_xs", [True, False])
+    def test_matches_lagrange(self, integer_xs):
+        rng = random.Random(53 + integer_xs)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            pool = [F(x) for x in range(-12, 13)] if integer_xs else sorted(
+                {F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(40)})
+            xs = rng.sample(pool, n)
+            points = [(x, F(rng.randint(-20, 20), rng.randint(1, 8))) for x in xs]
+            p = interpolate(points)
+            assert p.coeffs == lagrange(points).coeffs
+            assert p.degree < n
+            assert all(p.eval(x) == y for x, y in points)
 
 
 small_rats = st.fractions(
