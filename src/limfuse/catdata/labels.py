@@ -153,10 +153,25 @@ class OspMod(SimpleLabel):
 
 @dataclass(frozen=True)
 class Pair(SimpleLabel):
-    """Simple object of a product category: a pair of factor simples."""
+    """Simple object of a product category: a pair of factor simples.
+
+    Pairs key every engine cache, so the hash is computed once, at
+    construction, as the hash of (left, right) that equality implies, and
+    `__hash__` returns it.  Copies and pickles rebuild the pair through the
+    constructor, so they carry the same hash.
+    """
 
     left: SimpleLabel
     right: SimpleLabel
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Pair, (self.left, self.right)
 
     def sort_key(self):
         return (5, self.left.sort_key(), self.right.sort_key())

@@ -22,6 +22,7 @@ from fractions import Fraction
 from limfuse.exact import Poly, RatFunc
 
 _F = Fraction
+_ZERO = Fraction(0)
 _ONE, _X, _X1, _X_X1 = Poly(1), Poly((0, 1)), Poly((1, 1)), Poly((0, 1, 1))
 
 
@@ -30,13 +31,20 @@ class WeightVec(tuple):
 
     The basis functions are linearly independent, so two weights are equal
     exactly when their vectors are, and an exponent is a constant exactly
-    when its a, c and d vanish.
+    when its a, c and d vanish.  The public constructor converts every
+    coordinate; the builders below, which already hold Fractions, use the
+    trusted `_of`.
     """
 
     __slots__ = ()
 
     def __new__(cls, a=0, b=0, c=0, d=0):
         return tuple.__new__(cls, (_F(a), _F(b), _F(c), _F(d)))
+
+    @staticmethod
+    def _of(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> "WeightVec":
+        """The vector of four coordinates that are already Fractions."""
+        return tuple.__new__(WeightVec, (a, b, c, d))
 
     def __add__(self, other: "WeightVec") -> "WeightVec":
         a, b, c, d = self
@@ -90,7 +98,7 @@ def via_t_of_s(v: WeightVec) -> WeightVec:
     a, b, c, d = v
     if d:
         raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/(2s) leaves the basis")
-    return WeightVec(0, a / 2 + b + 2 * c, a / 2, -2 * c)
+    return WeightVec._of(_ZERO, a / 2 + b + 2 * c, a / 2, -2 * c)
 
 
 def via_kp2_of_s(v: WeightVec) -> WeightVec:
@@ -99,7 +107,7 @@ def via_kp2_of_s(v: WeightVec) -> WeightVec:
     a, b, c, d = v
     if d:
         raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/2 leaves the basis")
-    return WeightVec(a / 2, a / 2 + b, 0, 2 * c)
+    return WeightVec._of(a / 2, a / 2 + b, _ZERO, 2 * c)
 
 
 @dataclass(frozen=True)
@@ -173,19 +181,19 @@ def osp_weight(n: int) -> RatFunc:
 
 def virasoro_vec(r: int, s_idx: int) -> WeightVec:
     """`virasoro_weight(r, s_idx)` as a basis vector in t."""
-    return WeightVec(_F(r * r - 1, 4), _F(1 - r * s_idx, 2), _F(s_idx * s_idx - 1, 4))
+    return WeightVec._of(_F(r * r - 1, 4), _F(1 - r * s_idx, 2), _F(s_idx * s_idx - 1, 4), _ZERO)
 
 
 def super_vec(n: int, m: int) -> WeightVec:
     """`super_weight(n, m)` as a basis vector in s."""
-    return WeightVec(_F(n * n - 1, 8), _F(1 - m * n, 4), _F(m * m - 1, 8))
+    return WeightVec._of(_F(n * n - 1, 8), _F(1 - m * n, 4), _F(m * m - 1, 8), _ZERO)
 
 
 def verma_vec(r: int) -> WeightVec:
     """`verma_weight(r)` as a basis vector in s."""
-    return WeightVec(d=_F(r * r - 1, 2))
+    return WeightVec._of(_ZERO, _ZERO, _ZERO, _F(r * r - 1, 2))
 
 
 def osp_vec(n: int) -> WeightVec:
     """`osp_weight(n)` as a basis vector in s."""
-    return WeightVec(c=_F(n * n - 1, 8))
+    return WeightVec._of(_ZERO, _ZERO, _F(n * n - 1, 8), _ZERO)

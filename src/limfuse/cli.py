@@ -8,10 +8,16 @@ Exit codes: 0 success, 1 computation error, 2 configuration error.
 The argparse parser is built once per process, on the first `main()` call,
 and reused: parsing returns a fresh namespace each time, and argparse looks
 up sys.stdout, sys.stderr and the terminal width only when it prints, so
-reuse carries no state from one call to the next.  Work is capped up front:
-`--bound` and `--witness-bound` by the label count bound ** arity (at most
-MAX_LABELS), `--truncate` by MAX_TRUNCATE and `--cases` by MAX_CASES; a
-larger request exits 2 before anything is built.
+reuse carries no state from one call to the next.
+
+Work is capped up front, and a request over a cap exits 2 before anything
+is built:
+- `--bound` and `--witness-bound`: the label count bound ** arity is at most
+  MAX_LABELS;
+- `fuse`, `monodromy` and `fuse-induced`: the product's summand count, the
+  product over index slots of min(a_i, b_i), is at most MAX_LABELS;
+- `--truncate` is at most MAX_TRUNCATE and `--cases` at most MAX_CASES.
+Bounds, truncations and case counts below 1 exit 2 as well.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from limfuse.catdata.category import CategorySpec, category_by_name
@@ -125,15 +132,25 @@ def _require_at_most(value: int, flag: str, cap: int) -> None:
         raise ConfigError(f"{flag} {value} exceeds the cap of {cap}")
 
 
-def _arity(x: SimpleLabel) -> int:
-    return _arity(x.left) + _arity(x.right) if isinstance(x, Pair) else len(x.indices)
+def _slots(x: SimpleLabel) -> tuple[int, ...]:
+    """All index slots of a label, the factors of a pair in order."""
+    return _slots(x.left) + _slots(x.right) if isinstance(x, Pair) else x.indices
 
 
 def _require_label_count(cat: CategorySpec, bound: int, flag: str) -> None:
     """Refuse a scan of the index box whose bound ** arity labels exceed MAX_LABELS."""
-    arity = _arity(cat.unit)
+    arity = len(_slots(cat.unit))
     if bound**arity > MAX_LABELS:
         raise ConfigError(f"{flag} {bound} asks for {bound}**{arity} labels of {cat.name}, "
+                          f"above the cap of {MAX_LABELS}")
+
+
+def _require_fusion_size(x: SimpleLabel, y: SimpleLabel) -> None:
+    """Refuse a product whose summand count exceeds MAX_LABELS: each slot's
+    parity range holds min(a, b) indices, and the slots multiply."""
+    count = math.prod(min(a, b) for a, b in zip(_slots(x), _slots(y)))
+    if count > MAX_LABELS:
+        raise ConfigError(f"the product of {x} and {y} has {count} summands, "
                           f"above the cap of {MAX_LABELS}")
 
 
@@ -153,6 +170,7 @@ def cmd_fuse(args) -> int:
     cat = _category(args.category)
     x = _pick_label(cat, args.n, args.m, "first")
     y = _pick_label(cat, args.r, args.s_index, "second")
+    _require_fusion_size(x, y)
     rows = [[str(z), str(mult)] for z, mult in cat.fusion_of(x, y)]
     _emit(args.format, "fuse", ["label", "multiplicity"], rows,
           {"category": cat.name, "x": str(x), "y": str(y)})
@@ -163,6 +181,7 @@ def cmd_monodromy(args) -> int:
     cat = _category(args.category)
     x = _pick_label(cat, args.n, args.m, "first")
     y = _pick_label(cat, args.r, args.s_index, "second")
+    _require_fusion_size(x, y)
     report = monodromy(cat, x, y)
     if args.format == "json":
         print(json.dumps({"command": "monodromy", "category": cat.name, "x": str(x),
@@ -174,6 +193,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_locality(args) -> int:
+    _require_positive(args.truncate, "--truncate")
     _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
@@ -233,6 +253,7 @@ def cmd_fuse_induced(args) -> int:
     alg = _algebra(args.algebra)
     base1 = _canonical_base(alg, [args.n, args.m])
     base2 = _canonical_base(alg, [args.r, args.s_index])
+    _require_fusion_size(base1, base2)
     result = induced_fusion(alg, base1, base2)
     rows = [[str(z), str(mult)] for z, mult in result]
     _emit(args.format, "fuse", ["label", "multiplicity"], rows,

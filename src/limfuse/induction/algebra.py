@@ -109,16 +109,25 @@ class AlgebraObject:
         self._to_induced = to_induced
         self._from_induced = from_induced
         self._summand_parity = summand_parity
+        self._summands: dict[int, SimpleLabel] = {}
         if not any(e.a > 0 for f in factors for e in f.indices):
             raise ValueError("summand rule must grow with r")
         if self.summand(1) != base_category.unit:
             raise ValueError(f"summand(1) = {self.summand(1)} is not the unit of {base_category.name}")
 
     def summand(self, r: int) -> SimpleLabel:
-        """The r-th simple summand of the algebra, r >= 1."""
+        """The r-th simple summand of the algebra, r >= 1.
+
+        Memoized per r on the algebra, so each summand label is built and
+        validated once; restriction, induction, Frobenius and locality all
+        read the memo.
+        """
         if r < 1:
             raise ValueError("summand index must be >= 1")
-        return Pair(self.factors[0].label_at(r), self.factors[1].label_at(r))
+        hit = self._summands.get(r)
+        if hit is None:
+            hit = self._summands[r] = Pair(self.factors[0].label_at(r), self.factors[1].label_at(r))
+        return hit
 
     def summand_parity(self, r: int) -> int:
         """Super-grading of the r-th summand; metadata only."""

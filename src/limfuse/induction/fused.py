@@ -10,6 +10,13 @@ directly on induced labels followed by restriction, versus the algebra fused
 against the base-category product.  The two sides share only the base
 fusion primitive, so a wrong range or parity in the induced rule shows up as
 a multiplicity mismatch.
+
+`restrict_truncated` is memoized per (base, truncate) on the algebra, so a
+session restricts each base once and both routes read the same memo.  That
+keeps the routes independent: the memo caches a pure function of its key,
+computed from the base fusion, while the routes still differ in which bases
+they ask for and with which multiplicities, the induced-category rule on
+one side and `ring_mul` on the other.
 """
 
 from __future__ import annotations
@@ -44,8 +51,18 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
     with all indices <= truncate.
 
     Summands beyond the window can only produce labels with some index above
-    the truncation, so the loop bound loses nothing.
+    the truncation, so the loop bound loses nothing.  The result is memoized
+    per (base, truncate) on the algebra; the first call computes it through
+    the category's fusion, which validates `base`.
     """
+    cache = alg.__dict__.setdefault("_restrict_cache", {})
+    hit = cache.get((base, truncate))
+    if hit is None:
+        hit = cache[(base, truncate)] = _restrict(alg, base, truncate)
+    return hit
+
+
+def _restrict(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:
     acc: dict[SimpleLabel, int] = {}
     cat = alg.base_category
     slots = pair_slots(base)
@@ -75,7 +92,8 @@ def restriction_oracle_check(
     Route one instantiates the induced category's fusion rule on the induced
     labels and restricts each resulting simple; route two restricts the
     induction of the base-category product directly.  Monoidality of
-    induction says they must agree.
+    induction says they must agree.  Both routes accumulate into plain
+    multiplicity maps, which compare equal exactly when the elements would.
     """
     _require_local(alg, base1)
     _require_local(alg, base2)
@@ -94,4 +112,4 @@ def restriction_oracle_check(
     for z, mult in base_prod:
         _add_scaled(monoidal_side, restrict_truncated(alg, z, truncate), mult)
 
-    return FusionElement(rule_side) == FusionElement(monoidal_side)
+    return rule_side == monoidal_side

@@ -1,6 +1,9 @@
 """Category data: weights, fusion rules, parameters, checklist."""
 
+import copy
+import dataclasses
 import functools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -25,13 +28,17 @@ from limfuse.catdata import (
     central_charge_super,
     central_charge_t,
     load_category,
+    osp_vec,
     osp_weight,
     param_chain,
     parse_label,
+    super_vec,
     super_weight,
+    verma_vec,
     verma_weight,
     via_kp2_of_s,
     via_t_of_s,
+    virasoro_vec,
     virasoro_weight,
 )
 from limfuse.exact import Poly, RatFunc, format_ratfunc
@@ -74,6 +81,49 @@ class TestLabels:
     def test_ordering_lexicographic(self):
         labels = VT.labels_up_to(3)
         assert labels[:4] == [VirasoroT(1, 1), VirasoroT(1, 2), VirasoroT(1, 3), VirasoroT(2, 1)]
+
+
+class TestPairHash:
+    """`Pair` computes its hash once, at construction."""
+
+    PAIRS = [
+        (VirasoroKp2(3, 1), VirasoroT(5, 1)),
+        (AffineVerma(2), VirasoroT(1, 7)),
+        (VirasoroT(2, 3), VirasoroT(3, 2)),
+        (SuperVir(1, 3), OspMod(5)),
+    ]
+
+    def test_equal_pairs_hash_equal_and_find_each_other(self):
+        for a, b in self.PAIRS:
+            p, q = Pair(a, b), parse_label(f"{a}%{b}")
+            assert p == q and p is not q and q.left is not a
+            assert hash(p) == hash(q) == hash((a, b))
+            assert {p: "hit"}[q] == "hit"
+            assert q in {p} and p in {q: 1}
+
+    def test_order_of_factors_matters(self):
+        for a, b in self.PAIRS:
+            assert a != b
+            assert Pair(a, b) != Pair(b, a)
+            assert Pair(b, a) not in {Pair(a, b)}
+
+    def test_copies_and_pickles_keep_equality_and_hash(self):
+        for a, b in self.PAIRS:
+            p = Pair(a, b)
+            for q in (copy.copy(p), copy.deepcopy(p), dataclasses.replace(p),
+                      pickle.loads(pickle.dumps(p))):
+                assert q == p and hash(q) == hash(p)
+                assert {p: 1}[q] == 1
+            swapped = dataclasses.replace(p, left=b, right=a)
+            assert swapped == Pair(b, a) and hash(swapped) == hash(Pair(b, a))
+
+    def test_fields_stay_frozen(self):
+        p = Pair(VirasoroKp2(3, 1), VirasoroT(5, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.left = VirasoroKp2(1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.right = VirasoroT(1, 1)
+        assert hash(p) == hash((VirasoroKp2(3, 1), VirasoroT(5, 1)))
 
 
 BUILTINS = (VT, KP2, KL, SV, OSP)
@@ -274,6 +324,28 @@ class TestWeightVectors:
                 assert got.den.coeffs == expected.den.coeffs, coords
                 assert got.num.gcd(got.den) == Poly(1)
                 assert got.den.leading == 1
+
+    def test_builders_return_exact_fraction_vectors(self):
+        # the trusted constructor must hold what the converting one would
+        rng = random.Random(53)
+        built = []
+        for r in range(1, 9):
+            for s_idx in range(1, 9):
+                built.append((virasoro_vec(r, s_idx),
+                              WeightVec(F(r * r - 1, 4), F(1 - r * s_idx, 2), F(s_idx * s_idx - 1, 4))))
+                built.append((super_vec(r, s_idx),
+                              WeightVec(F(r * r - 1, 8), F(1 - r * s_idx, 4), F(s_idx * s_idx - 1, 8))))
+            built.append((verma_vec(r), WeightVec(d=F(r * r - 1, 2))))
+            built.append((osp_vec(r), WeightVec(c=F(r * r - 1, 8))))
+        for _ in range(100):
+            v = random_vec(rng, t_only=True)
+            a, b, c, _ = v
+            built.append((via_t_of_s(v), WeightVec(0, a / 2 + b + 2 * c, a / 2, -2 * c)))
+            built.append((via_kp2_of_s(v), WeightVec(a / 2, a / 2 + b, 0, 2 * c)))
+        for got, expected in built:
+            assert type(got) is WeightVec and len(got) == 4
+            assert all(type(coord) is F for coord in got), got
+            assert got == expected and hash(got) == hash(expected)
 
     def test_maps_reject_shifted_pole(self):
         for conv in (via_t_of_s, via_kp2_of_s):

@@ -212,6 +212,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--bound" in err
 
+    @pytest.mark.parametrize("truncate", ["0", "-4"])
+    def test_locality_truncate_below_one(self, capsys, truncate):
+        code, out, err = run(capsys, "locality", "--algebra", "svir-ext", "--n", "1", "--m", "1",
+                             f"--truncate={truncate}")
+        assert (code, out) == (2, "")
+        assert "--truncate" in err
+
     def test_induce_truncate_zero(self, capsys):
         code, out, err = run(capsys, "induce", "--algebra", "osp-ext", "--n", "3",
                              "--truncate", "0")
@@ -238,8 +245,9 @@ def stub_workers(monkeypatch):
     classes = [CategorySpec]
     for klass in classes:
         classes += klass.__subclasses__()
-        if "labels_up_to" in vars(klass):
-            monkeypatch.setattr(klass, "labels_up_to", reached)
+        for method in ("labels_up_to", "fusion_of"):
+            if method in vars(klass):
+                monkeypatch.setattr(klass, method, reached)
     for name in ("mueger_scan", "induce", "locality", "run_selftest"):
         monkeypatch.setattr(cli, name, reached)
 
@@ -248,6 +256,12 @@ _SQRT = math.isqrt(MAX_LABELS)  # largest bound with bound**2 labels under the c
 _ROOT4 = math.isqrt(_SQRT)  # largest bound with bound**4 labels under the cap
 _PAIR = "deligne(virasoro-kp2,virasoro-t)"
 _ALG = ("--algebra", "osp-ext", "--n", "3")
+_SIDE = math.isqrt(MAX_LABELS)  # both index pairs (a, a): a**2 summands
+
+
+def _fuse_argv(command: str, source: str, a: int) -> list[str]:
+    """`command` on two equal labels with every index a."""
+    return [command, source, "--n", str(a), "--m", str(a), "--r", str(a), "--s-index", str(a)]
 
 
 class TestWorkCaps:
@@ -264,6 +278,13 @@ class TestWorkCaps:
         (["induce", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
         (["min-weight", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
         (["dirlim-selftest", "--cases", str(MAX_CASES + 1)], "--cases", MAX_CASES),
+        (_fuse_argv("fuse", "--category=virasoro-t", _SIDE + 1), "summands", MAX_LABELS),
+        (_fuse_argv("monodromy", "--category=virasoro-t", _SIDE + 1), "summands", MAX_LABELS),
+        (["fuse", "--category", "osp", "--n", str(MAX_LABELS + 1), "--r", str(MAX_LABELS + 1)],
+         "summands", MAX_LABELS),
+        (_fuse_argv("fuse-induced", "--algebra=svir-ext", _SIDE + 1), "summands", MAX_LABELS),
+        (["fuse-induced", "--algebra", "osp-ext", "--n", str(MAX_LABELS + 1), "--r", "999999"],
+         "summands", MAX_LABELS),
     ])
     def test_oversized_job_is_refused(self, capsys, stub_workers, argv, flag, cap):
         code, out, err = run(capsys, *argv)
@@ -279,6 +300,11 @@ class TestWorkCaps:
         ["induce", *_ALG, "--truncate", str(MAX_TRUNCATE)],
         ["min-weight", *_ALG, "--truncate", str(MAX_TRUNCATE)],
         ["dirlim-selftest", "--cases", str(MAX_CASES)],
+        _fuse_argv("fuse", "--category=virasoro-t", _SIDE),
+        _fuse_argv("monodromy", "--category=virasoro-t", _SIDE),
+        ["fuse", "--category", "osp", "--n", str(MAX_LABELS - 1), "--r", str(MAX_LABELS + 1)],
+        _fuse_argv("fuse-induced", "--algebra=svir-ext", _SIDE),
+        ["fuse-induced", "--algebra", "osp-ext", "--n", str(MAX_LABELS + 1), "--r", str(MAX_LABELS)],
     ])
     def test_job_at_the_cap_reaches_the_worker(self, stub_workers, argv):
         with pytest.raises(Reached):

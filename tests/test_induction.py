@@ -1,5 +1,6 @@
 """Induction: restrictions, locality, minimum weights, Frobenius, oracle."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from limfuse.catdata import (
     AffineVerma,
     ForeignLabel,
+    category_by_name,
     Pair,
     SuperVir,
     SuperVirCategory,
@@ -33,6 +35,7 @@ from limfuse.induction import (
     min_weight_summand,
     osp_extension,
     parse_affine,
+    restrict_truncated,
     restriction_oracle_check,
     support_bound,
     svir_extension,
@@ -402,3 +405,127 @@ class TestRestrictionOracle:
         )
         with pytest.raises(ValueError):
             restriction_oracle_check(bare, sbase(2, 2), sbase(2, 2), truncate=6)
+
+
+def reference_restriction(alg, base, truncate):
+    """The truncated restriction from scratch: summand labels straight from
+    the factor templates, fused factor by factor through a fresh category
+    with no memo, filtered by the window and summed.
+
+    A growing slot a*r + b (a >= 1) fused with index x gives indices
+    >= a*r + b - x + 1, so no r above truncate + x - b can reach the window.
+    """
+    fresh = category_by_name(alg.base_category.name)
+    f0, f1 = alg.factors
+    b_min = min(e.b for f in alg.factors for e in f.indices)
+    reach = truncate + max(*base.left.indices, *base.right.indices) - min(b_min, 0)
+    acc = {}
+    for r in range(1, reach + 1):
+        left, right = f0.label_at(r), f1.label_at(r)
+        for zl, ml in fresh.left._fusion_raw(left, base.left):
+            for zr, mr in fresh.right._fusion_raw(right, base.right):
+                if max(*zl.indices, *zr.indices) <= truncate:
+                    z = Pair(zl, zr)
+                    acc[z] = acc.get(z, 0) + ml * mr
+    return FusionElement(acc)
+
+
+SKEW_SVIR = algebra_from_json(
+    {
+        "name": "skew-svir",
+        "base_category": "deligne(virasoro-kp2,virasoro-t)",
+        "summand_rule": [
+            {"kind": "virasoro-kp2", "indices": ["r", "2*r-1"]},
+            {"kind": "virasoro-t", "indices": ["1", "r"]},
+        ],
+    }
+)
+SKEW_OSP = algebra_from_json(
+    {
+        "name": "skew-osp",
+        "base_category": "deligne(kl-sl2,virasoro-t)",
+        "summand_rule": [
+            {"kind": "kl-sl2", "indices": ["r"]},
+            {"kind": "virasoro-t", "indices": ["3*r-2", "r"]},
+        ],
+    }
+)
+
+
+class TestRestrictionMemo:
+    """`restrict_truncated` and `summand` are memoized on the algebra."""
+
+    def test_canonical_bases_match_reference(self):
+        alg_bases = [
+            (svir_extension(), [sbase(n, m) for n in range(1, 9) for m in range(1, 9)]),
+            (osp_extension(), [obase(n) for n in range(1, 9)]),
+        ]
+        for alg, bases in alg_bases:
+            for base in bases:
+                for truncate in range(4, 13):
+                    got = restrict_truncated(alg, base, truncate)
+                    assert got == reference_restriction(alg, base, truncate), (base, truncate)
+
+    def test_non_canonical_bases_match_reference(self):
+        rng = random.Random(59)
+        multi = 0
+        for alg in (svir_extension(), osp_extension(), SKEW_SVIR, SKEW_OSP):
+            labels = alg.base_category.labels_up_to(6)
+            for base in rng.sample(labels, 10):
+                for truncate in (4, 7, 12):
+                    expected = reference_restriction(alg, base, truncate)
+                    assert restrict_truncated(alg, base, truncate) == expected, (alg.name, base)
+                # the first summands beyond the unit fuse to several labels
+                multi += len(alg.base_category.fusion_of(alg.summand(3), base)) > 1
+        assert multi >= 10
+
+    def test_second_call_returns_the_memo(self):
+        alg = svir_extension()
+        base = sbase(3, 5)
+        first = restrict_truncated(alg, base, 6)
+        assert restrict_truncated(alg, base, 6) is first
+        fresh = restrict_truncated(svir_extension(), base, 6)
+        assert fresh == first and fresh is not first
+        wider = restrict_truncated(alg, base, 9)
+        assert wider != first and wider == reference_restriction(alg, base, 9)
+        assert restrict_truncated(alg, base, 6) is first
+
+    def test_oracle_restricts_each_base_once(self, monkeypatch):
+        import importlib
+
+        fused_mod = importlib.import_module("limfuse.induction.fused")
+        computed = []
+        real = fused_mod._restrict
+
+        def counting(alg, base, truncate):
+            computed.append((base, truncate))
+            return real(alg, base, truncate)
+
+        monkeypatch.setattr(fused_mod, "_restrict", counting)
+        alg = svir_extension()
+        for _ in range(3):
+            assert restriction_oracle_check(alg, sbase(3, 3), sbase(2, 4), 8)
+        # both routes ask for the same first-row bases; each is restricted once
+        assert len(computed) == len(set(computed)) > 0
+
+    def test_foreign_base_is_validated(self):
+        alg = osp_extension()
+        for _ in range(2):
+            with pytest.raises(ForeignLabel):
+                restrict_truncated(alg, sbase(3, 3), 1)
+
+    def test_summand_memo_matches_templates(self):
+        for alg in (svir_extension(), osp_extension(), SKEW_SVIR, SKEW_OSP):
+            f0, f1 = alg.factors
+            for r in range(1, 51):
+                label = alg.summand(r)
+                assert label == Pair(f0.label_at(r), f1.label_at(r))
+                assert alg.summand(r) is label
+
+    def test_summand_below_one_raises_before_the_memo(self):
+        alg = svir_extension()
+        # a poisoned memo entry must not be returned for an invalid index
+        alg._summands[0] = alg._summands[-3] = alg.summand(1)
+        for r in (0, -3, -50):
+            with pytest.raises(ValueError):
+                alg.summand(r)
