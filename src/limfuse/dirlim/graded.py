@@ -1,7 +1,15 @@
 """Graded vector spaces over Q and grade-preserving linear maps.
 
 A GradedSpace is a finite list of basis vectors, each carrying a rational
-weight; a GradeMap is a matrix whose entries connect only equal weights.
+weight; its grades (basis indices per weight) are computed once.  A GradeMap
+holds, per weight of both spaces, one block of integers over the least
+common denominator, keyed by the weight's (numerator, denominator), which
+hashes far faster than a Fraction.  Composition, equality, rank, kernel,
+image, tensor products and factoring act block by block; `.matrix` is the
+dense Fraction view, derived on demand.  Entries of a dense input that join
+distinct weights are kept as strays for validation to report; composition,
+kernel and image of such a map use the dense view.
+
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are
 ever used.
@@ -11,12 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from typing import Optional, Sequence, Union
 
 from limfuse.dirlim import linalg
-from limfuse.dirlim.linalg import Rows, Vec
+from limfuse.dirlim.linalg import Rows
 
 Weight = Fraction
+GradeKey = tuple[int, int]
+Block = tuple[tuple[tuple[int, ...], ...], int]
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -37,10 +51,6 @@ class GradedSpace:
         return GradedSpace(())
 
     @staticmethod
-    def line(weight: Union[int, Fraction] = 0, bid: str = "e") -> "GradedSpace":
-        return GradedSpace(((bid, Fraction(weight)),))
-
-    @staticmethod
     def std(dim: int, weight: Union[int, Fraction] = 0, prefix: str = "e") -> "GradedSpace":
         return GradedSpace(tuple((f"{prefix}{k+1}", Fraction(weight)) for k in range(dim)))
 
@@ -55,120 +65,244 @@ class GradedSpace:
     def weight(self, idx: int) -> Weight:
         return self.basis[idx][1]
 
-    def weights(self) -> list[Weight]:
-        return sorted({w for _, w in self.basis})
+    @cached_property
+    def grades(self) -> dict[GradeKey, tuple[int, ...]]:
+        """Basis indices per weight, weights ascending, indices in basis
+        order, keyed by the (numerator, denominator) pair of the weight."""
+        out: dict[GradeKey, tuple[Weight, list[int]]] = {}
+        for k, (_, w) in enumerate(self.basis):
+            out.setdefault((w.numerator, w.denominator), (w, []))[1].append(k)
+        return {key: tuple(ix) for key, (_, ix) in sorted(out.items(), key=lambda item: item[1][0])}
 
-    def blocks(self) -> dict[Weight, list[int]]:
-        """Basis indices per weight, weights ascending, indices in basis order."""
-        out: dict[Weight, list[int]] = {}
-        for w in self.weights():
-            out[w] = [k for k, (_, wk) in enumerate(self.basis) if wk == w]
-        return out
+    def blocks(self) -> dict[Weight, tuple[int, ...]]:
+        """`grades` keyed by the weights themselves."""
+        return {Fraction(*key): ix for key, ix in self.grades.items()}
 
     def graded_dims(self) -> dict[Weight, int]:
         return {w: len(ix) for w, ix in self.blocks().items()}
 
     def tensor(self, other: "GradedSpace") -> "GradedSpace":
-        """Tensor product: basis pairs, weights add."""
-        return GradedSpace(
-            tuple(
-                (f"({a})*({b})", wa + wb)
-                for a, wa in self.basis
-                for b, wb in other.basis
+        """Tensor product: basis pairs, weights add.  Kept per factor, so the
+        tensor maps between the same spaces share their source and target."""
+        memo = self.__dict__.setdefault("_tensor", {})
+        hit = memo.get(id(other))
+        if hit is None or hit[0] is not other:
+            product = GradedSpace(
+                tuple((f"({a})*({b})", wa + wb) for a, wa in self.basis for b, wb in other.basis)
             )
-        )
+            hit = memo[id(other)] = (other, product)
+        return hit[1]
 
 
-@dataclass(frozen=True)
+def _block_of(values: Sequence[Sequence[Union[int, Fraction]]]) -> Block:
+    """Integer block and least common denominator of rational entries."""
+    den = lcm(1, *(v.denominator for row in values for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in values), den
+
+
+def _lowest_terms(rows: Sequence[Sequence[int]], den: int) -> Block:
+    g = gcd(den, *(v for row in rows for v in row))
+    return tuple(tuple(v // g for v in row) for row in rows), den // g
+
+
+def _zero_block(nrows: int, ncols: int) -> Block:
+    return ((0,) * ncols,) * nrows, 1
+
+
+@lru_cache(maxsize=64)
+def _identity_block(n: int) -> Block:
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n)), 1
+
+
+def _spread(found: list[tuple[int, Sequence[int], Sequence[Fraction]]], n: int) -> Rows:
+    """Rows given as (pivot, coordinates, values), at length n, by pivot."""
+    out = []
+    for _, coords, values in sorted(found, key=lambda entry: entry[0]):
+        row = [_ZERO] * n
+        for k, x in zip(coords, values):
+            row[k] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
 class GradeMap:
-    """Linear map given by a matrix with rows over the target basis and
-    columns over the source basis."""
+    """Linear map from a dense matrix, rows over the target basis and columns
+    over the source basis, held as integer weight blocks."""
 
-    source: GradedSpace
-    target: GradedSpace
-    matrix: Rows
+    __slots__ = ("source", "target", "_blocks", "_stray", "_matrix", "_memo")
 
-    def __post_init__(self):
-        if len(self.matrix) != self.target.dim:
-            raise ValueError(f"expected {self.target.dim} rows, got {len(self.matrix)}")
-        for row in self.matrix:
-            if len(row) != self.source.dim:
-                raise ValueError(f"expected {self.source.dim} columns, got {len(row)}")
+    def __init__(self, source: GradedSpace, target: GradedSpace, matrix: Sequence[Sequence[Fraction]]):
+        if len(matrix) != target.dim:
+            raise ValueError(f"expected {target.dim} rows, got {len(matrix)}")
+        for row in matrix:
+            if len(row) != source.dim:
+                raise ValueError(f"expected {source.dim} columns, got {len(row)}")
+        blocks: dict[GradeKey, Block] = {}
+        stray = []
+        for key, rows in target.grades.items():
+            cols = source.grades.get(key, ())
+            if cols:
+                blocks[key] = _block_of([[matrix[r][c] for c in cols] for r in rows])
+            others = [c for c in range(source.dim) if c not in cols]
+            stray += [((r, c), Fraction(matrix[r][c])) for r in rows for c in others if matrix[r][c]]
+        self._fill(source, target, blocks, tuple(sorted(stray, key=lambda entry: entry[0])), {})
+
+    def _fill(self, source, target, blocks, stray, memo) -> None:
+        self.source, self.target = source, target
+        self._blocks, self._stray = blocks, stray
+        self._matrix = None
+        self._memo = memo  # derived data that depends on the source and blocks only
+
+    @classmethod
+    def _of(cls, source: GradedSpace, target: GradedSpace, blocks: dict[GradeKey, Block], memo=None) -> "GradeMap":
+        out = object.__new__(cls)
+        out._fill(source, target, blocks, (), {} if memo is None else memo)
+        return out
 
     @staticmethod
     def make(source: GradedSpace, target: GradedSpace, rows: Sequence[Sequence[Union[int, Fraction]]]) -> "GradeMap":
-        return GradeMap(source, target, tuple(tuple(Fraction(v) for v in r) for r in rows))
+        return GradeMap(source, target, [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows])
 
     @staticmethod
     def identity(space: GradedSpace) -> "GradeMap":
-        n = space.dim
-        return GradeMap(
-            space,
-            space,
-            tuple(tuple(Fraction(1 if r == c else 0) for c in range(n)) for r in range(n)),
-        )
+        return GradeMap._of(space, space, {key: _identity_block(len(ix)) for key, ix in space.grades.items()})
 
     @staticmethod
     def zero(source: GradedSpace, target: GradedSpace) -> "GradeMap":
-        return GradeMap(source, target, tuple(tuple(Fraction(0) for _ in range(source.dim)) for _ in range(target.dim)))
+        src = source.grades
+        blocks = {k: _zero_block(len(ix), len(src[k])) for k, ix in target.grades.items() if k in src}
+        return GradeMap._of(source, target, blocks)
+
+    def with_target(self, target: GradedSpace) -> "GradeMap":
+        """The same blocks into `target`, a reordering of self.target by weight
+        (say); the two maps share their kernel."""
+        return GradeMap._of(self.source, target, self._blocks, self._memo)
+
+    def _require_graded(self, *others: "GradeMap") -> None:
+        if self._stray or any(m._stray for m in others):
+            raise ValueError("map does not preserve the grading")
+
+    def _dense_ints(self) -> tuple[list[list[int]], int]:
+        """Dense integer matrix over one common denominator."""
+        den = lcm(1, *(d for _, d in self._blocks.values()))
+        rows = [[0] * self.source.dim for _ in range(self.target.dim)]
+        for key, (block, d) in self._blocks.items():
+            for r, brow in zip(self.target.grades[key], block):
+                for c, v in zip(self.source.grades[key], brow):
+                    rows[r][c] = v * (den // d)
+        return rows, den
+
+    @property
+    def matrix(self) -> Rows:
+        """Dense view: rows over the target basis, Fraction entries."""
+        if self._matrix is None:
+            rows, den = self._dense_ints()
+            dense = [[Fraction(v, den) if v else _ZERO for v in row] for row in rows]
+            for (r, c), v in self._stray:
+                dense[r][c] = v
+            self._matrix = tuple(map(tuple, dense))
+        return self._matrix
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradeMap):
+            return NotImplemented
+        return self is other or ((self._blocks, self._stray, self.source, self.target)
+                                 == (other._blocks, other._stray, other.source, other.target))
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target))
+
+    def __repr__(self) -> str:
+        return f"GradeMap(source={self.source!r}, target={self.target!r}, matrix={self.matrix!r})"
 
     def __matmul__(self, other: "GradeMap") -> "GradeMap":
-        """Composition self o other."""
+        """Composition self o other, block by block."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
-        return GradeMap(other.source, self.target, linalg.matmul(self.matrix, other.matrix, other.source.dim))
-
-    def column(self, c: int) -> Vec:
-        return tuple(row[c] for row in self.matrix)
+        if self._stray or other._stray:
+            return GradeMap(other.source, self.target, linalg.matmul(self.matrix, other.matrix, other.source.dim))
+        blocks: dict[GradeKey, Block] = {}
+        for key, cols in other.source.grades.items():
+            rows = self.target.grades.get(key)
+            if rows:
+                a, b = self._blocks.get(key), other._blocks.get(key)
+                blocks[key] = (_zero_block(len(rows), len(cols)) if a is None or b is None
+                               else _lowest_terms(linalg.matmul(a[0], b[0], len(cols)), a[1] * b[1]))
+        return GradeMap._of(other.source, self.target, blocks)
 
     def grade_violations(self) -> list[tuple[int, int]]:
         """(row, col) positions connecting distinct weights with a nonzero entry."""
-        out = []
-        for r, row in enumerate(self.matrix):
-            wr = self.target.weight(r)
-            for c, v in enumerate(row):
-                if v != 0 and self.source.weight(c) != wr:
-                    out.append((r, c))
-        return out
+        return [pos for pos, _ in self._stray]
 
     def is_grade_preserving(self) -> bool:
-        return not self.grade_violations()
+        return not self._stray
 
     def rank(self) -> int:
-        if self.source.dim == 0 or self.target.dim == 0:
-            return 0
-        cols = tuple(self.column(c) for c in range(self.source.dim))
-        return linalg.rank(cols, self.target.dim)
+        return self.source.dim - len(self.kernel())
 
     def kernel(self) -> Rows:
-        """Canonical basis of the kernel, as vectors in source coordinates."""
-        if self.source.dim == 0:
-            return ()
-        if self.target.dim == 0:
-            return linalg.span_rows(
-                tuple(
-                    tuple(Fraction(1 if k == c else 0) for k in range(self.source.dim))
-                    for c in range(self.source.dim)
-                ),
-                self.source.dim,
-            )
-        return linalg.span_rows(linalg.kernel_basis(self.matrix, self.source.dim), self.source.dim)
+        """Canonical basis of the kernel, as vectors in source coordinates:
+        the block kernels side by side, ordered by pivot; computed once."""
+        kernel = self._memo.get("kernel")
+        if kernel is None and self._stray:
+            kernel = tuple(v for _, v in linalg.null_space(self.matrix, self.source.dim))
+        elif kernel is None:
+            found = []
+            for key, cols in self.source.grades.items():
+                block = self._blocks.get(key, ((), 1))  # no target vectors of this weight: all of it
+                if block != _identity_block(len(cols)):
+                    found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
+            kernel = self._memo.setdefault("kernel", _spread(found, self.source.dim))
+        return kernel
 
     def image(self) -> Rows:
         """Canonical basis of the image, as vectors in target coordinates."""
-        if self.source.dim == 0 or self.target.dim == 0:
-            return ()
-        cols = tuple(self.column(c) for c in range(self.source.dim))
-        return linalg.span_rows(cols, self.target.dim)
+        if self._stray:
+            return linalg.span_rows(list(zip(*self.matrix)), self.target.dim)
+        found = []
+        for key, (block, _) in self._blocks.items():
+            rows = self.target.grades[key]
+            red, pivots = linalg.rref(list(zip(*block)), len(rows))
+            found += [(rows[p], rows, v) for p, v in zip(pivots, red)]
+        return _spread(found, self.target.dim)
 
     def tensor(self, other: "GradeMap") -> "GradeMap":
         """Kronecker product, matching GradedSpace.tensor basis ordering."""
-        src = self.source.tensor(other.source)
-        tgt = self.target.tensor(other.target)
-        rows = []
-        for r1 in range(self.target.dim):
-            row1 = self.matrix[r1]
-            for r2 in range(other.target.dim):
-                row2 = other.matrix[r2]
-                rows.append(tuple(a * b for a in row1 for b in row2))
-        return GradeMap(src, tgt, tuple(rows))
+        self._require_graded(other)
+        src, tgt = self.source.tensor(other.source), self.target.tensor(other.target)
+        (a, da), (b, db) = self._dense_ints(), other._dense_ints()
+        n2, m2 = other.source.dim, other.target.dim
+        blocks: dict[GradeKey, Block] = {}
+        for key, cols in src.grades.items():
+            rows = tgt.grades.get(key)
+            if rows:
+                pairs = [divmod(c, n2) for c in cols]
+                blocks[key] = _lowest_terms(
+                    [[a[r // m2][c1] * b[r % m2][c2] for c1, c2 in pairs] for r in rows], da * db)
+        return GradeMap._of(src, tgt, blocks)
+
+    def factor_through(self, other: "GradeMap") -> Optional["GradeMap"]:
+        """F from other.target to self.target with F o other = self, or None
+        when there is none; unique when `other` is onto.  Each block solves
+        F_w A_w = B_w, and an identity block A_w gives F_w = B_w at once."""
+        if other.source != self.source:
+            raise ValueError("factoring needs a common source")
+        self._require_graded(other)
+        blocks: dict[GradeKey, Block] = {}
+        for key, mid in other.target.grades.items():
+            rows = self.target.grades.get(key)
+            if not rows:
+                continue
+            a, b = other._blocks.get(key), self._blocks.get(key)
+            if a is None:  # no source vectors of this weight
+                blocks[key] = _zero_block(len(rows), len(mid))
+            elif a == _identity_block(len(mid)):
+                blocks[key] = b
+            else:  # F A/da = B/db  <=>  db A^T F^T = da B^T
+                (arows, da), (brows, db) = a, b
+                x = linalg.solve_matrix([[db * v for v in col] for col in zip(*arows)],
+                                        [[da * v for v in col] for col in zip(*brows)], len(mid), len(rows))
+                if x is None:
+                    return None
+                blocks[key] = _block_of(list(zip(*x)))
+        return GradeMap._of(other.target, self.target, blocks)

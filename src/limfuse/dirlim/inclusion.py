@@ -38,13 +38,8 @@ def canonical_subspace(ambient: GradedSpace, rows: Sequence[Sequence[Fraction]])
             raise NotASubspace(f"vector of length {len(v)} in ambient of dimension {dim}")
         clean.append(v)
     comp_rows: list[Vec] = []
-    for w, cols in ambient.blocks().items():
-        colset = set(cols)
-        proj = []
-        for v in clean:
-            pv = tuple(v[c] if c in colset else Fraction(0) for c in range(dim))
-            if any(x != 0 for x in pv):
-                proj.append(pv)
+    for cols in ambient.grades.values():
+        proj = [tuple(x if c in cols else Fraction(0) for c, x in enumerate(v)) for v in clean]
         comp_rows.extend(linalg.span_rows(proj, dim))
     if len(comp_rows) != linalg.rank(clean, dim):
         raise NotASubspace("span is not closed under the grading")
@@ -96,8 +91,8 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
     names = [f"S{k}" for k in range(len(canon))]
     by_name = dict(zip(names, canon))
 
-    def contains(outer: Rows, inner: Rows) -> bool:
-        return linalg.span_contains(outer, inner, ambient.dim)
+    def contains(outer: Rows, inner: Rows) -> bool:  # the rows of outer are independent
+        return linalg.rank(outer + inner, ambient.dim) == len(outer)
 
     covers = []
     for a, na in enumerate(names):
@@ -118,7 +113,7 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
     }
 
     maps: dict[tuple[str, str], GradeMap] = {}
-    for i, j in poset.strict_pairs():
+    for i, j in poset.covers():
         small, big = by_name[i], by_name[j]
         # coordinates of each small basis row in the big basis (unique)
         bt = tuple(tuple(row[c] for row in big) for c in range(ambient.dim))
@@ -127,7 +122,7 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
         if x is None:
             raise NotASubspace(f"{i} is not contained in {j}")
         maps[(i, j)] = GradeMap(spaces[i], spaces[j], x)
-    return InclusionSystem(DirectSystem(poset, spaces, maps), ambient, by_name)
+    return InclusionSystem(DirectSystem(poset, spaces, maps, by_covers=True), ambient, by_name)
 
 
 @dataclass(frozen=True)

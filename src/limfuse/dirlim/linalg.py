@@ -1,16 +1,17 @@
 """Exact row reduction and subspace arithmetic over the rationals.
 
-Elimination runs fraction-free: rows are scaled to integers and updated by
-cross-multiplication with per-row gcd reduction, so no rational arithmetic
-happens inside the pivot loops.  Pivot normalization back to Fractions occurs
-once at the end, producing the canonical reduced row echelon form.  Matrix
-products are likewise summed on integers and divided back once per entry.
+Rows hold ints or Fractions; the graded maps pass their integer weight
+blocks.  Elimination runs fraction-free: rows are scaled to integers and
+updated by cross-multiplication with per-row gcd reduction, so no rational
+arithmetic happens inside the pivot loops.  Pivot normalization back to
+Fractions occurs once at the end, producing the canonical reduced row
+echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -79,35 +80,21 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return len(rref(rows, ncols)[1])
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> Rows:
-    """Basis of the right kernel (one vector per free column)."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+def null_space(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, Vec]]:
+    """Canonical RREF basis of the right kernel as (pivot, row) pairs, pivots
+    ascending, from one reduction of the column-reversed matrix: the kernel
+    vector of a free column f there is 1 at f and nonzero elsewhere only at
+    pivots left of f, so read back in order it is already reduced."""
+    red, pivots = rref([tuple(reversed(r)) for r in rows], ncols)
     out = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for m, p in enumerate(pivots):
-            v[p] = -red[m][c]
-        out.append(tuple(v))
-    return tuple(out)
-
-
-def reduce_against(red: Rows, pivots: Sequence[int], v: Sequence[Fraction]) -> Vec:
-    """Remainder of v modulo the row space given in canonical RREF."""
-    out = list(v)
-    for m, p in enumerate(pivots):
-        c = out[p]
-        if c != 0:
-            row = red[m]
-            out = [x - c * y for x, y in zip(out, row)]
-    return tuple(out)
-
-
-def in_row_space(red: Rows, pivots: Sequence[int], v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in reduce_against(red, pivots, v))
+    for f in reversed(range(ncols)):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for m, p in enumerate(pivots):
+                v[p] = -red[m][f]
+            out.append((ncols - 1 - f, tuple(reversed(v))))
+    return out
 
 
 def solve_matrix(
@@ -131,35 +118,19 @@ def solve_matrix(
     return tuple(tuple(r) for r in x)
 
 
-def matmul(a: Rows, b: Rows, ncols_b: int) -> Rows:
+def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]], ncols_b: int) -> tuple[tuple, ...]:
     """Product of row-major matrices; a is n x m, b is m x ncols_b.
 
-    The products are summed as integers: b is scaled by the lcm of its
-    denominators and each row of a by the lcm of its own, and every entry is
-    divided back once at the end."""
-    db = 1
-    for brow in b:
-        for x in brow:
-            if x.denominator != 1:
-                db = lcm(db, x.denominator)
-    nonzero = [[(k, x.numerator * (db // x.denominator)) for k, x in enumerate(brow) if x] for brow in b]
+    Zero entries are skipped; on integer blocks every sum stays an int."""
+    nonzero = [[(k, x) for k, x in enumerate(brow) if x] for brow in b]
     out = []
     for row in a:
-        da = 1
-        for v in row:
-            if v.denominator != 1:
-                da = lcm(da, v.denominator)
         acc = [0] * ncols_b
-        for c, v in enumerate(row):
+        for v, nz in zip(row, nonzero):
             if v:
-                vi = v.numerator * (da // v.denominator)
-                for k, x in nonzero[c]:
-                    acc[k] += vi * x
-        den = da * db
-        if den == 1:
-            out.append(tuple(map(Fraction, acc)))
-        else:
-            out.append(tuple(Fraction(s, den) for s in acc))
+                for k, x in nz:
+                    acc[k] += v * x
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -167,7 +138,3 @@ def span_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Rows:
     """Canonical basis (RREF rows) of the row space; the subspace fingerprint."""
     return rref(rows, ncols)[0]
 
-
-def span_contains(outer: Sequence[Sequence[Fraction]], inner: Sequence[Sequence[Fraction]], ncols: int) -> bool:
-    red, pivots = rref(outer, ncols)
-    return all(in_row_space(red, pivots, v) for v in inner)

@@ -3,7 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable, Sequence
+
+
+def _once(method):
+    """A method of a frozen poset whose value is computed once and kept on it."""
+    key = f"_{method.__name__}_memo"
+
+    @wraps(method)
+    def memoized(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -39,54 +52,56 @@ class DirectedPoset:
     def from_covers(elements: Sequence[str], covers: Iterable[tuple[str, str]]) -> "DirectedPoset":
         """Reflexive-transitive closure of the given cover relations."""
         elements = tuple(elements)
-        index = {e: k for k, e in enumerate(elements)}
-        n = len(elements)
-        adj = [[False] * n for _ in range(n)]
-        for k in range(n):
-            adj[k][k] = True
+        succ: dict[str, list[str]] = {e: [] for e in elements}
         for i, j in covers:
-            adj[index[i]][index[j]] = True
-        for m in range(n):  # Floyd-Warshall closure
-            for i in range(n):
-                if adj[i][m]:
-                    row_m = adj[m]
-                    row_i = adj[i]
-                    for j in range(n):
-                        if row_m[j]:
-                            row_i[j] = True
-        leq = frozenset(
-            (elements[i], elements[j]) for i in range(n) for j in range(n) if adj[i][j]
-        )
-        return DirectedPoset(elements, leq)
+            succ[i].append(j)
+        leq: set[tuple[str, str]] = set()
+        for e in elements:
+            stack = [e]
+            while stack:
+                x = stack.pop()
+                if (e, x) not in leq:
+                    leq.add((e, x))
+                    stack.extend(succ[x])
+        return DirectedPoset(elements, frozenset(leq))
 
     def le(self, i: str, j: str) -> bool:
         return (i, j) in self.leq
 
-    def strict_pairs(self) -> list[tuple[str, str]]:
-        return [(i, j) for i in self.elements for j in self.elements if i != j and self.le(i, j)]
+    @_once
+    def _up(self) -> dict[str, set[str]]:
+        """Up-set of every element under the relation as given."""
+        up: dict[str, set[str]] = {e: set() for e in self.elements}
+        for i, j in self.leq:
+            up[i].add(j)
+        return up
 
-    def covers(self) -> list[tuple[str, str]]:
-        """Pairs i < j with no element strictly between."""
-        out = []
-        for i, j in self.strict_pairs():
-            if self.le(j, i):
-                continue  # i ~ j in a preorder cycle; closure handled elsewhere
-            between = any(
-                k != i and k != j and self.le(i, k) and self.le(k, j) and not self.le(k, i) and not self.le(j, k)
-                for k in self.elements
-            )
-            if not between:
-                out.append((i, j))
+    @_once
+    def strict_pairs(self) -> tuple[tuple[str, str], ...]:
+        up = self._up()
+        return tuple((i, j) for i in self.elements for j in self.elements if i != j and j in up[i])
+
+    @_once
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """Pairs i < j with no element strictly between, from the strict
+        up-sets; elements of a preorder cycle are never strictly related."""
+        up = self._up()
+        above = {e: {j for j in up[e] if e not in up[j]} for e in self.elements}
+        beyond = {e: set().union(*(above[k] for k in above[e])) for e in self.elements}
+        return tuple((i, j) for i, j in self.strict_pairs() if j in above[i] and j not in beyond[i])
+
+    @_once
+    def upper_covers(self) -> dict[str, tuple[str, ...]]:
+        """Upper covers of each element that has any, in `covers()` order."""
+        out: dict[str, tuple[str, ...]] = {}
+        for i, j in self.covers():
+            out[i] = out.get(i, ()) + (j,)
         return out
 
-    def upper_bounds(self, i: str, j: str) -> list[str]:
-        return [k for k in self.elements if self.le(i, k) and self.le(j, k)]
-
+    @_once
     def greatest(self) -> str | None:
-        for k in self.elements:
-            if all(self.le(i, k) for i in self.elements):
-                return k
-        return None
+        up = self._up()
+        return next((k for k in self.elements if all(k in up[i] for i in self.elements)), None)
 
     def product(self, other: "DirectedPoset") -> "DirectedPoset":
         elements = tuple(f"({a},{b})" for a in self.elements for b in other.elements)
@@ -97,20 +112,21 @@ class DirectedPoset:
         )
         return DirectedPoset(elements, leq)
 
-    def violations(self) -> list[str]:
-        out = []
-        for e in self.elements:
-            if not self.le(e, e):
-                out.append(f"not reflexive at {e}")
+    @_once
+    def violations(self) -> tuple[str, ...]:
+        up = self._up()
+        out = [f"not reflexive at {e}" for e in self.elements if e not in up[e]]
         for i, j in self.leq:
-            if i != j and self.le(j, i):
+            if i != j and i in up[j]:
                 out.append(f"not antisymmetric: {i} <= {j} <= {i}")
-            for k in self.elements:
-                if self.le(j, k) and not self.le(i, k):
-                    out.append(f"not transitive: {i} <= {j} <= {k} but not {i} <= {k}")
+            if not up[j] <= up[i]:
+                out.extend(
+                    f"not transitive: {i} <= {j} <= {k} but not {i} <= {k}"
+                    for k in self.elements if k in up[j] and k not in up[i]
+                )
         for a in range(len(self.elements)):
             for b in range(a + 1, len(self.elements)):
                 i, j = self.elements[a], self.elements[b]
-                if not self.upper_bounds(i, j):
+                if up[i].isdisjoint(up[j]):
                     out.append(f"no upper bound for {{{i}, {j}}}")
-        return out
+        return tuple(out)

@@ -2,8 +2,9 @@
 
 Three shapes are produced, all satisfying functoriality by construction:
 
-* tree systems: every non-top element has exactly one upper cover, so each
-  composite map is the composition along a unique cover chain;
+* tree systems, given by their cover maps: every non-top element has exactly
+  one upper cover, so each composite map is the composition along a unique
+  cover chain;
 * product systems: the tensor product of two random chain systems, which
   yields diamond-shaped posets;
 * inclusion systems: random graded subspaces of a random ambient space.
@@ -50,16 +51,7 @@ def random_tree_system(rng: random.Random, max_elements: int = 6, max_dim: int =
         (names[k], names[p]): random_grade_map(rng, spaces[names[k]], spaces[names[p]])
         for k, p in parent.items()
     }
-    maps: dict[tuple[str, str], GradeMap] = {}
-    for k in range(n - 1):
-        acc = step[(names[k], names[parent[k]])]
-        j = parent[k]
-        maps[(names[k], names[j])] = acc
-        while j in parent:
-            acc = step[(names[j], names[parent[j]])] @ acc
-            j = parent[j]
-            maps[(names[k], names[j])] = acc
-    return DirectSystem(poset, spaces, maps)
+    return DirectSystem(poset, spaces, step, by_covers=True)
 
 
 def random_chain_system(rng: random.Random, length: int, max_dim: int, prefix: str) -> DirectSystem:

@@ -1,32 +1,43 @@
 """Direct systems of graded vector spaces and their limits.
 
+A system is given by the map of every related pair or, with `by_covers`
+(what `on_chain`, `constant`, `tensor_system` and `inclusion_system` build),
+by its cover maps alone; `maps` then still ranges over every strict pair and
+composes f_i^k = f_c^k o f_i^c on first use, c the first upper cover of i
+below k (its route), keeping every composite.
+
 A finite directed poset has a greatest element top, so the limit of a system
 over it is V_top itself, with legs f_i^top: every stage maps into V_top, and
 what the limit identifies is already identified there.  `direct_limit`
-returns that space, its basis sorted stably by weight, and runs no row
-reduction.  `quotient_limit` keeps the explicit construction, the quotient of
-the direct sum of all stage spaces by the span of the vectors
-q_i(w) - q_j(f_i^j(w)) over cover pairs, computed grade by grade with exact
-row reduction; the property suite uses it as the oracle.
+returns that space, its basis sorted stably by weight, with legs that reuse
+the weight blocks of f_i^top.  `quotient_limit` keeps the explicit
+construction, the quotient of the direct sum of all stage spaces by the span
+of the vectors q_i(w) - q_j(f_i^j(w)) over cover pairs, computed grade by
+grade with exact row reduction; the property suite uses it as the oracle.
 
 Functoriality is checked only on the triples i < c <= k whose first step is a
 cover: any i < j < k has a cover i < c <= j, and induction on the interval
 [i, k] turns f_c^k o f_i^c = f_i^k and f_c^j o f_i^c = f_i^j into
-f_j^k o f_i^j = f_i^k.  The same telescoping along saturated chains lets
-universal maps check their cocone along covers only.  A system's report is
-computed once and kept on the system, whose spaces and maps are read-only.
+f_j^k o f_i^j = f_i^k.  Given covers, the triples through a route hold by
+construction, so only diamonds are left to check; chains and trees have
+none.  The same telescoping along saturated chains lets universal maps check
+their cocone along covers only.  A system's report is computed once and kept
+on the system, whose spaces and maps are read-only.  On a valid system the
+sum over j >= i of ker f_i^j is ker f_i^top, as top is one of the j, so
+`kernel_union` is one kernel, shared with the leg of `direct_limit`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
 
 from limfuse.dirlim import linalg
-from limfuse.dirlim.graded import GradedSpace, GradeMap, Weight
-from limfuse.dirlim.linalg import Rows, Vec
+from limfuse.dirlim.graded import GradedSpace, GradeMap
+from limfuse.dirlim.linalg import Rows
 from limfuse.dirlim.poset import DirectedPoset
 
 
@@ -58,19 +69,63 @@ class ValidationReport:
         return self.ok
 
 
+class TransitionMaps(Mapping):
+    """Read-only transition maps of a system: the given ones and, when given
+    by covers, every other strict pair, composed on first use (a missing
+    cover map makes its composites raise KeyError)."""
+
+    def __init__(self, poset: DirectedPoset, given: Mapping[tuple[str, str], GradeMap], by_covers: bool):
+        self._poset = poset
+        self._known = dict(given)
+        self.given = tuple(self._known)
+        self._keys = dict.fromkeys([*poset.strict_pairs(), *self.given] if by_covers else self.given)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._keys)
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __getitem__(self, key: tuple[str, str]) -> GradeMap:
+        if key not in self._keys:
+            raise KeyError(key)
+        known, (i, k) = self._known, key
+        path = [i]  # walk the route up to a known map, then compose back down it
+        while (path[-1], k) not in known:
+            c = self.route(path[-1], k)
+            if c is None or (path[-1], c) not in known or len(path) > len(self._poset.elements):
+                raise KeyError(key)
+            path.append(c)
+        for x, c in zip(path[-2::-1], path[:0:-1]):
+            known[(x, k)] = known[(c, k)] @ known[(x, c)]
+        return known[key]
+
+    def __repr__(self) -> str:
+        return f"TransitionMaps({self._known!r})"
+
+    def route(self, i: str, k: str) -> str | None:
+        """The first upper cover of i below k, through which f_i^k is composed."""
+        return next((c for c in self._poset.upper_covers().get(i, ()) if self._poset.le(c, k)), None)
+
+
 @dataclass(frozen=True)
 class DirectSystem:
     """Assignment of a graded space to each poset element and a transition
-    map to each related pair; reflexive maps are implicit identities."""
+    map to each related pair, or to each cover pair when `by_covers` is set;
+    reflexive maps are implicit identities."""
 
     poset: DirectedPoset
     spaces: Mapping[str, GradedSpace]
     maps: Mapping[tuple[str, str], GradeMap]
+    by_covers: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         # read-only copies, so that the memoized validation report stays true
         object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
-        object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
+        object.__setattr__(self, "maps", TransitionMaps(self.poset, self.maps, self.by_covers))
 
     def space(self, i: str) -> GradedSpace:
         try:
@@ -89,8 +144,8 @@ class DirectSystem:
     @staticmethod
     def constant(poset: DirectedPoset, space: GradedSpace) -> "DirectSystem":
         ident = GradeMap.identity(space)
-        maps = {(i, j): ident for i, j in poset.strict_pairs()}
-        return DirectSystem(poset, {e: space for e in poset.elements}, maps)
+        maps = {c: ident for c in poset.covers()}
+        return DirectSystem(poset, {e: space for e in poset.elements}, maps, by_covers=True)
 
     @staticmethod
     def on_chain(spaces: Sequence[GradedSpace], step_maps: Sequence[GradeMap], prefix: str = "") -> "DirectSystem":
@@ -100,20 +155,16 @@ class DirectSystem:
             raise ValueError("need one step map per consecutive pair")
         poset = DirectedPoset.chain(n, prefix)
         names = poset.elements
-        maps: dict[tuple[str, str], GradeMap] = {}
-        for a in range(n):
-            acc: Optional[GradeMap] = None
-            for b in range(a + 1, n):
-                acc = step_maps[b - 1] if acc is None else step_maps[b - 1] @ acc
-                maps[(names[a], names[b])] = acc
-        return DirectSystem(poset, dict(zip(names, spaces)), maps)
+        maps = dict(zip(zip(names, names[1:]), step_maps))
+        return DirectSystem(poset, dict(zip(names, spaces)), maps, by_covers=True)
 
 
 def validate_system(sys: DirectSystem) -> ValidationReport:
     """Report every violated identity; an empty report certifies the system.
 
-    Composition is checked on the triples whose first step is a cover, which
-    implies it on every triple; the report is computed once per system.
+    Given every pair, composition is checked on the triples whose first step
+    is a cover, which implies it on every triple; given covers, on the
+    diamonds.  The report is computed once per system.
     """
     report = sys.__dict__.get("_validation")
     if report is None:
@@ -122,13 +173,14 @@ def validate_system(sys: DirectSystem) -> ValidationReport:
 
 
 def _validate(sys: DirectSystem) -> ValidationReport:
-    problems = list(sys.poset.violations())
-    for e in sys.poset.elements:
+    poset = sys.poset
+    problems = list(poset.violations())
+    for e in poset.elements:
         if e not in sys.spaces:
             problems.append(f"missing space for {e}")
     if problems:
         return ValidationReport(tuple(problems))
-    for i, j in sys.poset.strict_pairs():
+    for i, j in poset.covers() if sys.by_covers else poset.strict_pairs():
         f = sys.maps.get((i, j))
         if f is None:
             problems.append(f"missing map for {i} <= {j}")
@@ -137,19 +189,21 @@ def _validate(sys: DirectSystem) -> ValidationReport:
             problems.append(f"map for {i} <= {j} has wrong source or target")
         elif not f.is_grade_preserving():
             problems.append(f"map for {i} <= {j} does not preserve the grading")
-    for i, j in sys.maps:
+    for i, j in sys.maps.given:
         if i == j:
             if sys.maps[(i, i)] != GradeMap.identity(sys.spaces[i]):
                 problems.append(f"reflexive map at {i} is not the identity")
-        elif not sys.poset.le(i, j):
+        elif not poset.le(i, j):
             problems.append(f"map stored for unrelated pair {i}, {j}")
+        elif sys.by_covers and sys.maps.route(i, j) != j:
+            problems.append(f"map stored for non-cover pair {i}, {j}")
     if problems:
         return ValidationReport(tuple(problems))
-    for i, c in sys.poset.covers():
-        f_ic = sys.maps[(i, c)]
-        for k in sys.poset.elements:
-            if k != c and sys.poset.le(c, k):
-                if sys.maps[(c, k)] @ f_ic != sys.maps[(i, k)]:
+    for i, c in poset.covers():
+        for k in poset.elements:
+            # a map given by covers is composed through its first cover below k
+            if k != c and poset.le(c, k) and not (sys.by_covers and sys.maps.route(i, k) == c):
+                if sys.maps[(c, k)] @ sys.maps[(i, c)] != sys.maps[(i, k)]:
                     problems.append(f"composition violated: f_{c}^{k} o f_{i}^{c} != f_{i}^{k}")
     return ValidationReport(tuple(problems))
 
@@ -186,17 +240,15 @@ class Limit:
 
 def direct_limit(sys: DirectSystem) -> Limit:
     """The limit as the greatest stage V_top, basis ids `top:bid` sorted stably
-    by weight, with legs f_i^top.  Equal to `quotient_limit` whenever top is
+    by weight, with legs f_i^top: sorting by weight keeps every block, so each
+    leg holds the blocks of f_i^top.  Equal to `quotient_limit` whenever top is
     listed last among the poset's elements, isomorphic to it always."""
     _require_valid(sys)
     top = sys.poset.greatest()
     basis = sys.spaces[top].basis
     order = sorted(range(len(basis)), key=lambda k: basis[k][1])
     space = GradedSpace(tuple((f"{top}:{basis[k][0]}", basis[k][1]) for k in order))
-    legs = {}
-    for e in sys.poset.elements:
-        rows = sys.map(e, top).matrix
-        legs[e] = GradeMap(sys.spaces[e], space, tuple(rows[k] for k in order))
+    legs = {e: sys.map(e, top).with_target(space) for e in sys.poset.elements}
     return Limit(space, legs, sys)
 
 
@@ -204,79 +256,47 @@ def quotient_limit(sys: DirectSystem) -> Limit:
     """Quotient-by-relations construction of the limit with its legs; the
     independent oracle for `direct_limit`."""
     _require_valid(sys)
-
     elements = sys.poset.elements
-    offsets: dict[str, int] = {}
-    total_basis: list[tuple[str, str, Weight]] = []
-    for e in elements:
-        offsets[e] = len(total_basis)
-        for bid, w in sys.spaces[e].basis:
-            total_basis.append((e, bid, w))
+    total = GradedSpace(tuple((f"{e}:{bid}", w) for e in elements for bid, w in sys.spaces[e].basis))
+    offsets = dict(zip(elements, accumulate((sys.spaces[e].dim for e in elements), initial=0)))
 
-    weights = sorted({w for _, _, w in total_basis})
-    grade_cols: dict[Weight, list[int]] = {
-        w: [k for k, (_, _, wk) in enumerate(total_basis) if wk == w] for w in weights
-    }
-
-    # relation rows per grade, from cover pairs only
-    rel_rows: dict[Weight, list[list[Fraction]]] = {w: [] for w in weights}
-    col_pos: dict[Weight, dict[int, int]] = {
-        w: {tot: loc for loc, tot in enumerate(cols)} for w, cols in grade_cols.items()
-    }
+    # relations q_i(v) - q_j(f_i^j(v)), from cover pairs only
+    relations = []
     for i, j in sys.poset.covers():
-        f = sys.map(i, j)
+        f = sys.map(i, j).matrix
         for c in range(sys.spaces[i].dim):
-            w = sys.spaces[i].weight(c)
-            row = [Fraction(0)] * len(grade_cols[w])
-            pos = col_pos[w]
-            row[pos[offsets[i] + c]] += 1
-            fcol = f.column(c)
-            for r, v in enumerate(fcol):
-                if v != 0:
-                    row[pos[offsets[j] + r]] -= v
-            rel_rows[w].append(row)
+            row = [Fraction(0)] * total.dim
+            row[offsets[i] + c] = Fraction(1)
+            for r, frow in enumerate(f):
+                row[offsets[j] + r] -= frow[c]
+            relations.append(row)
 
-    # per-grade quotient: free columns survive, pivot columns are eliminated
-    quot_basis: list[tuple[str, Weight]] = []
-    proj_cols: dict[int, dict[int, Fraction]] = {}  # total col -> {quot row: coeff}
-    for w in weights:
-        cols = grade_cols[w]
-        red, pivots = linalg.rref(rel_rows[w], len(cols))
-        pivot_set = set(pivots)
-        free = [c for c in range(len(cols)) if c not in pivot_set]
-        base = len(quot_basis)
-        free_pos = {c: base + n for n, c in enumerate(free)}
-        for c in free:
-            e, bid, _ = total_basis[cols[c]]
-            quot_basis.append((f"{e}:{bid}", w))
-        for loc, tot in enumerate(cols):
-            if loc in pivot_set:
-                m = pivots.index(loc)
-                entries = {
-                    free_pos[c]: -red[m][c] for c in free if red[m][c] != 0
-                }
-            else:
-                entries = {free_pos[loc]: Fraction(1)}
-            proj_cols[tot] = entries
-
-    space = GradedSpace(tuple(quot_basis))
-    qdim = space.dim
-    legs: dict[str, GradeMap] = {}
-    for e in elements:
-        d = sys.spaces[e].dim
-        mat = [[Fraction(0)] * d for _ in range(qdim)]
-        for c in range(d):
-            for r, v in proj_cols[offsets[e] + c].items():
-                mat[r][c] = v
-        legs[e] = GradeMap(sys.spaces[e], space, tuple(tuple(r) for r in mat))
+    # per-grade quotient: free columns survive, pivot columns are written in them
+    basis, proj = [], []  # proj: one row per quotient vector, over the total basis
+    for cols in total.grades.values():
+        red, pivots = linalg.rref([[rel[t] for t in cols] for rel in relations], len(cols))
+        for c in range(len(cols)):
+            if c not in pivots:
+                row = [Fraction(0)] * total.dim
+                row[cols[c]] = Fraction(1)
+                for m, p in enumerate(pivots):
+                    row[cols[p]] = -red[m][c]
+                basis.append(total.basis[cols[c]])
+                proj.append(row)
+    space = GradedSpace(tuple(basis))
+    legs = {
+        e: GradeMap(sys.spaces[e], space, [row[offsets[e]:offsets[e] + sys.spaces[e].dim] for row in proj])
+        for e in elements
+    }
     return Limit(space, legs, sys)
 
 
 def universal_map(lim: Limit, tgt: Target) -> GradeMap:
     """The unique map F with F o phi_i = psi_i for every stage i.
 
-    The cocone is checked along covers, and F is solved from the top stage
-    alone: phi_top is onto, and phi_i = phi_top o f_i^top for every i."""
+    Every psi_i must preserve the grading.  The cocone is checked along
+    covers, and F is solved from the top stage alone: phi_top is onto, and
+    phi_i = phi_top o f_i^top for every i."""
     sys = lim.system
     for i in sys.poset.elements:
         psi = tgt.psis.get(i)
@@ -284,28 +304,17 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
             raise IncompatibleTarget(f"missing target map for {i}")
         if psi.source != sys.spaces[i] or psi.target != tgt.space:
             raise IncompatibleTarget(f"target map for {i} has wrong source or target")
+        if not psi.is_grade_preserving():
+            raise IncompatibleTarget(f"target map for {i} does not preserve the grading")
     for i, c in sys.poset.covers():
         if tgt.psis[c] @ sys.map(i, c) != tgt.psis[i]:
             raise IncompatibleTarget(f"psi_{c} o f_{i}^{c} != psi_{i}")
 
     top = sys.poset.greatest()
-    leg, psi = lim.legs[top], tgt.psis[top]
-    top_blocks = sys.spaces[top].blocks()
-    tgt_blocks = tgt.space.blocks()
-    fmat = [[Fraction(0)] * lim.space.dim for _ in range(tgt.space.dim)]
-    for w, lim_rows in lim.space.blocks().items():
-        tgt_rows = tgt_blocks.get(w, [])
-        cols = top_blocks.get(w, [])
-        acols = [tuple(leg.matrix[r][c] for r in lim_rows) for c in cols]
-        bcols = [tuple(psi.matrix[r][c] for r in tgt_rows) for c in cols]
-        # F_w solves F_w A = B; transpose to A^T F^T = B^T (unique: phi_top is onto)
-        x = linalg.solve_matrix(acols, bcols, len(lim_rows), len(tgt_rows))
-        if x is None:
-            raise IncompatibleTarget("target maps are inconsistent with the limit")
-        for a, lr in enumerate(lim_rows):
-            for b, tr in enumerate(tgt_rows):
-                fmat[tr][lr] = x[a][b]
-    return GradeMap(lim.space, tgt.space, tuple(tuple(r) for r in fmat))
+    f = tgt.psis[top].factor_through(lim.legs[top])
+    if f is None:
+        raise IncompatibleTarget("target maps are inconsistent with the limit")
+    return f
 
 
 def kernel_of_leg(lim: Limit, i: str) -> Rows:
@@ -314,12 +323,10 @@ def kernel_of_leg(lim: Limit, i: str) -> Rows:
 
 
 def kernel_union(sys: DirectSystem, i: str) -> Rows:
-    """Sum over j >= i of ker f_i^j, computed without constructing the limit."""
+    """Sum over j >= i of ker f_i^j, computed without constructing the limit:
+    on a valid system it is ker f_i^top (see the module docstring).  Raises
+    InvalidSystem on a system with defects."""
     if i not in sys.spaces:
         raise UnknownElement(i)
-    d = sys.spaces[i].dim
-    rows: list[Vec] = []
-    for j in sys.poset.elements:
-        if j != i and sys.poset.le(i, j):
-            rows.extend(sys.map(i, j).kernel())
-    return linalg.span_rows(rows, d) if d else ()
+    _require_valid(sys)
+    return sys.map(i, sys.poset.greatest()).kernel()

@@ -17,7 +17,8 @@ from limfuse.dirlim.system import DirectSystem, Limit, Target, direct_limit, uni
 
 
 def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
-    """Componentwise tensor product over the product poset."""
+    """Componentwise tensor product over the product poset, given by its
+    covers: a cover of one factor beside an element of the other."""
     poset = a.poset.product(b.poset)
     spaces = {
         f"({i},{j})": a.space(i).tensor(b.space(j))
@@ -25,13 +26,15 @@ def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
         for j in b.poset.elements
     }
     maps: dict[tuple[str, str], GradeMap] = {}
-    for i, i2 in a.poset.leq:
+    for i, i2 in a.poset.covers():
         fa = a.map(i, i2)
-        for j, j2 in b.poset.leq:
-            if i == i2 and j == j2:
-                continue
-            maps[(f"({i},{j})", f"({i2},{j2})")] = fa.tensor(b.map(j, j2))
-    return DirectSystem(poset, spaces, maps)
+        for j in b.poset.elements:
+            maps[(f"({i},{j})", f"({i2},{j})")] = fa.tensor(GradeMap.identity(b.space(j)))
+    for j, j2 in b.poset.covers():
+        fb = b.map(j, j2)
+        for i in a.poset.elements:
+            maps[(f"({i},{j})", f"({i},{j2})")] = GradeMap.identity(a.space(i)).tensor(fb)
+    return DirectSystem(poset, spaces, maps, by_covers=True)
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,8 @@ def fubini_compare(a: DirectSystem, b: DirectSystem, c: DirectSystem) -> FubiniR
     inner_space = lim_inner.space
     spaces = {i: a.space(i).tensor(inner_space) for i in a.poset.elements}
     ident = GradeMap.identity(inner_space)
-    maps = {
-        (i, j): a.map(i, j).tensor(ident) for i, j in a.poset.strict_pairs()
-    }
-    iterated_sys = DirectSystem(a.poset, spaces, maps)
+    maps = {(i, j): a.map(i, j).tensor(ident) for i, j in a.poset.covers()}
+    iterated_sys = DirectSystem(a.poset, spaces, maps, by_covers=True)
     lim_iter = direct_limit(iterated_sys)
 
     psis: dict[str, GradeMap] = {}

@@ -2,7 +2,9 @@
 
 from fractions import Fraction as F
 
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -29,7 +31,9 @@ from limfuse.dirlim import (
     universal_map,
     validate_system,
 )
+from limfuse.cli import main
 from limfuse.dirlim import linalg
+from limfuse.dirlim.randgen import random_system
 from limfuse.dirlim.system import quotient_limit
 
 Q1 = GradedSpace.std(1, 0)
@@ -121,8 +125,10 @@ class TestValidate:
             sys.maps[("1", "3")] = maps[("1", "3")]
 
     def test_work_count_on_twelve_chain(self, monkeypatch):
-        # composition is checked once per (cover, upper element) and the
-        # universal map checks its cocone along the 11 covers only
+        # a chain given by covers has no diamonds, so validation composes
+        # nothing; the legs f_i^12 are composed once down the chain (10
+        # compositions) and the universal map checks its cocone along the 11
+        # covers only
         spaces = [GradedSpace.make([("a", 0), ("b", 0), ("c", 1)])] * 12
         step = GradeMap.make(spaces[0], spaces[0], [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
         sys = DirectSystem.on_chain(spaces, [step] * 11)
@@ -139,7 +145,58 @@ class TestValidate:
         lim = direct_limit(sys)
         psis = {e: sys.map(e, "12") for e in sys.poset.elements}
         universal_map(lim, Target(sys.space("12"), psis))
-        assert len(calls) <= 55 + 11
+        assert len(calls) <= 11 + 11
+
+    def test_one_kernel_per_stage_on_twelve_chain(self, monkeypatch):
+        # kernel_union and kernel_of_leg share ker f_i^12: one row reduction
+        # per stage of a one-grade chain, none for the identity at the top
+        space = GradedSpace.std(3, 0)
+        step = GradeMap.make(space, space, [[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+        sys = DirectSystem.on_chain([space] * 12, [step] * 11)
+        lim = direct_limit(sys)
+        calls = []
+        rref = linalg.rref
+
+        def counted(rows, ncols):
+            calls.append(1)
+            return rref(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        for e in sys.poset.elements:
+            assert kernel_union(sys, e) == kernel_of_leg(lim, e)
+        assert len(calls) <= 12
+        assert kernel_union(sys, "1") == ((F(0), F(0), F(1)),)
+
+    def test_cover_only_diamond_with_non_commuting_square(self):
+        a = DirectSystem.constant(DirectedPoset.chain(2, "a"), Q2)
+        b = DirectSystem.constant(DirectedPoset.chain(2, "b"), Q2)
+        ts = tensor_system(a, b)
+        assert ts.by_covers and validate_system(ts).ok
+        covers = {c: ts.maps[c] for c in ts.poset.covers()}
+        covers[("(a1,b1)", "(a2,b1)")] = GradeMap.make(
+            ts.space("(a1,b1)"), ts.space("(a2,b1)"),
+            [[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)])
+        report = validate_system(DirectSystem(ts.poset, ts.spaces, covers, by_covers=True))
+        assert report.problems == (
+            "composition violated: f_(a2,b1)^(a2,b2) o f_(a1,b1)^(a2,b1) != f_(a1,b1)^(a2,b2)",
+        )
+
+    def test_cover_only_input_defects(self):
+        sys = inclusion_chain()
+        assert sys.by_covers and len(sys.maps) == 3 and ("1", "3") in sys.maps
+        covers = {("1", "2"): sys.maps[("1", "2")]}
+        problems = validate_system(DirectSystem(sys.poset, sys.spaces, covers, by_covers=True)).problems
+        assert problems == ("missing map for 2 <= 3",)
+        extra = dict(sys.maps)
+        problems = validate_system(DirectSystem(sys.poset, sys.spaces, extra, by_covers=True)).problems
+        assert problems == ("map stored for non-cover pair 1, 3",)
+
+    def test_composites_derived_from_covers(self):
+        sys = inclusion_chain()
+        f13 = sys.maps[("1", "3")]
+        assert f13 == sys.maps[("2", "3")] @ sys.maps[("1", "2")]
+        assert sys.maps[("1", "3")] is f13
+        assert dict(sys.maps) == dict(DirectSystem(sys.poset, sys.spaces, dict(sys.maps)).maps)
 
 
 class TestDirectLimit:
@@ -245,6 +302,17 @@ class TestUniversalMap:
         with pytest.raises(IncompatibleTarget, match=r"psi_2 o f_1\^2 != psi_1"):
             universal_map(lim, Target(Q3, psis))
 
+    def test_target_map_mixing_weights_rejected(self):
+        # psi sends a weight-0 vector to a weight-1 one: the cocone holds,
+        # but no grade-preserving F has F o phi_i = psi_i
+        a = GradedSpace.make([("a", 0)])
+        sys = DirectSystem.on_chain([a, a], [GradeMap.identity(a)])
+        lim = direct_limit(sys)
+        tgt = GradedSpace.make([("x", 0), ("y", 1)])
+        psi = GradeMap.make(a, tgt, [[1], [5]])
+        with pytest.raises(IncompatibleTarget, match="target map for 1 does not preserve the grading"):
+            universal_map(lim, Target(tgt, {"1": psi, "2": psi}))
+
     def test_incompatible_target_rejected(self):
         sys = inclusion_chain()
         lim = direct_limit(sys)
@@ -279,6 +347,33 @@ class TestKernels:
         lim = direct_limit(inclusion_chain())
         with pytest.raises(UnknownElement):
             kernel_of_leg(lim, "9")
+
+    def test_kernel_union_requires_a_valid_system(self):
+        sys = inclusion_chain()
+        maps = dict(sys.maps)
+        maps[("1", "3")] = GradeMap.make(Q1, Q3, [[0], [1], [0]])
+        with pytest.raises(InvalidSystem):
+            kernel_union(DirectSystem(sys.poset, sys.spaces, maps), "1")
+
+    def test_kernel_union_against_the_sum_and_the_quotient_legs(self):
+        # the sum over j >= i of ker f_i^j, computed densely as before, and
+        # the kernels of the quotient construction's legs, on 200 systems
+        # with their elements in generated and in shuffled order
+        checked = 0
+        for seed in range(200):
+            sys = random_system(seed)
+            elements = list(sys.poset.elements)
+            random.Random(seed).shuffle(elements)
+            shuffled = DirectSystem(DirectedPoset(tuple(elements), sys.poset.leq), sys.spaces, sys.maps)
+            for s in (sys, shuffled):
+                oracle = quotient_limit(s)
+                for i in s.poset.elements:
+                    got = kernel_union(s, i)
+                    assert got == _kernel_union_sum(s, i), (seed, i)
+                    assert got == kernel_of_leg(oracle, i), (seed, i)
+                    assert all(type(x) is F for row in got for x in row)
+                    checked += bool(got)
+        assert checked > 100
 
 
 class TestInclusionSystems:
@@ -451,3 +546,166 @@ class TestLinalg:
             n, m = rng.randint(0, 5), rng.randint(1, 6)
             rows = _random_matrix(rng, n, m)
             assert linalg.rref(rows, m) == _reference_rref(rows, m)
+
+
+def _old_matmul(a, b, ncols_b):
+    """The dense product GradeMap used before weight blocks: b scaled by the
+    lcm of its denominators, each row of a by its own, summed on integers."""
+    db = 1
+    for brow in b:
+        for x in brow:
+            db = db * x.denominator // math.gcd(db, x.denominator)
+    nonzero = [[(k, x.numerator * (db // x.denominator)) for k, x in enumerate(brow) if x] for brow in b]
+    out = []
+    for row in a:
+        da = 1
+        for v in row:
+            da = da * v.denominator // math.gcd(da, v.denominator)
+        acc = [0] * ncols_b
+        for c, v in enumerate(row):
+            if v:
+                vi = v.numerator * (da // v.denominator)
+                for k, x in nonzero[c]:
+                    acc[k] += vi * x
+        out.append(tuple(F(s, da * db) for s in acc))
+    return tuple(out)
+
+
+def _dense_kernel(matrix, ncols):
+    """Kernel basis from free columns, then its canonical RREF."""
+    red, pivots = _reference_rref(matrix, ncols)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [F(0)] * ncols
+            v[c] = F(1)
+            for m, p in enumerate(pivots):
+                v[p] = -red[m][c]
+            basis.append(tuple(v))
+    return _reference_rref(basis, ncols)[0]
+
+
+def _dense_columns(matrix, ncols):
+    return [tuple(row[c] for row in matrix) for c in range(ncols)]
+
+
+def _kernel_union_sum(sys, i):
+    """The former kernel_union: span of ker f_i^j over every j > i."""
+    d = sys.spaces[i].dim
+    rows = []
+    for j in sys.poset.elements:
+        if j != i and sys.poset.le(i, j):
+            rows.extend(_dense_kernel(sys.map(i, j).matrix, d))
+    return _reference_rref(rows, d)[0] if d else ()
+
+
+def _random_graded_map(rng, source, target):
+    pool = [F(0), F(0), F(1), F(-2), F(3), F(1, 2), F(-5, 6), F(7, 4)]
+    return GradeMap.make(source, target, [
+        [rng.choice(pool) if source.weight(c) == target.weight(r) else 0 for c in range(source.dim)]
+        for r in range(target.dim)
+    ])
+
+
+def _random_space(rng, prefix):
+    weights = [F(0), F(1, 2), F(1), F(-3, 2)]
+    return GradedSpace.make([(f"{prefix}{k}", rng.choice(weights[:rng.randint(1, 4)]))
+                             for k in range(rng.randint(0, 5))])
+
+
+class TestGradeMapAgainstDense:
+    """Block operations against the dense Fraction path they replaced."""
+
+    def test_block_operations_match_dense_reference(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            u, v, w = (_random_space(rng, p) for p in "uvw")
+            f, g = _random_graded_map(rng, u, v), _random_graded_map(rng, v, w)
+            assert (g @ f).matrix == _old_matmul(g.matrix, f.matrix, u.dim)
+            assert GradeMap(u, v, f.matrix) == f
+            assert f.rank() == len(_reference_rref(_dense_columns(f.matrix, u.dim), v.dim)[1])
+            assert f.kernel() == _dense_kernel(f.matrix, u.dim)
+            assert f.image() == _reference_rref(_dense_columns(f.matrix, u.dim), v.dim)[0]
+            kron = tuple(tuple(a * b for a in ra for b in rb) for ra in f.matrix for rb in g.matrix)
+            assert f.tensor(g).matrix == kron
+            for part in (f.kernel(), f.image(), (g @ f).matrix, f.tensor(g).matrix):
+                assert all(type(x) is F for row in part for x in row)
+
+    def test_equality_sees_every_entry(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            u, v = _random_space(rng, "u"), _random_space(rng, "v")
+            f = _random_graded_map(rng, u, v)
+            for r in range(v.dim):
+                for c in range(u.dim):
+                    rows = [list(row) for row in f.matrix]
+                    rows[r][c] += F(1, 3)
+                    bumped = GradeMap(u, v, rows)
+                    assert bumped != f
+                    assert bumped.is_grade_preserving() == (u.weight(c) == v.weight(r))
+
+    def test_stray_entries_take_the_dense_path(self):
+        mixed = GradedSpace.make([("a", 0), ("b", 1)])
+        stray = GradeMap.make(mixed, mixed, [[1, 2], [0, 3]])
+        assert stray.grade_violations() == [(0, 1)]
+        assert stray.matrix == ((F(1), F(2)), (F(0), F(3)))
+        square = stray @ stray
+        assert square.matrix == _old_matmul(stray.matrix, stray.matrix, 2)
+        assert stray.kernel() == () and stray.rank() == 2
+        with pytest.raises(ValueError):
+            stray.tensor(stray)
+
+
+def _old_covers(poset):
+    out = []
+    for i, j in poset.strict_pairs():
+        if poset.le(j, i):
+            continue
+        between = any(
+            k != i and k != j and poset.le(i, k) and poset.le(k, j) and not poset.le(k, i) and not poset.le(j, k)
+            for k in poset.elements
+        )
+        if not between:
+            out.append((i, j))
+    return tuple(out)
+
+
+def test_poset_memos_match_direct_definitions():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        elements = tuple(f"p{k}" for k in range(n))
+        if rng.random() < 0.5:
+            poset = DirectedPoset.from_covers(
+                elements, [(elements[k], elements[rng.randint(k + 1, n - 1)]) for k in range(n - 1)])
+        else:
+            poset = DirectedPoset(elements, frozenset(
+                (i, j) for i in elements for j in elements if i == j or rng.random() < 0.3))
+        assert poset.covers() == _old_covers(poset)
+        assert poset.covers() is poset.covers()
+        tops = [k for k in elements if all(poset.le(i, k) for i in elements)]
+        assert poset.greatest() == (tops[0] if tops else None)
+        bounds = any(not any(poset.le(i, k) and poset.le(j, k) for k in elements)
+                     for i in elements for j in elements)
+        assert any("upper bound" in p for p in poset.violations()) == bounds
+
+
+# sha256 of the lines json.dumps(system_to_json(random_system(s)),
+# sort_keys=True) + "\n" for s = 0..149, and of the stdout of
+# `limfuse dirlim-selftest --seed 0 --cases 100`, recorded with dense maps
+# and every related pair stored
+GOLDEN_SYSTEMS_JSON = "e6f22f4a6a0bd1a9f5817a1cdbf6a912bad57c1d3671f8675f17d5ca1406ae67"
+GOLDEN_SELFTEST_STDOUT = "bbb823067b72f725b726372a96b7782a2f0f73f2974b76e7cfe3ce99de728cb5"
+
+
+class TestByteIdentity:
+    def test_system_json_golden(self):
+        h = hashlib.sha256()
+        for s in range(150):
+            h.update(json.dumps(system_to_json(random_system(s)), sort_keys=True).encode() + b"\n")
+        assert h.hexdigest() == GOLDEN_SYSTEMS_JSON
+
+    def test_selftest_stdout_golden(self, capsys):
+        assert main(["dirlim-selftest", "--seed", "0", "--cases", "100"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SELFTEST_STDOUT
