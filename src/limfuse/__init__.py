@@ -2,8 +2,10 @@
 fusion-ring data of generic Virasoro-type ribbon categories.
 
 Everything is computed over arbitrary-precision rationals; no floating point
-enters any result (a single rational sampling helper is used to *select* a
-candidate minimum, which is then verified symbolically).
+enters any result.  The minimum-weight slice of an induced module is the
+exact argmin of each slice weight, a quadratic in the summand index; a
+rational sample point only orders weights that no parameter-free
+coefficient orders already.
 """
 
 from limfuse.exact import Rat, RatFunc, Poly, Phase

@@ -12,8 +12,9 @@ reuse carries no state from one call to the next.
 
 Work is capped up front, and a request over a cap exits 2 before anything
 is built:
-- `--bound` and `--witness-bound`: the label count bound ** arity is at most
-  MAX_LABELS;
+- `--bound`: the label count bound ** arity is at most MAX_LABELS, and for
+  `center` the pair count, its labels times those of `--witness-bound`, is
+  at most MAX_LABELS;
 - `fuse`, `monodromy` and `fuse-induced`: the product's summand count, the
   product over index slots of min(a_i, b_i), is at most MAX_LABELS;
 - `--truncate` is at most MAX_TRUNCATE and `--cases` at most MAX_CASES.
@@ -30,7 +31,7 @@ import sys
 
 from limfuse.catdata.category import CategorySpec, category_by_name
 from limfuse.catdata.labels import ForeignLabel, Pair, SimpleLabel
-from limfuse.exact import format_ratfunc, parse_rat
+from limfuse.exact import Poly, format_ratfunc, parse_rat
 from limfuse.exact.ratfunc import RatFunc
 from limfuse.fusion.monodromy import monodromy, mueger_scan
 from limfuse.fusion.ring import CategoryMismatch
@@ -193,13 +194,12 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    _require_positive(args.truncate, "--truncate")
-    _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
     alg = _algebra(args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
-    cert = locality(alg, base, truncate=args.truncate)
+    cert = locality(alg, base)
     family = (
-        format_ratfunc(RatFunc(cert.exponent_family), "r")
+        # a polynomial over the monic 1 is already in lowest terms
+        format_ratfunc(RatFunc.coprime(cert.exponent_family, Poly(1)), "r")
         if cert.exponent_family is not None
         else "-"
     )
@@ -265,8 +265,11 @@ def cmd_center(args) -> int:
     cat = _category(args.category)
     if args.bound < 1 or args.witness_bound < 1:
         raise ConfigError("scan bounds must be >= 1")
-    _require_label_count(cat, args.bound, "--bound")
-    _require_label_count(cat, args.witness_bound, "--witness-bound")
+    arity = len(_slots(cat.unit))
+    if (args.bound * args.witness_bound) ** arity > MAX_LABELS:
+        raise ConfigError(f"--bound {args.bound} and --witness-bound {args.witness_bound} ask for "
+                          f"({args.bound}*{args.witness_bound})**{arity} label pairs of {cat.name}, "
+                          f"above the cap of {MAX_LABELS}")
     found = mueger_scan(cat, args.bound, args.witness_bound)
     rows = [[str(x)] for x in found]
     _emit(args.format, "center", ["label"], rows,
@@ -321,15 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     table("fuse", cmd_fuse, "fusion product of two simples", "category", 4)
     table("monodromy", cmd_monodromy, "per-summand double-braiding exponents", "category", 4)
 
-    p = table("locality", cmd_locality, "locality certificate for an induced module", "algebra", 2)
-    p.add_argument("--truncate", type=int, default=20)
+    table("locality", cmd_locality, "locality certificate for an induced module", "algebra", 2)
 
     p = table("induce", cmd_induce, "restriction table of an induced module", "algebra", 2)
     p.add_argument("--truncate", type=int, default=20)
 
     p = table("min-weight", cmd_min_weight, "minimum-weight slice of an induced module", "algebra", 2)
     p.add_argument("--truncate", type=int, default=20)
-    p.add_argument("--sample", default="355/113")
+    p.add_argument("--sample", default="355/113",
+                   help="rational s > 0 at which weights are compared; it matters only when "
+                        "a slice's r^2 or r coefficient depends on the parameter")
 
     table("frobenius", cmd_frobenius, "Hom dimension between two induced modules", "algebra", 4)
     table("fuse-induced", cmd_fuse_induced, "fusion of two induced modules", "algebra", 4)

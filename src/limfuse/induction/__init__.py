@@ -11,14 +11,7 @@ from limfuse.induction.algebra import (
     svir_extension,
 )
 from limfuse.induction.induced import InducedModule, TruncationTooSmall, induce, min_weight_summand
-from limfuse.induction.locality import (
-    LOCAL,
-    NON_LOCAL,
-    UNDECIDABLE,
-    LocalityCertificate,
-    NonPolynomialFamily,
-    locality,
-)
+from limfuse.induction.locality import LOCAL, NON_LOCAL, LocalityCertificate, locality
 from limfuse.induction.frobenius import frobenius_dim, support_bound
 from limfuse.induction.fused import (
     NotLocal,
@@ -42,10 +35,8 @@ __all__ = [
     "TruncationTooSmall",
     "LocalityCertificate",
     "locality",
-    "NonPolynomialFamily",
     "LOCAL",
     "NON_LOCAL",
-    "UNDECIDABLE",
     "frobenius_dim",
     "support_bound",
     "NotLocal",

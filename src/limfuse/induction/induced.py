@@ -1,18 +1,32 @@
-"""Induced modules at multiplicity level and minimum-weight identification."""
+"""Induced modules, their restriction slices as quadratics in the summand
+index, and the minimum-weight slice.
+
+Slice r of the module induced from a base is summand(r) fused with the base.
+A growing slot e(r) = a*r + b fuses with the base index x to e(r)-x+1 ..
+e(r)+x-1 once e(r) >= x.  So from r0, the first r at which every growing slot
+reaches the base's index, each slice has the same size, the k-th summand (in
+canonical order) has indices affine in r, and its weight, every built-in
+weight being quadratic in the indices, is quadratic in r:
+w(r0 + u) = w(r0) + u*d1 + u(u-1)/2 * d2, with `WeightVec` steps d1, d2 fixed
+by the slices r0, r0+1, r0+2.  The slices below r0 are read directly.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from limfuse.catdata.labels import SimpleLabel
+from limfuse.catdata.params import WeightVec
 from limfuse.exact import RatFunc
 from limfuse.fusion.element import FusionElement
-from limfuse.induction.algebra import AlgebraObject
+from limfuse.induction.algebra import AlgebraObject, pair_slots
 
 
 class TruncationTooSmall(ValueError):
-    """The sampled minimum sits at the truncation edge; it may lie beyond."""
+    """The minimum over the truncated slices sits at the truncation edge; it
+    may lie beyond."""
 
 
 @dataclass(frozen=True)
@@ -33,35 +47,93 @@ def induce(alg: AlgebraObject, base: SimpleLabel) -> InducedModule:
     return InducedModule(alg, base)
 
 
+@dataclass(frozen=True)
+class SliceFamily:
+    """The slices of one base from r0 on: `steps[k]` = (d1, d2, lowest) for
+    the k-th summand, where `lowest` is `_lowest(d1, d2)` when both steps are
+    parameter-free and None otherwise."""
+
+    r0: int
+    steps: tuple[tuple[WeightVec, WeightVec, Optional[tuple[Optional[int], ...]]], ...]
+
+
+def slice_family(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
+    """The family of `base`, derived once and memoized per base on the algebra."""
+    cache = alg.__dict__.setdefault("_slice_cache", {})
+    hit = cache.get(base)
+    if hit is None:
+        hit = cache[base] = _derive(alg, base)
+    return hit
+
+
+def _derive(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
+    cat = alg.base_category
+    # a growing slot a*r + b reaches x from r = ceil((x - b) / a) on
+    r0 = max(1, *(-((e.b - x) // e.a) for f, xs in zip(alg.factors, pair_slots(base))
+                  for e, x in zip(f.indices, xs) if e.a))
+    top = [[cat.weight_vec(z) for z, _ in cat.fusion_of(alg.summand(r), base)] for r in range(r0, r0 + 3)]
+    steps = []
+    for w0, w1, w2 in zip(*top):
+        d1, d2 = w1 - w0, w2 - w1 - w1 + w0
+        c1, c2 = d1.as_constant(), d2.as_constant()
+        steps.append((d1, d2, None if c1 is None or c2 is None else _lowest(c1, c2)))
+    return SliceFamily(r0, tuple(steps))
+
+
+def _lowest(d1: Fraction, d2: Fraction) -> tuple[Optional[int], ...]:
+    """The u >= 0 among which the first argmin of u*d1 + u(u-1)/2 * d2 on
+    [0, h] lies, for every h >= 0; None stands for h.
+
+    The step from u to u+1 is d1 + u*d2.  With d2 > 0 the value falls
+    strictly until the first u whose step is >= 0, ceil(-d1/d2), and never
+    again, so min(that u, h) is the argmin; with d2 = 0 it is 0 or h by the
+    sign of d1; with d2 < 0 the steps fall, so an end wins.
+    """
+    if d2 > 0:
+        return (max(-(d1 // d2), 0),)
+    if d2 == 0:
+        return (0,) if d1 >= 0 else (None,)
+    return (0, None)
+
+
 def min_weight_summand(
     mod: InducedModule,
     sample: Fraction = Fraction(355, 113),
     truncate: int = 20,
 ) -> tuple[int, RatFunc]:
-    """Index of the restriction slice of minimum conformal weight, with the
-    exact weight at that slice.
+    """Index of the restriction slice of minimum conformal weight among r =
+    1 .. truncate, with the exact weight at that slice.
 
-    The rational sample only selects the argmin, evaluating the weight
-    vectors; the returned weight is the exact symbolic value of the winner.
-    Ties go to the smallest index; an argmin at the truncation edge raises
+    The candidates are every summand below r0 and, from r0 on, each
+    quadratic's argmin: exact for all s > 0 when its steps are
+    parameter-free, taken at `sample` otherwise.  Several candidates are
+    compared at `sample`.  Ties go to the smallest index, then to the first
+    summand in canonical order; an argmin at the truncation edge raises
     TruncationTooSmall since the true minimum may lie beyond it.
     """
     if sample <= 0:
         raise ValueError("sample point must be positive")
     if truncate < 1:
         raise ValueError("truncate must be >= 1")
+    fam = slice_family(mod.algebra, mod.base)
+    cands = {(r, k) for r in range(1, min(fam.r0, truncate + 1)) for k in range(len(mod.restriction(r)))}
+    h = truncate - fam.r0
+    if h >= 0:
+        for k, (d1, d2, lowest) in enumerate(fam.steps):
+            points = lowest or _lowest(d1.eval(sample), d2.eval(sample))
+            cands.update((fam.r0 + (h if u is None else min(u, h)), k) for u in points)
+
     cat = mod.algebra.base_category
-    best: tuple[Fraction, int, SimpleLabel] | None = None
-    for r in range(1, truncate + 1):
-        for z, _ in mod.restriction(r):
-            v = cat.weight_vec(z).eval(sample)
-            if best is None or v < best[0]:
-                best = (v, r, z)
-    if best is None:
-        raise ValueError("restriction is identically zero")
-    _, r_star, z_star = best
+
+    def label(r: int, k: int) -> SimpleLabel:
+        return mod.restriction(r).terms()[k][0]
+
+    if len(cands) == 1:
+        (r_star, k_star), = cands
+    else:
+        r_star, k_star = min(cands, key=lambda c: (cat.weight_vec(label(*c)).eval(sample), *c))
     if r_star == truncate:
         raise TruncationTooSmall(
             f"minimum at the truncation edge r={truncate}; increase truncate"
         )
-    return r_star, cat.weight_of(z_star)
+    return r_star, cat.weight_of(label(r_star, k_star))

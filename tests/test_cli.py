@@ -212,12 +212,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--bound" in err
 
-    @pytest.mark.parametrize("truncate", ["0", "-4"])
+    @pytest.mark.parametrize("truncate", ["0", "-4", "20"])
     def test_locality_truncate_below_one(self, capsys, truncate):
-        code, out, err = run(capsys, "locality", "--algebra", "svir-ext", "--n", "1", "--m", "1",
-                             f"--truncate={truncate}")
-        assert (code, out) == (2, "")
-        assert "--truncate" in err
+        # locality is decided for every summand at once: any --truncate is
+        # an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["locality", "--algebra", "svir-ext", "--n", "1", "--m", "1", f"--truncate={truncate}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --truncate" in capsys.readouterr().err
 
     def test_induce_truncate_zero(self, capsys):
         code, out, err = run(capsys, "induce", "--algebra", "osp-ext", "--n", "3",
@@ -256,6 +258,8 @@ _SQRT = math.isqrt(MAX_LABELS)  # largest bound with bound**2 labels under the c
 _ROOT4 = math.isqrt(_SQRT)  # largest bound with bound**4 labels under the cap
 _PAIR = "deligne(virasoro-kp2,virasoro-t)"
 _ALG = ("--algebra", "osp-ext", "--n", "3")
+_ALG2 = ("--algebra", "svir-ext", "--n", "2", "--m", "2")
+_PAIRS = _SQRT // 4  # with --witness-bound 4, the largest bound whose label pairs fit the cap
 _SIDE = math.isqrt(MAX_LABELS)  # both index pairs (a, a): a**2 summands
 
 
@@ -274,7 +278,7 @@ class TestWorkCaps:
          "--bound", MAX_LABELS),
         (["center", "--category", "supervir", "--bound", "2", "--witness-bound", str(_SQRT + 1)],
          "--witness-bound", MAX_LABELS),
-        (["locality", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
+        (["induce", *_ALG2, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
         (["induce", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
         (["min-weight", *_ALG, "--truncate", str(MAX_TRUNCATE + 1)], "--truncate", MAX_TRUNCATE),
         (["dirlim-selftest", "--cases", str(MAX_CASES + 1)], "--cases", MAX_CASES),
@@ -285,6 +289,8 @@ class TestWorkCaps:
         (_fuse_argv("fuse-induced", "--algebra=svir-ext", _SIDE + 1), "summands", MAX_LABELS),
         (["fuse-induced", "--algebra", "osp-ext", "--n", str(MAX_LABELS + 1), "--r", "999999"],
          "summands", MAX_LABELS),
+        (["center", "--category", "supervir", "--bound", str(_PAIRS + 1), "--witness-bound", "4"],
+         "--witness-bound", MAX_LABELS),
     ])
     def test_oversized_job_is_refused(self, capsys, stub_workers, argv, flag, cap):
         code, out, err = run(capsys, *argv)
@@ -295,8 +301,8 @@ class TestWorkCaps:
         ["weights", "--category", "osp", "--bound", str(MAX_LABELS)],
         ["weights", "--category", "supervir", "--bound", str(_SQRT)],
         ["weights", "--category", _PAIR, "--bound", str(_ROOT4)],
-        ["center", "--category", "supervir", "--bound", str(_SQRT), "--witness-bound", str(_SQRT)],
-        ["locality", *_ALG, "--truncate", str(MAX_TRUNCATE)],
+        ["center", "--category", "supervir", "--bound", str(_PAIRS), "--witness-bound", "4"],
+        ["induce", *_ALG2, "--truncate", str(MAX_TRUNCATE)],
         ["induce", *_ALG, "--truncate", str(MAX_TRUNCATE)],
         ["min-weight", *_ALG, "--truncate", str(MAX_TRUNCATE)],
         ["dirlim-selftest", "--cases", str(MAX_CASES)],

@@ -7,23 +7,28 @@ import pytest
 
 from limfuse.catdata import (
     AffineVerma,
+    DeligneCategory,
     ForeignLabel,
+    KLCategory,
     category_by_name,
     Pair,
     SuperVir,
     SuperVirCategory,
     VirasoroKp2,
     VirasoroT,
+    WeightVec,
     osp_weight,
     super_weight,
 )
-from limfuse.exact import Poly, RatFunc
+from limfuse.exact import Poly, RatFunc, first_non_integer_positive, interpolate
 from limfuse.fusion import FusionElement, hom_dim
+from limfuse.fusion.monodromy import INTEGER, exponent_status
 from limfuse.induction import (
     LOCAL,
     NON_LOCAL,
-    UNDECIDABLE,
+    AffineExpr,
     AlgebraObject,
+    FactorTemplate,
     NotLocal,
     TruncationTooSmall,
     algebra_by_name,
@@ -40,6 +45,7 @@ from limfuse.induction import (
     support_bound,
     svir_extension,
 )
+from limfuse.induction.induced import slice_family
 
 SVX = svir_extension()
 OSPX = osp_extension()
@@ -191,44 +197,29 @@ class TestLocality:
         assert cert.exponent_family is None
         assert cert.witness == 2
 
-    def test_undecidable_fallback(self, monkeypatch):
+    def test_certificates_cached_per_base(self, monkeypatch):
         import importlib
 
-        locality_mod = importlib.import_module("limfuse.induction.locality")
+        induced_mod = importlib.import_module("limfuse.induction.induced")
+        derived = []
+        real_derive = induced_mod._derive
 
-        def always_raise(alg, base):
-            raise locality_mod.NonPolynomialFamily("forced")
+        def counting_derive(alg, base):
+            derived.append(base)
+            return real_derive(alg, base)
 
-        monkeypatch.setattr(locality_mod, "_fit_family", always_raise)
-        # a fresh algebra, so the forced certificate is not cached on SVX
-        alg = svir_extension()
-        cert = locality_mod.locality(alg, alg.base_category.unit, truncate=15)
-        assert cert.verdict == UNDECIDABLE
-        assert cert.truncated_to == 15
-
-
-    def test_certificates_cached_per_base_and_truncate(self, monkeypatch):
-        import importlib
-
-        locality_mod = importlib.import_module("limfuse.induction.locality")
-        fits = []
-        real_fit = locality_mod._fit_family
-
-        def counting_fit(alg, base):
-            fits.append(base)
-            return real_fit(alg, base)
-
-        monkeypatch.setattr(locality_mod, "_fit_family", counting_fit)
+        monkeypatch.setattr(induced_mod, "_derive", counting_derive)
         alg = svir_extension()
         b1, b2 = sbase(2, 2), sbase(3, 1)
         cert = locality(alg, b1)
         assert locality(alg, b1) is cert
-        assert locality(alg, b1, truncate=10) == cert
+        for truncate in (4, 12, 20):
+            min_weight_summand(induce(alg, b1), truncate=truncate)
         for _ in range(3):
             induced_fusion(alg, b1, b2)
             assert restriction_oracle_check(alg, b1, b2, 4)
-        # one fit per (base, truncate) key, none per repeated query
-        assert fits == [b1, b1, b2]
+        # one slice family per base, shared by locality and min-weight
+        assert derived == [b1, b2]
         assert locality(svir_extension(), b1) is not cert
 
 
@@ -529,3 +520,190 @@ class TestRestrictionMemo:
         for r in (0, -3, -50):
             with pytest.raises(ValueError):
                 alg.summand(r)
+
+
+def fit_oracle(alg, base, truncate=40):
+    """The former locality route, kept as an oracle: fit one polynomial
+    through the exponents of slices 1..5 when each has a single summand
+    with a constant exponent, validate it on slices 6 and 7, and otherwise
+    scan `truncate` slices for a non-integral exponent."""
+    cat = alg.base_category
+
+    def exponents(r):
+        a = alg.summand(r)
+        hab = cat.weight_vec(a) + cat.weight_vec(base)
+        return [cat.weight_vec(z) - hab for z, _ in cat.fusion_of(a, base)]
+
+    values = []
+    for r in range(1, 8):
+        es = exponents(r)
+        if len(es) != 1 or es[0].as_constant() is None:
+            break
+        values.append(es[0].as_constant())
+    else:
+        family = interpolate(list(enumerate(values[:5], start=1)))
+        if family.degree <= 4 and all(family.eval(r) == values[r - 1] for r in (6, 7)):
+            witness = first_non_integer_positive(family)
+            return (NON_LOCAL if witness else LOCAL), witness, family
+    for r in range(1, truncate + 1):
+        if any(exponent_status(e) != INTEGER for e in exponents(r)):
+            return NON_LOCAL, r, None
+    return "undecidable", None, None
+
+
+def scan_oracle(alg, base, sample, truncates):
+    """The former min-weight route, kept as an oracle: for each truncation,
+    the first slice summand of least weight at `sample` among r = 1 ..
+    truncate, or "edge" when it lies at the truncation.  One pass serves
+    every truncation."""
+    cat = alg.base_category
+    best, out = None, {}
+    for r in range(1, max(truncates) + 1):
+        for z, _ in cat.fusion_of(alg.summand(r), base):
+            v = cat.weight_vec(z).eval(sample)
+            if best is None or v < best[0]:
+                best = (v, r, z)
+        if r in truncates:
+            out[r] = "edge" if best[1] == r else (best[1], cat.weight_of(best[2]))
+    return out
+
+
+def assert_min_weight_agrees(alg, base):
+    for sample in (F(355, 113), F(1, 7), F(9)):
+        want = scan_oracle(alg, base, sample, (5, 12, 20))
+        for truncate, expected in want.items():
+            try:
+                got = min_weight_summand(induce(alg, base), sample=sample, truncate=truncate)
+            except TruncationTooSmall:
+                got = "edge"
+            assert got == expected, (alg.name, base, sample, truncate)
+
+
+def seeded_algebras(seed, count):
+    """Algebras from `algebra_from_json` with seeded kinds and growth rates;
+    a rate a enters as the slot a*r-(a-1), so summand(1) is the unit."""
+    rng = random.Random(seed)
+    kinds = {"virasoro-kp2": 2, "virasoro-t": 2, "kl-sl2": 1}
+    out = []
+    while len(out) < count:
+        rule = []
+        for kind in rng.sample(sorted(kinds), 2):
+            rates = [rng.choice([0, 1, 2, 3]) for _ in range(kinds[kind])]
+            slots = ["1" if a == 0 else f"{a}*r-{a - 1}" for a in rates]
+            rule.append({"kind": kind, "indices": slots})
+        doc = {"base_category": f"deligne({rule[0]['kind']},{rule[1]['kind']})", "summand_rule": rule}
+        try:
+            out.append(algebra_from_json(doc))
+        except ValueError:  # no slot grows
+            continue
+    return out
+
+
+class TestDerivedAgainstOracles:
+    """The derived slice family against the former fit, fallback and scan."""
+
+    def test_locality_on_canonical_bases(self):
+        bases = [(SVX, sbase(n, m)) for n in range(1, 13) for m in range(1, 13)]
+        bases += [(OSPX, obase(n)) for n in range(1, 13)]
+        for alg, base in bases:
+            cert = locality(alg, base)
+            assert (cert.verdict, cert.witness, cert.exponent_family) == fit_oracle(alg, base)
+
+    def test_locality_on_non_canonical_bases(self):
+        count = 0
+        for alg in (SVX, OSPX):
+            for base in alg.base_category.labels_up_to(5):
+                cert = locality(alg, base)
+                assert (cert.verdict, cert.witness, cert.exponent_family) == fit_oracle(alg, base)
+                count += 1
+        assert count == 5**4 + 5**3
+
+    def test_min_weight_on_canonical_bases(self):
+        bases = [(SVX, sbase(n, m)) for n in range(1, 13) for m in range(1, 13) if (n + m) % 2 == 0]
+        bases += [(OSPX, obase(n)) for n in range(1, 13, 2)]
+        for alg, base in bases:
+            assert_min_weight_agrees(alg, base)
+
+    def test_min_weight_on_non_canonical_bases(self):
+        rng = random.Random(23)
+        for alg in (SVX, OSPX):
+            for base in rng.sample(alg.base_category.labels_up_to(5), 20):
+                assert_min_weight_agrees(alg, base)
+
+    def test_seeded_algebras(self):
+        rng = random.Random(31)
+        late, multi = 0, 0
+        for alg in seeded_algebras(17, 6):
+            for base in rng.sample(alg.base_category.labels_up_to(4), 8):
+                fam = slice_family(alg, base)
+                late += fam.r0 > 1
+                multi += len(fam.steps) > 1
+                cert = locality(alg, base)
+                assert (cert.verdict, cert.witness, cert.exponent_family) == fit_oracle(alg, base)
+                assert_min_weight_agrees(alg, base)
+        assert late >= 10 and multi >= 20
+
+    def test_slot_reaching_the_base_late(self):
+        # the slot 2*r-1 reaches the base index 5 at r0 = 3, and below r0 the
+        # slices are smaller than from r0 on
+        base = Pair(VirasoroKp2(2, 5), VirasoroT(3, 1))
+        fam = slice_family(SKEW_SVIR, base)
+        assert fam.r0 == 3
+        sizes = [len(SKEW_SVIR.base_category.fusion_of(SKEW_SVIR.summand(r), base)) for r in range(1, 6)]
+        assert sizes == [1, 6, 10, 10, 10] and len(fam.steps) == 10
+        cert = locality(SKEW_SVIR, base)
+        assert (cert.verdict, cert.witness, cert.exponent_family) == fit_oracle(SKEW_SVIR, base)
+        assert_min_weight_agrees(SKEW_SVIR, base)
+
+    def test_family_predicts_far_slices(self):
+        # each weight is quadratic in r from r0 on: the binomial form fixed by
+        # slices r0..r0+2 gives the weight of every later slice
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP, *seeded_algebras(17, 3)):
+            cat = alg.base_category
+            for base in random.Random(3).sample(cat.labels_up_to(3), 3):
+                fam = slice_family(alg, base)
+                for u in (3, 7, 16):
+                    got = [cat.weight_vec(z) for z, _ in cat.fusion_of(alg.summand(fam.r0 + u), base)]
+                    first = [cat.weight_vec(z) for z, _ in cat.fusion_of(alg.summand(fam.r0), base)]
+                    want = [
+                        WeightVec(*(x + u * y + u * (u - 1) // 2 * z for x, y, z in zip(w0, d1, d2)))
+                        for w0, (d1, d2, _) in zip(first, fam.steps)
+                    ]
+                    assert got == want, (alg.name, base, u)
+
+    def test_flat_family_ties_to_the_first_slice(self):
+        # at s = 1/7 the t-parameter is 4, where the weight of Lt(r, 4r-3)
+        # does not depend on r: every slice ties and the first one wins
+        alg = algebra_from_json(
+            {
+                "base_category": "deligne(kl-sl2,virasoro-t)",
+                "summand_rule": [
+                    {"kind": "kl-sl2", "indices": ["1"]},
+                    {"kind": "virasoro-t", "indices": ["r", "4*r-3"]},
+                ],
+            }
+        )
+        base = Pair(AffineVerma(3), VirasoroT(1, 1))
+        (d1, d2, _), = slice_family(alg, base).steps
+        assert d1.eval(F(1, 7)) == d2.eval(F(1, 7)) == 0
+        assert min_weight_summand(induce(alg, base), sample=F(1, 7))[0] == 1
+        assert_min_weight_agrees(alg, base)
+
+    def test_concave_family_takes_the_better_end(self):
+        # a weight 10r - r^2 falls off after r = 5: the argmin is r = 1 while
+        # the truncation keeps the fall short, and the edge once it does not
+        class Concave(KLCategory):
+            def _weight_raw(self, x):
+                return WeightVec(0, x.r * (10 - x.r))
+
+        cat = DeligneCategory(Concave(), category_by_name("virasoro-t"))
+        factors = (
+            FactorTemplate("kl-sl2", (AffineExpr(1, 0),)),
+            FactorTemplate("virasoro-t", (AffineExpr(0, 1), AffineExpr(0, 1))),
+        )
+        alg = AlgebraObject("concave", cat, factors)
+        base = Pair(AffineVerma(1), VirasoroT(1, 1))
+        assert min_weight_summand(induce(alg, base), truncate=5)[0] == 1
+        with pytest.raises(TruncationTooSmall):
+            min_weight_summand(induce(alg, base), truncate=12)
+        assert_min_weight_agrees(alg, base)
