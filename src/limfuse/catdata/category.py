@@ -8,11 +8,11 @@ multiplicity one.  The five generic families share one implementation,
 slot by slot.  Product categories fuse factor-wise with multiplicities
 multiplying, and their weights live in a single aligned parameter.
 
-Inside the engine a weight is a `WeightVec`, its coordinates over
-(x, 1, 1/x, 1/(x+1)) in the category's formal variable x; `weight_vec`
-computes and caches it.  `weight_of` returns the same weight as a `RatFunc`,
-converted once per label and cached, for output and for callers outside the
-engine.
+Inside the engine a weight is a `WeightVec`, integer numerators over
+(x, 1, 1/x, 1/(x+1)) in the category's formal variable x and one
+denominator; `weight_vec` computes and caches it, and `WeightVec.format`
+prints it.  `weight_of` returns the same weight as a `RatFunc`, converted
+once per label and cached, for callers outside the engine.
 """
 
 from __future__ import annotations

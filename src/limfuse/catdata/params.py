@@ -7,107 +7,138 @@ level.  All conversions are exact rational functions and the defining
 identities are verified once at construction.
 
 Through k+2 = (s+1)/2 and t = (s+1)/(2s) every built-in weight lies in
-span_Q{x, 1, 1/x, 1/(x+1)}, x the category's formal variable.  The engine
-computes with `WeightVec`, a weight's coordinates in that basis; the two
-reparametrizations act on it as constant linear maps, and `RatFunc` appears
-only when a value leaves the engine.  The `RatFunc` formulas below are kept
-as the independent reference for those vectors.
+span_Q{x, 1, 1/x, 1/(x+1)}, x the category's formal variable, with
+denominators dividing 8.  The engine computes with `WeightVec`, a weight's
+integer numerators in that basis over one denominator; the builders and the
+two reparametrizations are integer formulas, and `Fraction` and `RatFunc`
+appear only when a value leaves the engine (`format` prints the integers).
+The `RatFunc` formulas below are the independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from limfuse.exact import Poly, RatFunc
+from limfuse.exact.ratfunc import format_intpoly
 
 _F = Fraction
-_ZERO = Fraction(0)
-_ONE, _X, _X1, _X_X1 = Poly(1), Poly((0, 1)), Poly((1, 1)), Poly((0, 1, 1))
 
 
-class WeightVec(tuple):
-    """Coordinates (a, b, c, d) of a x + b + c/x + d/(x+1), all Fractions.
+class WeightVec:
+    """(a x + b + c/x + d/(x+1)) / den as five integers `ints` in lowest
+    terms: den > 0 and gcd(a, b, c, d, den) = 1.
 
-    The basis functions are linearly independent, so two weights are equal
-    exactly when their vectors are, and an exponent is a constant exactly
-    when its a, c and d vanish.  The public constructor converts every
-    coordinate; the builders below, which already hold Fractions, use the
-    trusted `_of`.
+    The basis is linearly independent and the form reduced, so two weights
+    are equal, and hash alike, exactly when their integers are; an exponent is
+    constant exactly when a, c and d vanish.  The constructor takes four
+    rational coordinates, the builders call `_vec`; iteration yields the four
+    coordinates as Fractions.
     """
 
-    __slots__ = ()
+    __slots__ = ("ints",)
 
     def __new__(cls, a=0, b=0, c=0, d=0):
-        return tuple.__new__(cls, (_F(a), _F(b), _F(c), _F(d)))
+        coords = [_F(v) for v in (a, b, c, d)]
+        den = lcm(*(q.denominator for q in coords))
+        return _vec(*(q.numerator * (den // q.denominator) for q in coords), den)
 
-    @staticmethod
-    def _of(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> "WeightVec":
-        """The vector of four coordinates that are already Fractions."""
-        return tuple.__new__(WeightVec, (a, b, c, d))
+    def __eq__(self, other) -> bool:
+        return self.ints == other.ints if isinstance(other, WeightVec) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.ints)
+
+    def __iter__(self):
+        return (_F(v, self.ints[4]) for v in self.ints[:4])
+
+    def __len__(self) -> int:
+        return 4
 
     def __add__(self, other: "WeightVec") -> "WeightVec":
-        a, b, c, d = self
-        e, f, g, h = other
-        return tuple.__new__(WeightVec, (a + e, b + f, c + g, d + h))
+        (a, b, c, d, n), (e, f, g, h, m) = self.ints, other.ints
+        return _vec(a * m + e * n, b * m + f * n, c * m + g * n, d * m + h * n, n * m)
 
     def __sub__(self, other: "WeightVec") -> "WeightVec":
-        a, b, c, d = self
-        e, f, g, h = other
-        return tuple.__new__(WeightVec, (a - e, b - f, c - g, d - h))
+        (a, b, c, d, n), (e, f, g, h, m) = self.ints, other.ints
+        return _vec(a * m - e * n, b * m - f * n, c * m - g * n, d * m - h * n, n * m)
 
     def as_constant(self) -> Fraction | None:
         """The constant value, or None when the variable genuinely occurs."""
-        a, b, c, d = self
-        return b if not (a or c or d) else None
+        a, b, c, d, n = self.ints
+        return None if a or c or d else _F(b, n)
 
     def eval(self, q: Fraction) -> Fraction:
         """Value at a rational point; only a genuine pole raises."""
-        a, b, c, d = self
-        out = a * q + b
+        a, b, c, d, n = self.ints
+        p, r = q.numerator, q.denominator
+        num, den = a * p + b * r, r
         if c:
-            out += c / q
+            num, den = num * p + c * r * r, den * p
         if d:
-            out += d / (q + 1)
-        return out
+            num, den = num * (p + r) + d * r * den, den * (p + r)
+        return _F(num, den * n)
 
-    def to_ratfunc(self) -> RatFunc:
-        """The same function as a normalized RatFunc, built without a gcd.
+    def _numerator(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Coprime integer coefficient lists N, den*D, ascending, of the function.
 
-        Over the common denominator D = x^[c!=0] (x+1)^[d!=0], which is monic,
-        the numerator N satisfies N(0) = c and N(-1) = -d.  A factor x of D is
-        present only when c != 0 and a factor x+1 only when d != 0, so N shares
-        no root with D and N/D is already in lowest terms.
+        D = x^[c!=0] (x+1)^[d!=0] is monic, N(0) = c and N(-1) = -d, so N has
+        no root of D; (a, b, c, d) -> N is unimodular, so gcd(N, den) = 1.
         """
-        a, b, c, d = self
+        a, b, c, d, n = self.ints
         if c:
             if d:
-                return RatFunc.coprime(Poly((c, b + c + d, a + b, a)), _X_X1)
-            return RatFunc.coprime(Poly((c, b, a)), _X)
+                return (c, b + c + d, a + b, a), (0, n, n)
+            return (c, b, a), (0, n)
         if d:
-            return RatFunc.coprime(Poly((b + d, a + b, a)), _X1)
-        return RatFunc.coprime(Poly((b, a)), _ONE)
+            return (b + d, a + b, a), (n, n)
+        return (b, a), (n,)
+
+    def to_ratfunc(self) -> RatFunc:
+        """The same function as a normalized RatFunc, built without a gcd."""
+        num, den = self._numerator()
+        n = den[-1]
+        return RatFunc.coprime(Poly([_F(v, n) for v in num]), Poly([v // n for v in den]))
+
+    def format(self, var: str) -> str:
+        """`format_ratfunc(self.to_ratfunc(), var)`, written from the integers."""
+        a, b, c, d, n = self.ints
+        if not (a or c or d):
+            return str(b) if n == 1 else f"{b}/{n}"
+        num, den = self._numerator()
+        num_s = format_intpoly(num, var)
+        return num_s if den == (1,) else f"({num_s})/({format_intpoly(den, var)})"
 
     def __repr__(self) -> str:
         return f"WeightVec{tuple(str(v) for v in self)}"
 
 
+def _vec(a: int, b: int, c: int, d: int, den: int) -> WeightVec:
+    """The vector (a, b, c, d)/den of integers, den > 0, divided once by their gcd."""
+    g = gcd(a, b, c, d, den)
+    v = object.__new__(WeightVec)
+    v.ints = (a, b, c, d, den) if g == 1 else (a // g, b // g, c // g, d // g, den // g)
+    return v
+
+
 def via_t_of_s(v: WeightVec) -> WeightVec:
     """The t-parameter weight v pushed through t = (s+1)/(2s):
-    (a, b, c, 0) -> (0, a/2 + b + 2c, a/2, -2c)."""
-    a, b, c, d = v
+    (a, b, c, 0)/den -> (0, a + 2b + 4c, a, -4c)/(2 den)."""
+    a, b, c, d, n = v.ints
     if d:
         raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/(2s) leaves the basis")
-    return WeightVec._of(_ZERO, a / 2 + b + 2 * c, a / 2, -2 * c)
+    return _vec(0, a + 2 * b + 4 * c, a, -4 * c, 2 * n)
 
 
 def via_kp2_of_s(v: WeightVec) -> WeightVec:
     """The t-parameter weight v pushed through t = k+2 = (s+1)/2:
-    (a, b, c, 0) -> (a/2, a/2 + b, 0, 2c)."""
-    a, b, c, d = v
+    (a, b, c, 0)/den -> (a, a + 2b, 0, 4c)/(2 den)."""
+    a, b, c, d, n = v.ints
     if d:
         raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/2 leaves the basis")
-    return WeightVec._of(a / 2, a / 2 + b, _ZERO, 2 * c)
+    return _vec(a, a + 2 * b, 0, 4 * c, 2 * n)
 
 
 @dataclass(frozen=True)
@@ -181,19 +212,19 @@ def osp_weight(n: int) -> RatFunc:
 
 def virasoro_vec(r: int, s_idx: int) -> WeightVec:
     """`virasoro_weight(r, s_idx)` as a basis vector in t."""
-    return WeightVec._of(_F(r * r - 1, 4), _F(1 - r * s_idx, 2), _F(s_idx * s_idx - 1, 4), _ZERO)
+    return _vec(r * r - 1, 2 * (1 - r * s_idx), s_idx * s_idx - 1, 0, 4)
 
 
 def super_vec(n: int, m: int) -> WeightVec:
     """`super_weight(n, m)` as a basis vector in s."""
-    return WeightVec._of(_F(n * n - 1, 8), _F(1 - m * n, 4), _F(m * m - 1, 8), _ZERO)
+    return _vec(n * n - 1, 2 * (1 - m * n), m * m - 1, 0, 8)
 
 
 def verma_vec(r: int) -> WeightVec:
     """`verma_weight(r)` as a basis vector in s."""
-    return WeightVec._of(_ZERO, _ZERO, _ZERO, _F(r * r - 1, 2))
+    return _vec(0, 0, 0, r * r - 1, 2)
 
 
 def osp_vec(n: int) -> WeightVec:
     """`osp_weight(n)` as a basis vector in s."""
-    return WeightVec._of(_ZERO, _ZERO, _F(n * n - 1, 8), _ZERO)
+    return _vec(0, 0, n * n - 1, 0, 8)

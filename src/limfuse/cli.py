@@ -160,7 +160,7 @@ def cmd_weights(args) -> int:
     cat = _category(args.category)
     _require_label_count(cat, args.bound, "--bound")
     rows = [
-        [str(x), format_ratfunc(cat.weight_of(x), cat.base_parameter)]
+        [str(x), cat.weight_vec(x).format(cat.base_parameter)]
         for x in cat.labels_up_to(args.bound)
     ]
     _emit(args.format, "weights", ["label", "weight"], rows, {"category": cat.name})

@@ -44,7 +44,7 @@ class GradedSpace:
 
     @staticmethod
     def make(basis: Sequence[tuple[str, Union[int, Fraction]]]) -> "GradedSpace":
-        return GradedSpace(tuple((str(b), Fraction(w)) for b, w in basis))
+        return GradedSpace(tuple((str(b), w if isinstance(w, Fraction) else Fraction(w)) for b, w in basis))
 
     @staticmethod
     def zero() -> "GradedSpace":

@@ -200,6 +200,8 @@ def _validate(sys: DirectSystem) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
     for i, c in poset.covers():
+        if sys.by_covers and len(poset.upper_covers()[i]) == 1:
+            continue  # every f_i^k is composed through c
         for k in poset.elements:
             # a map given by covers is composed through its first cover below k
             if k != c and poset.le(c, k) and not (sys.by_covers and sys.maps.route(i, k) == c):

@@ -200,7 +200,7 @@ def _int_scaled(f: RatFunc) -> tuple[list[int], list[int]]:
     return num, den
 
 
-def _format_intpoly(coeffs: list[int], var: str) -> str:
+def format_intpoly(coeffs: list[int], var: str) -> str:
     if not coeffs:
         return "0"
     parts: list[str] = []
@@ -225,10 +225,10 @@ def format_ratfunc(f: RatFunc, var: str = "t") -> str:
     if c is not None:
         return format_rat(c)
     num, den = _int_scaled(f)
-    num_s = _format_intpoly(num, var)
+    num_s = format_intpoly(num, var)
     if den == [1]:
         return num_s
-    den_s = _format_intpoly(den, var)
+    den_s = format_intpoly(den, var)
     return f"({num_s})/({den_s})"
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from limfuse.catdata.labels import SimpleLabel
@@ -17,8 +18,8 @@ class FusionElement:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[SimpleLabel, int], Iterable[tuple[SimpleLabel, int]]] = ()):
-        if isinstance(terms, Mapping):
+    def __init__(self, terms: Mapping[SimpleLabel, int] | Iterable[tuple[SimpleLabel, int]] = ()):
+        if isinstance(terms, (dict, Mapping)):
             terms = terms.items()
         acc: dict[SimpleLabel, int] = {}
         for label, mult in terms:

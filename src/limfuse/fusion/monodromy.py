@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.catdata.params import WeightVec
-from limfuse.exact import Phase, RatFunc, format_ratfunc
+from limfuse.exact import Phase, RatFunc
 from limfuse.fusion.ring import CategoryMismatch
 
 if TYPE_CHECKING:
@@ -73,7 +73,7 @@ class MonodromyReport:
             out.append(
                 {
                     "summand": str(e.summand),
-                    "exponent": format_ratfunc(e.exponent, self.parameter),
+                    "exponent": e.exponent_vec.format(self.parameter),
                     "status": e.status,
                     "phase": str(phase) if phase is not None else None,
                 }
@@ -85,6 +85,11 @@ def monodromy(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyRep
     """Per-summand exponents of the double braiding of x with y."""
     if not cat.contains(x) or not cat.contains(y):
         raise CategoryMismatch(f"labels must come from {cat.name}")
+    return monodromy_unchecked(cat, x, y)
+
+
+def monodromy_unchecked(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyReport:
+    """`monodromy` for labels already checked; `fusion_of` still rejects a new foreign one."""
     hxy = cat.weight_vec(x) + cat.weight_vec(y)
     entries = []
     for z, _ in cat.fusion_of(x, y):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -41,6 +42,7 @@ from limfuse.catdata import (
     virasoro_vec,
     virasoro_weight,
 )
+from limfuse.catdata import params
 from limfuse.exact import Poly, RatFunc, format_ratfunc
 from limfuse.fusion import FusionElement, monodromy
 
@@ -377,6 +379,120 @@ class TestWeightVectors:
                     expected = formula_weight(e.summand, param) - hxy
                     assert e.exponent_vec.as_constant() == expected.as_constant()
                     assert e.exponent == expected
+
+
+class FracVec(tuple):
+    """The former `WeightVec`: four Fraction coordinates over (x, 1, 1/x,
+    1/(x+1)) with Fraction arithmetic, kept as the oracle of the integer one."""
+
+    def __new__(cls, a=0, b=0, c=0, d=0):
+        return tuple.__new__(cls, (F(a), F(b), F(c), F(d)))
+
+    def __add__(self, other):
+        return FracVec(*(p + q for p, q in zip(self, other)))
+
+    def __sub__(self, other):
+        return FracVec(*(p - q for p, q in zip(self, other)))
+
+    def as_constant(self):
+        a, b, c, d = self
+        return b if not (a or c or d) else None
+
+    def eval(self, q):
+        a, b, c, d = self
+        return a * q + b + (c / q if c else 0) + (d / (q + 1) if d else 0)
+
+    def to_ratfunc(self):
+        a, b, c, d = self
+        return a * X + b + c / X + d / (X + 1)
+
+    def via_t_of_s(self):
+        a, b, c, _ = self
+        return FracVec(0, a / 2 + b + 2 * c, a / 2, -2 * c)
+
+    def via_kp2_of_s(self):
+        a, b, c, _ = self
+        return FracVec(a / 2, a / 2 + b, 0, 2 * c)
+
+
+def mixed_coords(rng, pattern):
+    """Four coordinates, the k-th zero unless bit k of `pattern` is set, with
+    denominators from 1 to 24, so sums meet unequal denominators."""
+    return [F(rng.randint(-60, 60) or 1, rng.choice([1, 2, 3, 4, 6, 8, 9, 16, 24]))
+            if pattern >> k & 1 else F(0) for k in range(4)]
+
+
+class TestIntegerVectorsAgainstFractions:
+    """The integer `WeightVec` against `FracVec` on every zero pattern."""
+
+    def vectors(self, seed, per_pattern=20):
+        rng = random.Random(seed)
+        return [mixed_coords(rng, pattern) for pattern in range(16) for _ in range(per_pattern)]
+
+    def test_coordinates_and_reduced_form(self):
+        for coords in self.vectors(61):
+            v = WeightVec(*coords)
+            assert list(v) == coords and all(type(q) is F for q in v)
+            a, b, c, d, den = v.ints
+            assert den > 0 and math.gcd(a, b, c, d, den) == 1
+            assert [F(k, den) for k in (a, b, c, d)] == coords
+
+    def test_sum_difference_constant_and_eval(self):
+        rng = random.Random(67)
+        vecs = self.vectors(71)
+        for coords in vecs:
+            other = rng.choice(vecs)
+            u, v, fu, fv = WeightVec(*coords), WeightVec(*other), FracVec(*coords), FracVec(*other)
+            assert list(u + v) == list(fu + fv)
+            assert list(u - v) == list(fu - fv)
+            assert (u - u).ints == (0, 0, 0, 0, 1)
+            assert u.as_constant() == fu.as_constant()
+            q = F(rng.randint(1, 50), rng.randint(1, 50))
+            for point in (q, -q - 1):
+                assert u.eval(point) == fu.eval(point)
+
+    def test_eval_raises_only_at_a_genuine_pole(self):
+        assert WeightVec(1, 2).eval(F(0)) == 2
+        assert WeightVec(1, 2, 0, 3).eval(F(0)) == 5
+        assert WeightVec(1, 2, 3).eval(F(-1)) == -2
+        with pytest.raises(ZeroDivisionError):
+            WeightVec(0, 0, 1).eval(F(0))
+        with pytest.raises(ZeroDivisionError):
+            WeightVec(0, 0, 0, 1).eval(F(-1))
+
+    def test_parameter_maps(self):
+        for coords in self.vectors(73):
+            coords[3] = F(0)
+            v, fv = WeightVec(*coords), FracVec(*coords)
+            assert list(via_t_of_s(v)) == list(fv.via_t_of_s())
+            assert list(via_kp2_of_s(v)) == list(fv.via_kp2_of_s())
+
+    def test_to_ratfunc_and_format(self):
+        for coords in self.vectors(79):
+            v, fv = WeightVec(*coords), FracVec(*coords)
+            f = fv.to_ratfunc()
+            assert v.to_ratfunc() == f
+            assert (v.to_ratfunc().num, v.to_ratfunc().den) == (f.num, f.den)
+            for var in ("s", "t", "x"):
+                assert v.format(var) == format_ratfunc(v.to_ratfunc(), var) == format_ratfunc(f, var)
+
+    def test_format_of_every_builtin_weight(self):
+        for cat in (VT, KP2, KL, SV, OSP, *PRODUCTS):
+            for x in (cat.labels_up_to(8) if cat not in PRODUCTS else cat.labels_up_to(3)):
+                assert cat.weight_vec(x).format(cat.base_parameter) == format_ratfunc(
+                    formula_weight(x, cat.base_parameter), cat.base_parameter), x
+
+    def test_equal_up_to_scaling_means_equal(self):
+        rng = random.Random(83)
+        for coords in self.vectors(89, per_pattern=5):
+            v = WeightVec(*coords)
+            for k in (2, 3, 8, rng.randint(4, 10**6)):
+                w = params._vec(*(k * n for n in v.ints))
+                assert w == v and hash(w) == hash(v) and w.ints == v.ints
+            assert WeightVec(*coords) == v and hash(WeightVec(*coords)) == hash(v)
+            assert v + WeightVec(F(1, 3)) - WeightVec(F(2, 6)) == v
+        assert WeightVec(F(1, 2)) != WeightVec(F(1, 4))
+        assert WeightVec() != (0, 0, 0, 0)
 
 
 class TestFusion:

@@ -1,6 +1,7 @@
 """Command-line surface: golden rows, determinism, exit codes, JSON, work caps
 and reuse of the one parser per process."""
 
+import hashlib
 import json
 import math
 import os
@@ -391,3 +392,62 @@ class TestParserReuse:
         out = subprocess.run([sys.executable, "-c", probe], env=child_env,
                              capture_output=True, text=True, timeout=120, check=True).stdout
         assert out == "0\n"
+
+
+def _golden_matrix() -> list[list[str]]:
+    """A fixed CLI matrix, each command in tsv and json: weights on every
+    built-in category and both Deligne products, monodromy, locality,
+    min-weight, induce, fuse-induced and center, including calls that exit
+    1 or 2."""
+    weights = [("virasoro-t", 6), ("virasoro-kp2", 6), ("kl-sl2", 12), ("supervir", 6),
+               ("osp", 12), ("deligne(virasoro-kp2,virasoro-t)", 3),
+               ("deligne(kl-sl2,virasoro-t)", 3)]
+    calls = [["weights", "--category", name, "--bound", str(b)] for name, b in weights]
+    for name in ("virasoro-t", "virasoro-kp2", "supervir"):
+        for n, m, r, s in ((1, 1, 1, 1), (2, 1, 1, 2), (2, 3, 3, 2), (3, 5, 4, 2), (5, 1, 3, 1)):
+            calls.append(["monodromy", "--category", name, "--n", str(n), "--m", str(m),
+                          "--r", str(r), "--s-index", str(s)])
+    for name in ("kl-sl2", "osp"):
+        for n, r in ((1, 1), (2, 3), (3, 3), (4, 7), (6, 5)):
+            calls.append(["monodromy", "--category", name, "--n", str(n), "--r", str(r)])
+    calls.append(["monodromy", "--category", "deligne(kl-sl2,virasoro-t)", "--n", "1", "--r", "1"])
+    svir = [(n, m) for n in range(1, 6) for m in range(1, 6)]
+    osp = [(n,) for n in range(1, 9)]
+    for alg, bases in (("svir-ext", svir), ("osp-ext", osp)):
+        for b in bases:
+            sel = ["--n", str(b[0])] + (["--m", str(b[1])] if len(b) == 2 else [])
+            calls.append(["locality", "--algebra", alg, *sel])
+            calls.append(["min-weight", "--algebra", alg, *sel, "--truncate", "12"])
+        for b1, b2 in zip(bases, bases[::-1]):
+            sel = ["--n", str(b1[0]), "--r", str(b2[0])]
+            if len(b1) == 2:
+                sel[2:2] = ["--m", str(b1[1])]
+                sel += ["--s-index", str(b2[1])]
+            calls.append(["fuse-induced", "--algebra", alg, *sel])
+    calls += [
+        ["min-weight", "--algebra", "svir-ext", "--n", "2", "--m", "4", "--sample", "1/7"],
+        ["min-weight", "--algebra", "svir-ext", "--n", "5", "--m", "5", "--truncate", "5"],
+        ["induce", "--algebra", "svir-ext", "--n", "2", "--m", "3", "--truncate", "6"],
+        ["induce", "--algebra", "osp-ext", "--n", "4", "--truncate", "6"],
+        ["center", "--category", "supervir", "--bound", "4", "--witness-bound", "4"],
+        ["center", "--category", "osp", "--bound", "9", "--witness-bound", "5"],
+        ["center", "--category", "virasoro-t", "--bound", "4", "--witness-bound", "3"],
+    ]
+    return [[*argv, "--format", fmt] for argv in calls for fmt in ("tsv", "json")]
+
+
+# sha256 of "argv\nexit code\nstdout\n" over `_golden_matrix()`, recorded with
+# Fraction-coordinate weight vectors printed through RatFunc
+GOLDEN_CLI_MATRIX = "092fecfe77f6fcad1f5a3c073e93b43f71bf892c6b3731519c9c46c22eb55a33"
+
+
+class TestGolden:
+    def test_cli_matrix_stdout_and_exit_codes(self, capsys):
+        h = hashlib.sha256()
+        codes = set()
+        for argv in _golden_matrix():
+            code, out, _ = _in_process(capsys, argv)
+            codes.add(code)
+            h.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
+        assert codes == {0, 1, 2}
+        assert h.hexdigest() == GOLDEN_CLI_MATRIX
