@@ -88,10 +88,6 @@ class CategorySpec:
     def _fusion_raw(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
         raise NotImplementedError
 
-    def parity_of(self, x: SimpleLabel) -> int:
-        self._require(x)
-        return self._parity_raw(x)
-
     def _parity_raw(self, x: SimpleLabel) -> int:
         return EVEN
 

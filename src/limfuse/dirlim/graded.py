@@ -7,8 +7,9 @@ common denominator, keyed by the weight's (numerator, denominator), which
 hashes far faster than a Fraction.  Composition, equality, rank, kernel,
 image, tensor products and factoring act block by block; `.matrix` is the
 dense Fraction view, derived on demand.  Entries of a dense input that join
-distinct weights are kept as strays for validation to report; composition,
-kernel and image of such a map use the dense view.
+distinct weights are kept as strays, seen by `.matrix`, equality and
+`grade_violations` so that validation can report them; every operation that
+computes refuses such a map with ValueError.
 
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are
@@ -176,10 +177,11 @@ class GradeMap:
     def with_target(self, target: GradedSpace) -> "GradeMap":
         """The same blocks into `target`, a reordering of self.target by weight
         (say); the two maps share their kernel."""
+        self._require_graded()
         return GradeMap._of(self.source, target, self._blocks, self._memo)
 
-    def _require_graded(self, *others: "GradeMap") -> None:
-        if self._stray or any(m._stray for m in others):
+    def _require_graded(self, other: Optional["GradeMap"] = None) -> None:
+        if self._stray or other is not None and other._stray:
             raise ValueError("map does not preserve the grading")
 
     def _dense_ints(self) -> tuple[list[list[int]], int]:
@@ -219,8 +221,7 @@ class GradeMap:
         """Composition self o other, block by block."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
-        if self._stray or other._stray:
-            return GradeMap(other.source, self.target, linalg.matmul(self.matrix, other.matrix, other.source.dim))
+        self._require_graded(other)
         blocks: dict[GradeKey, Block] = {}
         for key, cols in other.source.grades.items():
             rows = self.target.grades.get(key)
@@ -243,10 +244,9 @@ class GradeMap:
     def kernel(self) -> Rows:
         """Canonical basis of the kernel, as vectors in source coordinates:
         the block kernels side by side, ordered by pivot; computed once."""
+        self._require_graded()
         kernel = self._memo.get("kernel")
-        if kernel is None and self._stray:
-            kernel = tuple(v for _, v in linalg.null_space(self.matrix, self.source.dim))
-        elif kernel is None:
+        if kernel is None:
             found = []
             for key, cols in self.source.grades.items():
                 block = self._blocks.get(key, ((), 1))  # no target vectors of this weight: all of it
@@ -257,8 +257,7 @@ class GradeMap:
 
     def image(self) -> Rows:
         """Canonical basis of the image, as vectors in target coordinates."""
-        if self._stray:
-            return linalg.span_rows(list(zip(*self.matrix)), self.target.dim)
+        self._require_graded()
         found = []
         for key, (block, _) in self._blocks.items():
             rows = self.target.grades[key]

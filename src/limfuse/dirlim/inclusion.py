@@ -73,19 +73,14 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
     if not canon:
         canon = [()]
         seen = {()}
-    # close under pairwise sums
-    work = list(canon)
-    while work:
-        nxt = []
-        for a in range(len(canon)):
-            for b in range(a + 1, len(canon)):
-                s = linalg.span_rows(canon[a] + canon[b], ambient.dim)
-                s = canonical_subspace(ambient, s)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        canon.extend(nxt)
-        work = nxt
+    # close under pairwise sums in one pass: each pair is spanned once, when
+    # its later member is reached; new sums are appended and reached in turn
+    for k, new in enumerate(canon):
+        for old in canon[:k]:
+            s = canonical_subspace(ambient, old + new)
+            if s not in seen:
+                seen.add(s)
+                canon.append(s)
 
     canon.sort(key=lambda rows: (len(rows), rows))
     names = [f"S{k}" for k in range(len(canon))]
@@ -122,7 +117,7 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
         if x is None:
             raise NotASubspace(f"{i} is not contained in {j}")
         maps[(i, j)] = GradeMap(spaces[i], spaces[j], x)
-    return InclusionSystem(DirectSystem(poset, spaces, maps, by_covers=True), ambient, by_name)
+    return InclusionSystem(DirectSystem(poset, spaces, maps), ambient, by_name)
 
 
 @dataclass(frozen=True)

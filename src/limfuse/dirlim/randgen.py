@@ -51,7 +51,7 @@ def random_tree_system(rng: random.Random, max_elements: int = 6, max_dim: int =
         (names[k], names[p]): random_grade_map(rng, spaces[names[k]], spaces[names[p]])
         for k, p in parent.items()
     }
-    return DirectSystem(poset, spaces, step, by_covers=True)
+    return DirectSystem(poset, spaces, step)
 
 
 def random_chain_system(rng: random.Random, length: int, max_dim: int, prefix: str) -> DirectSystem:

@@ -7,7 +7,9 @@ Schema::
      "maps": {"i<=j": [[entry_string, ...], ...], ...}}
 
 Weights and matrix entries are canonical rational strings like "-3/4";
-reflexive identity maps are omitted.
+reflexive identity maps are omitted.  `system_to_json` writes the map of
+every strict pair; `system_from_json` needs the cover maps and takes any
+other map as a claim that validation checks.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
     }
     maps = {}
     for key, rows in doc["maps"].items():
-        i, j = key.split("<=")
+        pair = key.split("<=")
+        if len(pair) != 2 or not all(e in spaces for e in pair):
+            raise ValueError(f"map key {key!r} is not i<=j over elements with spaces")
+        i, j = pair
         maps[(i, j)] = GradeMap(
             spaces[i],
             spaces[j],

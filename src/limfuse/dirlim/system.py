@@ -1,10 +1,12 @@
 """Direct systems of graded vector spaces and their limits.
 
-A system is given by the map of every related pair or, with `by_covers`
-(what `on_chain`, `constant`, `tensor_system` and `inclusion_system` build),
-by its cover maps alone; `maps` then still ranges over every strict pair and
-composes f_i^k = f_c^k o f_i^c on first use, c the first upper cover of i
-below k (its route), keeping every composite.
+On a finite directed poset a system is fixed by its cover maps, because
+functoriality composes every other map from them.  A system keeps the maps it
+is given; `maps` ranges over every strict pair as well and composes each one
+not given on first use as f_i^k = f_c^k o f_i^c, c the first upper cover of i
+below k (its route), keeping every composite.  A given non-cover map is a
+claim: validation checks it against f_c^k o f_i^c on its route triple, so by
+induction on the route length every given map equals its cover composite.
 
 A finite directed poset has a greatest element top, so the limit of a system
 over it is V_top itself, with legs f_i^top: every stage maps into V_top, and
@@ -15,16 +17,17 @@ construction, the quotient of the direct sum of all stage spaces by the span
 of the vectors q_i(w) - q_j(f_i^j(w)) over cover pairs, computed grade by
 grade with exact row reduction; the property suite uses it as the oracle.
 
-Functoriality is checked only on the triples i < c <= k whose first step is a
-cover: any i < j < k has a cover i < c <= j, and induction on the interval
-[i, k] turns f_c^k o f_i^c = f_i^k and f_c^j o f_i^c = f_i^j into
-f_j^k o f_i^j = f_i^k.  Given covers, the triples through a route hold by
-construction, so only diamonds are left to check; chains and trees have
-none.  The same telescoping along saturated chains lets universal maps check
-their cocone along covers only.  A system's report is computed once and kept
-on the system, whose spaces and maps are read-only.  On a valid system the
-sum over j >= i of ker f_i^j is ker f_i^top, as top is one of the j, so
-`kernel_union` is one kernel, shared with the leg of `direct_limit`.
+Functoriality needs checking only on the triples i < c <= k whose first step
+is a cover: any i < j < k has a cover i < c <= j, and induction on the
+interval [i, k] turns f_c^k o f_i^c = f_i^k and f_c^j o f_i^c = f_i^j into
+f_j^k o f_i^j = f_i^k.  The triples through a route hold by construction
+once the given non-cover maps are checked, so only those claims and the
+diamonds are left; chains and trees have no diamonds.  The same telescoping
+along saturated chains lets universal maps check their cocone along covers
+only.  A system's report is computed once and kept on the system, whose
+spaces and maps are read-only.  On a valid system the sum over j >= i of
+ker f_i^j is ker f_i^top, as top is one of the j, so `kernel_union` is one
+kernel, shared with the leg of `direct_limit`.
 """
 
 from __future__ import annotations
@@ -70,15 +73,15 @@ class ValidationReport:
 
 
 class TransitionMaps(Mapping):
-    """Read-only transition maps of a system: the given ones and, when given
-    by covers, every other strict pair, composed on first use (a missing
-    cover map makes its composites raise KeyError)."""
+    """Read-only transition maps of a system: the given ones and every other
+    strict pair, composed on first use (a missing cover map makes its
+    composites raise KeyError)."""
 
-    def __init__(self, poset: DirectedPoset, given: Mapping[tuple[str, str], GradeMap], by_covers: bool):
+    def __init__(self, poset: DirectedPoset, given: Mapping[tuple[str, str], GradeMap]):
         self._poset = poset
         self._known = dict(given)
         self.given = tuple(self._known)
-        self._keys = dict.fromkeys([*poset.strict_pairs(), *self.given] if by_covers else self.given)
+        self._keys = dict.fromkeys([*poset.strict_pairs(), *self.given])
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -114,18 +117,17 @@ class TransitionMaps(Mapping):
 @dataclass(frozen=True)
 class DirectSystem:
     """Assignment of a graded space to each poset element and a transition
-    map to each related pair, or to each cover pair when `by_covers` is set;
+    map to each cover pair, and to any other related pair as a claim;
     reflexive maps are implicit identities."""
 
     poset: DirectedPoset
     spaces: Mapping[str, GradedSpace]
     maps: Mapping[tuple[str, str], GradeMap]
-    by_covers: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         # read-only copies, so that the memoized validation report stays true
         object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
-        object.__setattr__(self, "maps", TransitionMaps(self.poset, self.maps, self.by_covers))
+        object.__setattr__(self, "maps", TransitionMaps(self.poset, self.maps))
 
     def space(self, i: str) -> GradedSpace:
         try:
@@ -145,7 +147,7 @@ class DirectSystem:
     def constant(poset: DirectedPoset, space: GradedSpace) -> "DirectSystem":
         ident = GradeMap.identity(space)
         maps = {c: ident for c in poset.covers()}
-        return DirectSystem(poset, {e: space for e in poset.elements}, maps, by_covers=True)
+        return DirectSystem(poset, {e: space for e in poset.elements}, maps)
 
     @staticmethod
     def on_chain(spaces: Sequence[GradedSpace], step_maps: Sequence[GradeMap], prefix: str = "") -> "DirectSystem":
@@ -156,15 +158,15 @@ class DirectSystem:
         poset = DirectedPoset.chain(n, prefix)
         names = poset.elements
         maps = dict(zip(zip(names, names[1:]), step_maps))
-        return DirectSystem(poset, dict(zip(names, spaces)), maps, by_covers=True)
+        return DirectSystem(poset, dict(zip(names, spaces)), maps)
 
 
 def validate_system(sys: DirectSystem) -> ValidationReport:
     """Report every violated identity; an empty report certifies the system.
 
-    Given every pair, composition is checked on the triples whose first step
-    is a cover, which implies it on every triple; given covers, on the
-    diamonds.  The report is computed once per system.
+    Composition is checked on the given non-cover maps, each against its
+    route triple, and on the diamonds; with the routes themselves this
+    implies it on every triple.  The report is computed once per system.
     """
     report = sys.__dict__.get("_validation")
     if report is None:
@@ -180,33 +182,30 @@ def _validate(sys: DirectSystem) -> ValidationReport:
             problems.append(f"missing space for {e}")
     if problems:
         return ValidationReport(tuple(problems))
-    for i, j in poset.covers() if sys.by_covers else poset.strict_pairs():
-        f = sys.maps.get((i, j))
-        if f is None:
-            problems.append(f"missing map for {i} <= {j}")
-            continue
-        if f.source != sys.spaces[i] or f.target != sys.spaces[j]:
+    given = set(sys.maps.given)
+    problems += [f"missing map for {i} <= {j}" for i, j in poset.covers() if (i, j) not in given]
+    for i, j in sys.maps.given:
+        f = sys.maps[(i, j)]
+        if not poset.le(i, j):
+            problems.append(f"map stored for unrelated pair {i}, {j}")
+        elif i == j:
+            if f != GradeMap.identity(sys.spaces[i]):
+                problems.append(f"reflexive map at {i} is not the identity")
+        elif f.source != sys.spaces[i] or f.target != sys.spaces[j]:
             problems.append(f"map for {i} <= {j} has wrong source or target")
         elif not f.is_grade_preserving():
             problems.append(f"map for {i} <= {j} does not preserve the grading")
-    for i, j in sys.maps.given:
-        if i == j:
-            if sys.maps[(i, i)] != GradeMap.identity(sys.spaces[i]):
-                problems.append(f"reflexive map at {i} is not the identity")
-        elif not poset.le(i, j):
-            problems.append(f"map stored for unrelated pair {i}, {j}")
-        elif sys.by_covers and sys.maps.route(i, j) != j:
-            problems.append(f"map stored for non-cover pair {i}, {j}")
     if problems:
         return ValidationReport(tuple(problems))
-    for i, c in poset.covers():
-        if sys.by_covers and len(poset.upper_covers()[i]) == 1:
-            continue  # every f_i^k is composed through c
-        for k in poset.elements:
-            # a map given by covers is composed through its first cover below k
-            if k != c and poset.le(c, k) and not (sys.by_covers and sys.maps.route(i, k) == c):
-                if sys.maps[(c, k)] @ sys.maps[(i, c)] != sys.maps[(i, k)]:
-                    problems.append(f"composition violated: f_{c}^{k} o f_{i}^{c} != f_{i}^{k}")
+    # each given non-cover map on its route triple, then every triple whose
+    # first step is not the route (a diamond); the rest hold by construction
+    route = sys.maps.route
+    triples = [(i, c, k) for i, k in sys.maps.given if i != k and (c := route(i, k)) != k]
+    triples += [(i, c, k) for i, c in poset.covers() if len(poset.upper_covers()[i]) > 1
+                for k in poset.elements if k != c and poset.le(c, k) and route(i, k) != c]
+    for i, c, k in triples:
+        if sys.maps[(c, k)] @ sys.maps[(i, c)] != sys.maps[(i, k)]:
+            problems.append(f"composition violated: f_{c}^{k} o f_{i}^{c} != f_{i}^{k}")
     return ValidationReport(tuple(problems))
 
 

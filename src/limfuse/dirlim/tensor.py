@@ -34,7 +34,7 @@ def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
         fb = b.map(j, j2)
         for i in a.poset.elements:
             maps[(f"({i},{j})", f"({i},{j2})")] = GradeMap.identity(a.space(i)).tensor(fb)
-    return DirectSystem(poset, spaces, maps, by_covers=True)
+    return DirectSystem(poset, spaces, maps)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def fubini_compare(a: DirectSystem, b: DirectSystem, c: DirectSystem) -> FubiniR
     spaces = {i: a.space(i).tensor(inner_space) for i in a.poset.elements}
     ident = GradeMap.identity(inner_space)
     maps = {(i, j): a.map(i, j).tensor(ident) for i, j in a.poset.covers()}
-    iterated_sys = DirectSystem(a.poset, spaces, maps, by_covers=True)
+    iterated_sys = DirectSystem(a.poset, spaces, maps)
     lim_iter = direct_limit(iterated_sys)
 
     psis: dict[str, GradeMap] = {}

@@ -73,10 +73,6 @@ class RatFunc:
         """The formal variable as a rational function."""
         return RatFunc(Poly.x())
 
-    @staticmethod
-    def const(c: Union[int, Rat]) -> "RatFunc":
-        return RatFunc(Poly(Fraction(c)))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from limfuse.dirlim import (
     NotASubspace,
     Target,
     UnknownElement,
+    canonical_subspace,
     direct_limit,
     fubini_compare,
     inclusion_system,
@@ -32,7 +34,7 @@ from limfuse.dirlim import (
     validate_system,
 )
 from limfuse.cli import main
-from limfuse.dirlim import linalg
+from limfuse.dirlim import inclusion, linalg, randgen
 from limfuse.dirlim.randgen import random_system
 from limfuse.dirlim.system import quotient_limit
 
@@ -75,9 +77,9 @@ class TestValidate:
     def test_missing_map_reported(self):
         sys = inclusion_chain()
         maps = dict(sys.maps)
-        del maps[("1", "3")]
+        del maps[("2", "3")]
         problems = validate_system(DirectSystem(sys.poset, sys.spaces, maps)).problems
-        assert any("missing map" in p for p in problems)
+        assert problems == ("missing map for 2 <= 3",)
 
     def test_wrong_non_cover_map_on_four_chain(self):
         # every cover map and every composite but f_1^4 is right
@@ -171,25 +173,28 @@ class TestValidate:
         a = DirectSystem.constant(DirectedPoset.chain(2, "a"), Q2)
         b = DirectSystem.constant(DirectedPoset.chain(2, "b"), Q2)
         ts = tensor_system(a, b)
-        assert ts.by_covers and validate_system(ts).ok
+        assert validate_system(ts).ok
         covers = {c: ts.maps[c] for c in ts.poset.covers()}
         covers[("(a1,b1)", "(a2,b1)")] = GradeMap.make(
             ts.space("(a1,b1)"), ts.space("(a2,b1)"),
             [[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)])
-        report = validate_system(DirectSystem(ts.poset, ts.spaces, covers, by_covers=True))
+        report = validate_system(DirectSystem(ts.poset, ts.spaces, covers))
         assert report.problems == (
             "composition violated: f_(a2,b1)^(a2,b2) o f_(a1,b1)^(a2,b1) != f_(a1,b1)^(a2,b2)",
         )
 
     def test_cover_only_input_defects(self):
+        # a given non-cover map is a claim: one that agrees with its cover
+        # composite is valid, one that disagrees breaks its route triple
         sys = inclusion_chain()
-        assert sys.by_covers and len(sys.maps) == 3 and ("1", "3") in sys.maps
+        assert len(sys.maps) == 3 and ("1", "3") in sys.maps
         covers = {("1", "2"): sys.maps[("1", "2")]}
-        problems = validate_system(DirectSystem(sys.poset, sys.spaces, covers, by_covers=True)).problems
+        problems = validate_system(DirectSystem(sys.poset, sys.spaces, covers)).problems
         assert problems == ("missing map for 2 <= 3",)
-        extra = dict(sys.maps)
-        problems = validate_system(DirectSystem(sys.poset, sys.spaces, extra, by_covers=True)).problems
-        assert problems == ("map stored for non-cover pair 1, 3",)
+        assert validate_system(DirectSystem(sys.poset, sys.spaces, dict(sys.maps))).ok
+        wrong = {**sys.maps, ("1", "3"): GradeMap.make(Q1, Q3, [[0], [1], [0]])}
+        problems = validate_system(DirectSystem(sys.poset, sys.spaces, wrong)).problems
+        assert problems == ("composition violated: f_2^3 o f_1^2 != f_1^3",)
 
     def test_composites_derived_from_covers(self):
         sys = inclusion_chain()
@@ -197,6 +202,61 @@ class TestValidate:
         assert f13 == sys.maps[("2", "3")] @ sys.maps[("1", "2")]
         assert sys.maps[("1", "3")] is f13
         assert dict(sys.maps) == dict(DirectSystem(sys.poset, sys.spaces, dict(sys.maps)).maps)
+
+    def test_every_pair_given_matches_the_cover_form(self):
+        for s in range(150):
+            sys = random_system(s)
+            full = DirectSystem(sys.poset, sys.spaces, dict(sys.maps))
+            assert validate_system(full).ok, s
+            assert json.dumps(system_to_json(full), sort_keys=True) == json.dumps(
+                system_to_json(sys), sort_keys=True), s
+
+    def test_wrong_claim_reported_on_its_route_triple(self):
+        swap = GradeMap.make(Q2, Q2, [[0, 1], [1, 0]])
+        tree = DirectSystem(DirectedPoset.from_covers("abcd", [("a", "c"), ("b", "c"), ("c", "d")]),
+                            {e: Q2 for e in "abcd"}, {})
+        maps = {c: GradeMap.identity(Q2) for c in tree.poset.covers()}
+        maps[("a", "d")] = swap
+        report = validate_system(DirectSystem(tree.poset, tree.spaces, maps))
+        assert report.problems == ("composition violated: f_c^d o f_a^c != f_a^d",)
+        a = DirectSystem.constant(DirectedPoset.chain(2, "a"), GradedSpace.std(1))
+        b = DirectSystem.constant(DirectedPoset.chain(2, "b"), Q2)
+        ts = tensor_system(a, b)
+        swap = GradeMap.make(ts.space("(a1,b1)"), ts.space("(a2,b2)"), [[0, 1], [1, 0]])
+        maps = {**{c: ts.maps[c] for c in ts.poset.covers()}, ("(a1,b1)", "(a2,b2)"): swap}
+        report = validate_system(DirectSystem(ts.poset, ts.spaces, maps))
+        assert ts.maps.route("(a1,b1)", "(a2,b2)") == "(a1,b2)"
+        assert report.problems == (
+            "composition violated: f_(a1,b2)^(a2,b2) o f_(a1,b1)^(a1,b2) != f_(a1,b1)^(a2,b2)",
+            "composition violated: f_(a2,b1)^(a2,b2) o f_(a1,b1)^(a2,b1) != f_(a1,b1)^(a2,b2)",
+        )
+
+    def test_omitted_non_cover_map_is_composed(self):
+        steps = [GradeMap.make(Q2, Q2, m) for m in ([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 1], [1, 0]])]
+        sys = DirectSystem.on_chain([Q2] * 4, steps)
+        maps = dict(sys.maps)
+        del maps[("1", "4")]
+        full = DirectSystem(sys.poset, sys.spaces, maps)
+        assert validate_system(full).ok
+        assert ("1", "4") in full.maps and ("1", "4") not in full.maps.given
+        assert full.map("1", "4") == steps[2] @ steps[1] @ steps[0]
+
+    def test_every_pair_given_twelve_chain_checks_each_claim_once(self, monkeypatch):
+        # one composition per non-cover pair: 66 strict pairs less 11 covers
+        spaces = [GradedSpace.make([("a", 0), ("b", 0), ("c", 1)])] * 12
+        step = GradeMap.make(spaces[0], spaces[0], [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        sys = DirectSystem.on_chain(spaces, [step] * 11)
+        full = DirectSystem(sys.poset, sys.spaces, dict(sys.maps))
+        calls = []
+        compose = GradeMap.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            return compose(self, other)
+
+        monkeypatch.setattr(GradeMap, "__matmul__", counted)
+        assert validate_system(full).ok
+        assert len(calls) <= 55
 
 
 class TestDirectLimit:
@@ -423,6 +483,32 @@ class TestInclusionSystems:
         with pytest.raises(NotASubspace):
             inclusion_system(Q2, [[(F(1),)]])
 
+    def test_sum_closure_against_rounds(self, monkeypatch):
+        # the closed list against the round-based closure on 300 seeded
+        # cases, with one span per pair of the closed list (the pairs cannot
+        # be told apart by their rows: the zero subspace beside a plane
+        # spans the same rows as two lines that sum to it)
+        spans, inputs = [], []
+        canonical, build = inclusion.canonical_subspace, randgen.inclusion_system
+
+        def counted(ambient, rows):
+            spans.append(tuple(map(tuple, rows)))
+            return canonical(ambient, rows)
+
+        def recorded(ambient, subspaces):
+            inputs[:], spans[:] = [ambient, subspaces], []
+            return build(ambient, subspaces)
+
+        monkeypatch.setattr(inclusion, "canonical_subspace", counted)
+        monkeypatch.setattr(randgen, "inclusion_system", recorded)
+        for seed in range(300):
+            inc = randgen.random_inclusion_case(random.Random(seed))
+            ambient, subspaces = inputs
+            closed = set(inc.subspace_rows.values())
+            assert closed == _closure_in_rounds(ambient, subspaces), seed
+            n = len(closed)
+            assert len(spans) - len(subspaces) == n * (n - 1) // 2, seed
+
 
 class TestTensorSystems:
     def test_with_zero_system(self):
@@ -495,6 +581,26 @@ class TestSerialization:
             '"leq": [["1", "1"], ["1", "2"], ["2", "2"]]}, '
             '"spaces": {"1": [["a", "1/2"]], "2": [["a", "1/2"]]}}'
         )
+
+    def test_map_key_without_le_rejected(self):
+        sp = GradedSpace.make([("a", 0)])
+        doc = system_to_json(DirectSystem.on_chain([sp, sp], [GradeMap.identity(sp)]))
+        for key in ("1-2", "1<=2<=2"):
+            doc["maps"] = {key: [["1"]]}
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                system_from_json(doc)
+
+    def test_map_key_naming_element_without_space_rejected(self):
+        sp = GradedSpace.make([("a", 0)])
+        doc = system_to_json(DirectSystem.on_chain([sp, sp], [GradeMap.identity(sp)]))
+        for key in ("1<=c", "c<=2"):
+            doc["maps"] = {key: [["1"]]}
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                system_from_json(doc)
+        del doc["spaces"]["2"]
+        doc["maps"] = {"1<=2": [["1"]]}
+        with pytest.raises(ValueError, match="'1<=2'"):
+            system_from_json(doc)
 
     def test_weight_strings(self):
         sp = GradedSpace.make([("a", F(-3, 4))])
@@ -599,6 +705,22 @@ def _kernel_union_sum(sys, i):
     return _reference_rref(rows, d)[0] if d else ()
 
 
+def _closure_in_rounds(ambient, subspaces):
+    """The former sum closure: rounds that span every pair of the grown list."""
+    canon = list(dict.fromkeys(canonical_subspace(ambient, rows) for rows in subspaces)) or [()]
+    seen, work = set(canon), canon
+    while work:
+        work = []
+        for a in range(len(canon)):
+            for b in range(a + 1, len(canon)):
+                s = canonical_subspace(ambient, linalg.span_rows(canon[a] + canon[b], ambient.dim))
+                if s not in seen:
+                    seen.add(s)
+                    work.append(s)
+        canon.extend(work)
+    return seen
+
+
 def _random_graded_map(rng, source, target):
     pool = [F(0), F(0), F(1), F(-2), F(3), F(1, 2), F(-5, 6), F(7, 4)]
     return GradeMap.make(source, target, [
@@ -644,16 +766,21 @@ class TestGradeMapAgainstDense:
                     assert bumped != f
                     assert bumped.is_grade_preserving() == (u.weight(c) == v.weight(r))
 
-    def test_stray_entries_take_the_dense_path(self):
+    def test_stray_entries_are_refused_by_block_operations(self):
+        # a stray entry stays visible to the dense view, equality and
+        # grade_violations, so validation can report it; no operation
+        # computes with it
         mixed = GradedSpace.make([("a", 0), ("b", 1)])
         stray = GradeMap.make(mixed, mixed, [[1, 2], [0, 3]])
         assert stray.grade_violations() == [(0, 1)]
         assert stray.matrix == ((F(1), F(2)), (F(0), F(3)))
-        square = stray @ stray
-        assert square.matrix == _old_matmul(stray.matrix, stray.matrix, 2)
-        assert stray.kernel() == () and stray.rank() == 2
-        with pytest.raises(ValueError):
-            stray.tensor(stray)
+        assert stray == GradeMap.make(mixed, mixed, [[1, 2], [0, 3]])
+        assert stray != GradeMap.make(mixed, mixed, [[1, 0], [0, 3]])
+        ident = GradeMap.identity(mixed)
+        for op in (lambda: stray @ ident, lambda: ident @ stray, stray.kernel, stray.image, stray.rank,
+                   lambda: stray.tensor(stray), lambda: stray.with_target(mixed)):
+            with pytest.raises(ValueError, match="does not preserve the grading"):
+                op()
 
 
 def _old_covers(poset):
