@@ -1,5 +1,5 @@
-"""Category specifications: weights, parities, fusion rules, and the
-extension-setup checklist for the built-in generic families.
+"""Category specifications: weights and fusion rules of the built-in generic
+families and their Deligne products.
 
 Fusion throughout is the two-sided parity range: indices a and b fuse to
 every index from |a-b|+1 to a+b-1 of the opposite parity of a+b, always with
@@ -7,6 +7,8 @@ multiplicity one.  The five generic families share one implementation,
 `_IndexedCategory`, which reads a label's `indices` and applies the range
 slot by slot.  Product categories fuse factor-wise with multiplicities
 multiplying, and their weights live in a single aligned parameter.
+Labels reject indices below 1, so a family is its label type: `contains` is
+a type test, and the unit, every index 1, is always an object.
 
 Inside the engine a weight is a `WeightVec`, integer numerators over
 (x, 1, 1/x, 1/(x+1)) in the category's formal variable x and one
@@ -17,7 +19,6 @@ once per label and cached, for callers outside the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from limfuse.catdata.labels import (
@@ -42,38 +43,15 @@ from limfuse.catdata.params import (
 from limfuse.exact import RatFunc
 from limfuse.fusion.element import FusionElement
 
-EVEN, ODD = 0, 1
-
 
 def parity_range(a: int, b: int) -> range:
     """Indices reachable by fusing a with b: |a-b|+1 .. a+b-1, step 2."""
     return range(abs(a - b) + 1, a + b, 2)
 
 
-@dataclass(frozen=True)
-class ChecklistItem:
-    key: str
-    description: str
-    satisfied: bool
-    justification: str
-
-
-_CHECKLIST_TEXT = {
-    "unit-object": "the base algebra is a simple object of the category with weight zero",
-    "closed-sub-quot-sum": "the category is closed under submodules, quotients, and finite direct sums",
-    "finitely-generated": "every object of the category is finitely generated",
-    "braided-tensor": "the category carries braided tensor structure with a weight twist",
-    "fusion-image": "fusion images of category objects inside completed objects stay in the category",
-}
-
-
 class CategorySpec:
-    """Common interface of the built-in ribbon category specifications.
-
-    Of the five extension-setup checklist items only `unit-object` is
-    computed; the other four are declared metadata of the built-in generic
-    families and their Deligne products, reported as satisfied, not checked.
-    """
+    """Common interface of the built-in category specifications: labels,
+    memoized weights and memoized fusion."""
 
     name: str
     base_parameter: str  # formal-variable letter of the weights
@@ -88,14 +66,9 @@ class CategorySpec:
     def _fusion_raw(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
         raise NotImplementedError
 
-    def _parity_raw(self, x: SimpleLabel) -> int:
-        return EVEN
-
     def labels_up_to(self, bound: int) -> list[SimpleLabel]:
         """All labels with indices <= bound, in canonical order."""
         raise NotImplementedError
-
-    checklist_note = "generic-parameter semisimple family"
 
     def _require(self, x: SimpleLabel) -> None:
         if not self.contains(x):
@@ -125,40 +98,15 @@ class CategorySpec:
             hit = cache[(x, y)] = self._fusion_raw(x, y)
         return hit
 
-    def twist_exponent(self, x: SimpleLabel) -> tuple[RatFunc, int]:
-        """Exponent of the ribbon twist on x (its weight) plus the parity flag."""
-        return self.weight_of(x), self._parity_raw(x)
-
-    def checklist(self) -> tuple[ChecklistItem, ...]:
-        try:
-            unit_ok = (
-                self.contains(self.unit)
-                and self._weight_raw(self.unit).as_constant() == 0
-                and self._fusion_raw(self.unit, self.unit) == FusionElement.of(self.unit)
-            )
-        except ForeignLabel:
-            unit_ok = False
-        note = self.checklist_note
-        return (
-            ChecklistItem("unit-object", _CHECKLIST_TEXT["unit-object"], unit_ok,
-                          note if unit_ok else "unit missing or of nonzero weight"),
-            *(ChecklistItem(key, text, True, note)
-              for key, text in _CHECKLIST_TEXT.items() if key != "unit-object"),
-        )
-
 
 class _IndexedCategory(CategorySpec):
     """Shared machinery of the families whose labels are tuples of indices:
     fusion applies the parity range slot by slot."""
 
     label_type: type
-    min_index: int = 1
-
-    def __init__(self, min_index: int = 1):
-        self.min_index = min_index
 
     def contains(self, x: SimpleLabel) -> bool:
-        return isinstance(x, self.label_type) and min(x.indices) >= self.min_index
+        return isinstance(x, self.label_type)
 
     def _fusion_raw(self, x, y) -> FusionElement:
         slots = [parity_range(a, b) for a, b in zip(x.indices, y.indices)]
@@ -166,7 +114,7 @@ class _IndexedCategory(CategorySpec):
 
     def labels_up_to(self, bound: int) -> list[SimpleLabel]:
         out = []
-        span = range(self.min_index, bound + 1)
+        span = range(1, bound + 1)
         for c in product(span, repeat=len(self.unit.indices)):
             try:
                 out.append(self.label_type(*c))
@@ -207,13 +155,9 @@ class SuperVirCategory(_IndexedCategory):
     base_parameter = "s"
     unit = SuperVir(1, 1)
     label_type = SuperVir
-    checklist_note = "semisimple image of induction from the even-sum Deligne pairs"
 
     def _weight_raw(self, x: SuperVir) -> WeightVec:
         return super_vec(x.n, x.m)
-
-    def _parity_raw(self, x: SuperVir) -> int:
-        return ((x.n + x.m) // 2 - 1) % 2
 
 
 class KLCategory(_IndexedCategory):
@@ -236,13 +180,9 @@ class OspCategory(_IndexedCategory):
     base_parameter = "s"
     unit = OspMod(1)
     label_type = OspMod
-    checklist_note = "semisimple image of induction from the odd-index chain"
 
     def _weight_raw(self, x: OspMod) -> WeightVec:
         return osp_vec(x.n)
-
-    def _parity_raw(self, x: OspMod) -> int:
-        return ((x.n - 1) // 2) % 2
 
 
 class DeligneCategory(CategorySpec):
@@ -267,7 +207,6 @@ class DeligneCategory(CategorySpec):
         else:
             raise ValueError(f"cannot align parameters {params}")
         self.unit = Pair(left.unit, right.unit)
-        self.checklist_note = f"product of {left.name} and {right.name}"
 
     def contains(self, x: SimpleLabel) -> bool:
         return isinstance(x, Pair) and self.left.contains(x.left) and self.right.contains(x.right)
@@ -280,9 +219,6 @@ class DeligneCategory(CategorySpec):
         return self._aligned(self.left, self.left.weight_vec(x.left)) + self._aligned(
             self.right, self.right.weight_vec(x.right)
         )
-
-    def _parity_raw(self, x: Pair) -> int:
-        return (self.left._parity_raw(x.left) + self.right._parity_raw(x.right)) % 2
 
     def _fusion_raw(self, x: Pair, y: Pair) -> FusionElement:
         lf = self.left.fusion_of(x.left, y.left)
@@ -308,7 +244,7 @@ _BUILTINS = {
 }
 
 
-def category_by_name(name: str, min_index: int = 1) -> CategorySpec:
+def category_by_name(name: str) -> CategorySpec:
     """Resolve a built-in name, including nested deligne(a,b) forms."""
     name = name.strip()
     if name.startswith("deligne(") and name.endswith(")"):
@@ -318,21 +254,19 @@ def category_by_name(name: str, min_index: int = 1) -> CategorySpec:
             depth += ch == "("
             depth -= ch == ")"
             if ch == "," and depth == 0:
-                return DeligneCategory(
-                    category_by_name(inner[:k], min_index),
-                    category_by_name(inner[k + 1 :], min_index),
-                )
+                return DeligneCategory(category_by_name(inner[:k]), category_by_name(inner[k + 1 :]))
         raise ValueError(f"deligne needs two factor names: {name!r}")
     if name not in _BUILTINS:
         raise ValueError(f"unknown category {name!r}")
-    return _BUILTINS[name](min_index=min_index)
+    return _BUILTINS[name]()
 
 
 def load_category(doc: dict) -> CategorySpec:
     """Build a specification from {"name", "base_parameter"?, "families": [...]}.
 
-    Each family entry is a built-in name or {"kind": name, "min_index": k};
-    two families combine as their Deligne product.
+    Each family entry is a built-in name or {"kind": name}; two families
+    combine as their Deligne product.  A family's labels start at index 1,
+    where its unit lies, so a "min_index" other than 1 is refused.
     """
     families = doc.get("families", [])
     if not families:
@@ -342,7 +276,9 @@ def load_category(doc: dict) -> CategorySpec:
         if isinstance(fam, str):
             parts.append(category_by_name(fam))
         else:
-            parts.append(category_by_name(fam["kind"], min_index=fam.get("min_index", 1)))
+            if fam.get("min_index", 1) != 1:
+                raise ValueError(f"family {fam['kind']!r}: min_index must be 1, where labels and the unit start")
+            parts.append(category_by_name(fam["kind"]))
     cat = parts[0]
     for nxt in parts[1:]:
         cat = DeligneCategory(cat, nxt)

@@ -168,18 +168,6 @@ def param_chain() -> ParamChain:
     return chain
 
 
-def central_charge_t() -> RatFunc:
-    """13 - 6t - 6/t, the Virasoro central charge in the t-parameter."""
-    t = RatFunc.var()
-    return 13 - 6 * t - 6 / t
-
-
-def central_charge_super() -> RatFunc:
-    """15/2 - 3s - 3/s, the N=1 central charge in the s-parameter."""
-    s = RatFunc.var()
-    return _F(15, 2) - 3 * s - 3 / s
-
-
 def virasoro_weight(r: int, s_idx: int) -> RatFunc:
     """Lowest conformal weight of the (r, s) simple module, in the formal
     variable of its own Virasoro parameter."""

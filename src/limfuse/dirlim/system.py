@@ -74,8 +74,8 @@ class ValidationReport:
 
 class TransitionMaps(Mapping):
     """Read-only transition maps of a system: the given ones and every other
-    strict pair, composed on first use (a missing cover map makes its
-    composites raise KeyError)."""
+    strict pair, composed on first use.  A composite whose route meets a
+    missing cover map raises ValueError naming that cover."""
 
     def __init__(self, poset: DirectedPoset, given: Mapping[tuple[str, str], GradeMap]):
         self._poset = poset
@@ -99,8 +99,10 @@ class TransitionMaps(Mapping):
         path = [i]  # walk the route up to a known map, then compose back down it
         while (path[-1], k) not in known:
             c = self.route(path[-1], k)
-            if c is None or (path[-1], c) not in known or len(path) > len(self._poset.elements):
+            if c is None or len(path) > len(self._poset.elements):
                 raise KeyError(key)
+            if (path[-1], c) not in known:
+                raise ValueError(f"missing map for {path[-1]} <= {c}")
             path.append(c)
         for x, c in zip(path[-2::-1], path[:0:-1]):
             known[(x, k)] = known[(c, k)] @ known[(x, c)]

@@ -1,12 +1,7 @@
-"""Exact rational, polynomial, and rational-function arithmetic."""
+"""Exact rational, polynomial, and rational-function arithmetic, the text
+form of rationals and rational functions, and phases in Q/Z."""
 
-from limfuse.exact.poly import (
-    Poly,
-    Rat,
-    first_non_integer_positive,
-    integer_valued_on_positives,
-    interpolate,
-)
+from limfuse.exact.poly import Poly, Rat
 from limfuse.exact.ratfunc import (
     DegenerateSubstitution,
     DivisionByZero,
@@ -14,7 +9,6 @@ from limfuse.exact.ratfunc import (
     format_rat,
     format_ratfunc,
     parse_rat,
-    parse_ratfunc,
 )
 from limfuse.exact.phase import Phase
 
@@ -25,11 +19,7 @@ __all__ = [
     "Phase",
     "DivisionByZero",
     "DegenerateSubstitution",
-    "integer_valued_on_positives",
-    "first_non_integer_positive",
-    "interpolate",
     "format_rat",
     "format_ratfunc",
     "parse_rat",
-    "parse_ratfunc",
 ]

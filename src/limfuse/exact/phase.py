@@ -20,18 +20,6 @@ class Phase:
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
 
-    def is_trivial(self) -> bool:
-        return self.value == 0
-
-    def __add__(self, other: "Phase") -> "Phase":
-        return Phase(self.value + other.value)
-
-    def __neg__(self) -> "Phase":
-        return Phase(-self.value)
-
-    def __sub__(self, other: "Phase") -> "Phase":
-        return Phase(self.value - other.value)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Phase(other)

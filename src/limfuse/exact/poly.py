@@ -1,9 +1,9 @@
 """Dense univariate polynomials over arbitrary-precision rationals.
 
 Coefficients are stored ascending by degree with no trailing zeros; the zero
-polynomial is the empty coefficient tuple.  Polynomials double as the
-"exponent family" type used by the locality checks, where the variable is an
-integer index r >= 1 rather than a formal parameter.
+polynomial is the empty coefficient tuple.  Polynomials are the parts of a
+`RatFunc` and double as the exponent family of a locality certificate, where
+the variable is an integer index r >= 1 rather than a formal parameter.
 """
 
 from __future__ import annotations
@@ -159,53 +159,3 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
-
-def integer_valued_on_positives(p: Poly) -> bool:
-    """Decide whether p(r) is an integer for every integer r >= 1.
-
-    Integer values at deg(p)+1 consecutive integers force integrality on the
-    whole integer lattice (write p in the binomial basis: the finite
-    differences at those points are its integer coordinates).  Evaluating at
-    deg(p)+2 points starting at 1 therefore settles every r >= 1.
-    """
-    for r in range(1, max(p.degree, 0) + 3):
-        if p.eval(r).denominator != 1:
-            return False
-    return True
-
-
-def first_non_integer_positive(p: Poly) -> int | None:
-    """Smallest r >= 1 with p(r) not an integer, or None if integer-valued.
-
-    If p fails integrality anywhere on r >= 1, a witness occurs within the
-    first deg(p)+2 points (same finite-difference argument as above).
-    """
-    for r in range(1, max(p.degree, 0) + 3):
-        if p.eval(r).denominator != 1:
-            return r
-    return None
-
-
-def interpolate(points: Sequence[tuple[Union[int, Rat], Union[int, Rat]]]) -> Poly:
-    """The polynomial of degree < n through n distinct-abscissa points.
-
-    Newton form: divided differences give p = c0 + (x-x0)(c1 + (x-x1)(c2 +
-    ...)), and Horner steps from the innermost bracket outwards expand it to
-    monomial coefficients, O(n^2) Fraction operations in all.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    cs = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation abscissae must be distinct")
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
-    out: list[Rat] = []
-    for k in range(n - 1, -1, -1):
-        # out <- out * (x - x_k) + c_k, ascending coefficients
-        xk = xs[k]
-        out = [cs[k]] + out
-        for i in range(len(out) - 1):
-            out[i] -= xk * out[i + 1]
-    return Poly(out)

@@ -156,10 +156,6 @@ class RatFunc:
             return self.num.coeffs[0] / self.den.coeffs[0]
         return None
 
-    def is_integer_constant(self) -> bool:
-        c = self.as_constant()
-        return c is not None and c.denominator == 1
-
     def eval(self, x: Union[int, Rat]) -> Rat:
         """Evaluate at a rational point; the point must avoid the poles."""
         d = self.den.eval(x)
@@ -242,81 +238,3 @@ def parse_rat(text: str) -> Rat:
         raise ValueError(f"not a rational: {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*(?P<var1>[A-Za-z]\w*)\s*(?:\^\s*(?P<exp1>\d+))?)?
-          | (?P<var2>[A-Za-z]\w*)\s*(?:\^\s*(?P<exp2>\d+))?
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def _parse_intpoly(text: str, var: Optional[str]) -> tuple[Poly, Optional[str]]:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for k, ch in enumerate(text):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and k < len(text) - 1:
-                break
-        else:
-            text = text[1:-1].strip()
-    if not text:
-        raise ValueError("empty polynomial")
-    coeffs: dict[int, Fraction] = {}
-    pos = 0
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad polynomial syntax at {text[pos:]!r}")
-        if not first and m.group("sign") is None:
-            raise ValueError(f"missing +/- before {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        name = m.group("var1") or m.group("var2")
-        if name is not None:
-            if var is None:
-                var = name
-            elif name != var:
-                raise ValueError(f"mixed variables {var!r} and {name!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        exp = 0
-        if name is not None:
-            exp_s = m.group("exp1") or m.group("exp2")
-            exp = int(exp_s) if exp_s else 1
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
-        pos = m.end()
-        first = False
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return Poly(out), var
-
-
-def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
-    """Parse the canonical integer-coefficient fraction form.
-
-    The variable letter is inferred when not supplied; a bare polynomial
-    (no top-level '/') is accepted.
-    """
-    text = text.strip().replace("−", "-")
-    depth = 0
-    split = None
-    for k, ch in enumerate(text):
-        depth += ch == "("
-        depth -= ch == ")"
-        if ch == "/" and depth == 0:
-            if split is not None:
-                raise ValueError("more than one top-level '/'")
-            split = k
-    if split is None:
-        num, _ = _parse_intpoly(text, var)
-        return RatFunc(num)
-    num, var = _parse_intpoly(text[:split], var)
-    den, _ = _parse_intpoly(text[split + 1 :], var)
-    if den.is_zero():
-        raise DivisionByZero("zero denominator in text form")
-    return RatFunc(num, den)

@@ -49,9 +49,6 @@ class FusionElement:
     def mult(self, label: SimpleLabel) -> int:
         return self._terms.get(label, 0)
 
-    def total(self) -> int:
-        return sum(self._terms.values())
-
     def is_zero(self) -> bool:
         return not self._terms
 

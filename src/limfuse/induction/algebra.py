@@ -7,12 +7,15 @@ finite: fusion ranges grow linearly with the summand index, so only a
 bounded window of summands can reach any fixed label.  `summand_window`
 computes that window from per-slot limits, and `pair_slots` reads a pair
 label's indices in the same (factor, slot) layout.
+
+`algebra_from_json` reads a summand rule from a document and checks each
+factor's kind and index count against the label kinds.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from limfuse.catdata.category import CategorySpec, category_by_name
@@ -100,7 +103,6 @@ class AlgebraObject:
         induced_category: Optional[CategorySpec] = None,
         to_induced: Optional[Callable[[SimpleLabel], SimpleLabel]] = None,
         from_induced: Optional[Callable[[SimpleLabel], SimpleLabel]] = None,
-        summand_parity: Optional[Callable[[int], int]] = None,
     ):
         self.name = name
         self.base_category = base_category
@@ -108,7 +110,6 @@ class AlgebraObject:
         self.induced_category = induced_category
         self._to_induced = to_induced
         self._from_induced = from_induced
-        self._summand_parity = summand_parity
         self._summands: dict[int, SimpleLabel] = {}
         if not any(e.a > 0 for f in factors for e in f.indices):
             raise ValueError("summand rule must grow with r")
@@ -128,12 +129,6 @@ class AlgebraObject:
         if hit is None:
             hit = self._summands[r] = Pair(self.factors[0].label_at(r), self.factors[1].label_at(r))
         return hit
-
-    def summand_parity(self, r: int) -> int:
-        """Super-grading of the r-th summand; metadata only."""
-        if self._summand_parity is None:
-            return 0
-        return self._summand_parity(r)
 
     def to_induced(self, base: SimpleLabel) -> SimpleLabel:
         if self._to_induced is None:
@@ -214,7 +209,6 @@ def svir_extension() -> AlgebraObject:
         induced_category=category_by_name("supervir"),
         to_induced=_svir_to_induced,
         from_induced=_svir_from_induced,
-        summand_parity=lambda r: (r - 1) % 2,
     )
 
 
@@ -231,8 +225,17 @@ def osp_extension() -> AlgebraObject:
         induced_category=category_by_name("osp"),
         to_induced=_osp_to_induced,
         from_induced=_osp_from_induced,
-        summand_parity=lambda r: (r - 1) % 2,
     )
+
+
+def _factor(k: int, f: dict) -> FactorTemplate:
+    """Factor k of a JSON summand rule, checked against the label kinds."""
+    kind, indices = f["kind"], f["indices"]
+    if kind not in _LABEL_KINDS:
+        raise ValueError(f"summand factor {k}: unknown kind {kind!r}; expected one of {', '.join(_LABEL_KINDS)}")
+    if len(indices) != (arity := len(fields(_LABEL_KINDS[kind]))):
+        raise ValueError(f"summand factor {k} ({kind}): {len(indices)} index expressions, expected {arity}")
+    return FactorTemplate(kind, tuple(parse_affine(e) for e in indices))
 
 
 _BUILTIN_ALGEBRAS = {"svir-ext": svir_extension, "osp-ext": osp_extension}
@@ -248,16 +251,16 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     """Build an algebra from {"name"?, "base_category": name, "summand_rule":
     [{"kind": ..., "indices": [...]}, {"kind": ..., "indices": [...]}]}.
 
-    A bare builtin name string is also accepted.
+    A bare builtin name string is also accepted.  A factor of an unknown
+    kind, or with the wrong number of index expressions, is refused with a
+    ValueError that names it.
     """
     if isinstance(doc, str):
         return algebra_by_name(doc)
     rule = doc["summand_rule"]
     if len(rule) != 2:
         raise ValueError("summand rule needs exactly two tensor factors")
-    factors = tuple(
-        FactorTemplate(f["kind"], tuple(parse_affine(e) for e in f["indices"])) for f in rule
-    )
+    factors = tuple(_factor(k, f) for k, f in enumerate(rule, start=1))
     base = doc["base_category"]
     cat = category_by_name(base) if isinstance(base, str) else None
     if cat is None:

@@ -1,0 +1,150 @@
+"""Reference code the tests compare the engine against; nothing in `src/`
+needs it.
+
+- `interpolate` and `first_non_integer_positive`: the polynomial fit of the
+  former locality route (`fit_oracle` in `test_induction.py`).
+- `parse_ratfunc`: the inverse of `format_ratfunc`, for round trips.
+- `central_charge_t` and `central_charge_super`: the two central charges of
+  the coset identity.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from typing import Optional, Sequence, Union
+
+from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
+
+_F = Fraction
+
+
+def first_non_integer_positive(p: Poly) -> int | None:
+    """Smallest r >= 1 with p(r) not an integer, or None if integer-valued.
+
+    Integer values at deg(p)+1 consecutive integers force integrality on the
+    whole integer lattice (write p in the binomial basis: the finite
+    differences at those points are its integer coordinates).  So if p fails
+    integrality anywhere on r >= 1, a witness occurs within the first
+    deg(p)+2 points.
+    """
+    for r in range(1, max(p.degree, 0) + 3):
+        if p.eval(r).denominator != 1:
+            return r
+    return None
+
+
+def interpolate(points: Sequence[tuple[Union[int, Rat], Union[int, Rat]]]) -> Poly:
+    """The polynomial of degree < n through n distinct-abscissa points.
+
+    Newton form: divided differences give p = c0 + (x-x0)(c1 + (x-x1)(c2 +
+    ...)), and Horner steps from the innermost bracket outwards expand it to
+    monomial coefficients, O(n^2) Fraction operations in all.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    cs = [Fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation abscissae must be distinct")
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
+    out: list[Rat] = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - x_k) + c_k, ascending coefficients
+        xk = xs[k]
+        out = [cs[k]] + out
+        for i in range(len(out) - 1):
+            out[i] -= xk * out[i + 1]
+    return Poly(out)
+
+
+_TERM_RE = re.compile(
+    r"""\s*(?P<sign>[+-])?\s*
+        (?:
+            (?P<coeff>\d+)\s*(?:\*\s*(?P<var1>[A-Za-z]\w*)\s*(?:\^\s*(?P<exp1>\d+))?)?
+          | (?P<var2>[A-Za-z]\w*)\s*(?:\^\s*(?P<exp2>\d+))?
+        )\s*""",
+    re.VERBOSE,
+)
+
+
+def _parse_intpoly(text: str, var: Optional[str]) -> tuple[Poly, Optional[str]]:
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        depth = 0
+        for k, ch in enumerate(text):
+            depth += ch == "("
+            depth -= ch == ")"
+            if depth == 0 and k < len(text) - 1:
+                break
+        else:
+            text = text[1:-1].strip()
+    if not text:
+        raise ValueError("empty polynomial")
+    coeffs: dict[int, Fraction] = {}
+    pos = 0
+    first = True
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"bad polynomial syntax at {text[pos:]!r}")
+        if not first and m.group("sign") is None:
+            raise ValueError(f"missing +/- before {text[pos:]!r}")
+        sign = -1 if m.group("sign") == "-" else 1
+        name = m.group("var1") or m.group("var2")
+        if name is not None:
+            if var is None:
+                var = name
+            elif name != var:
+                raise ValueError(f"mixed variables {var!r} and {name!r}")
+        coeff = int(m.group("coeff")) if m.group("coeff") else 1
+        exp = 0
+        if name is not None:
+            exp_s = m.group("exp1") or m.group("exp2")
+            exp = int(exp_s) if exp_s else 1
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
+        pos = m.end()
+        first = False
+    out = [Fraction(0)] * (max(coeffs) + 1)
+    for k, c in coeffs.items():
+        out[k] = c
+    return Poly(out), var
+
+
+def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
+    """Parse the canonical integer-coefficient fraction form.
+
+    The variable letter is inferred when not supplied; a bare polynomial
+    (no top-level '/') is accepted.
+    """
+    text = text.strip().replace("−", "-")
+    depth = 0
+    split = None
+    for k, ch in enumerate(text):
+        depth += ch == "("
+        depth -= ch == ")"
+        if ch == "/" and depth == 0:
+            if split is not None:
+                raise ValueError("more than one top-level '/'")
+            split = k
+    if split is None:
+        num, _ = _parse_intpoly(text, var)
+        return RatFunc(num)
+    num, var = _parse_intpoly(text[:split], var)
+    den, _ = _parse_intpoly(text[split + 1 :], var)
+    if den.is_zero():
+        raise DivisionByZero("zero denominator in text form")
+    return RatFunc(num, den)
+
+
+def central_charge_t() -> RatFunc:
+    """13 - 6t - 6/t, the Virasoro central charge in the t-parameter."""
+    t = RatFunc.var()
+    return 13 - 6 * t - 6 / t
+
+
+def central_charge_super() -> RatFunc:
+    """15/2 - 3s - 3/s, the N=1 central charge in the s-parameter."""
+    s = RatFunc.var()
+    return _F(15, 2) - 3 * s - 3 / s

@@ -1,4 +1,4 @@
-"""Category data: weights, fusion rules, parameters, checklist."""
+"""Category data: labels, weights, fusion rules, parameters, loading."""
 
 import copy
 import dataclasses
@@ -26,8 +26,6 @@ from limfuse.catdata import (
     VirasoroTCategory,
     WeightVec,
     category_by_name,
-    central_charge_super,
-    central_charge_t,
     load_category,
     osp_vec,
     osp_weight,
@@ -45,6 +43,7 @@ from limfuse.catdata import (
 from limfuse.catdata import params
 from limfuse.exact import Poly, RatFunc, format_ratfunc
 from limfuse.fusion import FusionElement, monodromy
+from oracles import central_charge_super, central_charge_t
 
 X = RatFunc.var()
 VT = VirasoroTCategory()
@@ -572,40 +571,6 @@ class TestFusion:
             assert ring_mul(VT, ring_mul(VT, x, y), z) == ring_mul(VT, x, ring_mul(VT, y, z))
 
 
-class TestTwist:
-    def test_unit(self):
-        w, p = VT.twist_exponent(VT.unit)
-        assert w.is_zero() and p == 0
-
-    def test_super_parity_metadata(self):
-        w, p = SV.twist_exponent(SuperVir(1, 3))
-        assert w == super_weight(1, 3)
-        assert p == ((1 + 3) // 2 - 1) % 2 == 1
-
-    def test_pair_exponents_add_parities_multiply(self):
-        pair = Pair(VirasoroKp2(1, 2), VirasoroT(1, 2))
-        w, p = PAIR_CAT.twist_exponent(pair)
-        assert p == 0
-        assert w == PAIR_CAT.weight_of(pair)
-
-
-class TestChecklist:
-    def test_builtins_satisfied(self):
-        for cat in (VT, KP2, KL, SV, OSP):
-            items = cat.checklist()
-            assert len(items) == 5
-            assert all(item.satisfied for item in items)
-
-    def test_deligne_product_satisfied(self):
-        assert all(item.satisfied for item in PAIR_CAT.checklist())
-
-    def test_missing_unit_flagged(self):
-        crippled = VirasoroTCategory(min_index=2)
-        items = crippled.checklist()
-        assert not items[0].satisfied
-        assert all(item.satisfied for item in items[1:])
-
-
 class TestLoading:
     def test_by_name(self):
         assert isinstance(category_by_name("supervir"), SuperVirCategory)
@@ -626,9 +591,12 @@ class TestLoading:
         assert cat.contains(Pair(VirasoroKp2(2, 1), VirasoroT(2, 1)))
 
     def test_load_min_index(self):
-        cat = load_category({"families": [{"kind": "virasoro-t", "min_index": 2}]})
-        assert not cat.contains(VirasoroT(1, 1))
-        assert cat.contains(VirasoroT(2, 2))
+        # labels start at index 1, where the unit lies; no other start is valid
+        cat = load_category({"families": [{"kind": "virasoro-t", "min_index": 1}]})
+        assert cat.contains(VirasoroT(1, 1)) and cat.contains(cat.unit)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match=r"^family 'virasoro-t': min_index must be 1, where labels and the unit start$"):
+                load_category({"families": [{"kind": "virasoro-t", "min_index": k}]})
 
     def test_declared_parameter_mismatch(self):
         with pytest.raises(ValueError):

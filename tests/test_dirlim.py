@@ -602,6 +602,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'1<=2'"):
             system_from_json(doc)
 
+    def test_missing_cover_is_named_not_a_key_error(self):
+        sp = GradedSpace.make([("a", 0)])
+        ident = GradeMap.identity(sp)
+        doc = system_to_json(DirectSystem.on_chain([sp, sp, sp], [ident, ident]))
+        del doc["maps"]["2<=3"]
+        sys, twin = system_from_json(doc), system_from_json(doc)
+        assert validate_system(sys).problems == ("missing map for 2 <= 3",)
+        for read in (system_to_json, lambda s: dict(s.maps), lambda s: s == twin):
+            with pytest.raises(ValueError, match="^missing map for 2 <= 3$"):
+                read(sys)
+        with pytest.raises(UnknownElement):
+            sys.map("1", "x")
+
     def test_weight_strings(self):
         sp = GradedSpace.make([("a", F(-3, 4))])
         sys = DirectSystem.constant(DirectedPoset.chain(1), sp)

@@ -20,7 +20,7 @@ from limfuse.catdata import (
     osp_weight,
     super_weight,
 )
-from limfuse.exact import Poly, RatFunc, first_non_integer_positive, interpolate
+from limfuse.exact import Poly, RatFunc
 from limfuse.fusion import FusionElement, hom_dim
 from limfuse.fusion.monodromy import INTEGER, exponent_status
 from limfuse.induction import (
@@ -46,6 +46,7 @@ from limfuse.induction import (
     svir_extension,
 )
 from limfuse.induction.induced import slice_family
+from oracles import first_non_integer_positive, interpolate
 
 SVX = svir_extension()
 OSPX = osp_extension()
@@ -65,9 +66,6 @@ class TestAlgebraObjects:
         assert SVX.summand(1) == SVX.base_category.unit
         assert SVX.summand(4) == Pair(VirasoroKp2(1, 4), VirasoroT(1, 4))
         assert OSPX.summand(3) == Pair(AffineVerma(3), VirasoroT(1, 3))
-
-    def test_summand_parity_metadata(self):
-        assert [SVX.summand_parity(r) for r in (1, 2, 3)] == [0, 1, 0]
 
     def test_bad_summand_index(self):
         with pytest.raises(ValueError):
@@ -113,6 +111,33 @@ class TestAlgebraObjects:
                     ],
                 }
             )
+
+    def test_unknown_factor_kind_rejected(self):
+        doc = {
+            "base_category": "deligne(virasoro-kp2,virasoro-t)",
+            "summand_rule": [
+                {"kind": "virasoro-kp2", "indices": ["1", "r"]},
+                {"kind": "foo", "indices": ["1", "r"]},
+            ],
+        }
+        with pytest.raises(
+            ValueError,
+            match=r"^summand factor 2: unknown kind 'foo'; expected one of virasoro-t, virasoro-kp2, kl-sl2$",
+        ):
+            algebra_from_json(doc)
+
+    def test_wrong_index_count_rejected(self):
+        doc = {
+            "base_category": "deligne(virasoro-kp2,virasoro-t)",
+            "summand_rule": [
+                {"kind": "virasoro-kp2", "indices": ["r"]},
+                {"kind": "virasoro-t", "indices": ["1", "r"]},
+            ],
+        }
+        with pytest.raises(
+            ValueError, match=r"^summand factor 1 \(virasoro-kp2\): 1 index expressions, expected 2$"
+        ):
+            algebra_from_json(doc)
 
     def test_wrong_unit_rejected(self):
         with pytest.raises(ValueError):
