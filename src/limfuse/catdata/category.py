@@ -265,17 +265,20 @@ def load_category(doc: dict) -> CategorySpec:
     """Build a specification from {"name", "base_parameter"?, "families": [...]}.
 
     Each family entry is a built-in name or {"kind": name}; two families
-    combine as their Deligne product.  A family's labels start at index 1,
-    where its unit lies, so a "min_index" other than 1 is refused.
+    combine as their Deligne product.  An entry without "kind" is refused.  A
+    family's labels start at index 1, where its unit lies, so a "min_index"
+    other than 1 is refused.
     """
     families = doc.get("families", [])
     if not families:
         raise ValueError("category document needs at least one family")
     parts = []
-    for fam in families:
+    for k, fam in enumerate(families, start=1):
         if isinstance(fam, str):
             parts.append(category_by_name(fam))
         else:
+            if "kind" not in fam:
+                raise ValueError(f"family {k}: missing key 'kind'")
             if fam.get("min_index", 1) != 1:
                 raise ValueError(f"family {fam['kind']!r}: min_index must be 1, where labels and the unit start")
             parts.append(category_by_name(fam["kind"]))

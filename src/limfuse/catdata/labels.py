@@ -6,9 +6,10 @@ super-Virasoro family only admits index pairs of even sum and the affine
 osp family only odd indices; both constraints come from the locality of the
 corresponding extensions and are enforced at construction.
 
-Every index label exposes its integer fields, in declaration order, as
-`indices`; categories, the CLI and the induction layer read indices only
-through it.  `sort_key()` is the label's tag followed by its indices.
+Every label exposes its indices as one flat tuple, `indices`: an index
+label's integer fields in declaration order, a pair's left indices then its
+right ones.  Categories, the CLI and the induction layer read indices only
+through it.  `sort_key()` of an index label is its tag followed by them.
 """
 
 from __future__ import annotations
@@ -172,6 +173,10 @@ class Pair(SimpleLabel):
 
     def __reduce__(self):
         return Pair, (self.left, self.right)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return self.left.indices + self.right.indices
 
     def sort_key(self):
         return (5, self.left.sort_key(), self.right.sort_key())

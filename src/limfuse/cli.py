@@ -109,7 +109,7 @@ def _canonical_base(alg: AlgebraObject, values: list[int | None]) -> SimpleLabel
 
 
 def _selector_count(alg: AlgebraObject) -> int:
-    return sum(1 for f in alg.factors for e in f.indices if e.a == 0)
+    return sum(1 for e in alg.slots if e.a == 0)
 
 
 def _emit(fmt: str, command: str, header: list[str], rows: list[list[str]], extra: dict | None = None) -> None:
@@ -133,14 +133,9 @@ def _require_at_most(value: int, flag: str, cap: int) -> None:
         raise ConfigError(f"{flag} {value} exceeds the cap of {cap}")
 
 
-def _slots(x: SimpleLabel) -> tuple[int, ...]:
-    """All index slots of a label, the factors of a pair in order."""
-    return _slots(x.left) + _slots(x.right) if isinstance(x, Pair) else x.indices
-
-
 def _require_label_count(cat: CategorySpec, bound: int, flag: str) -> None:
     """Refuse a scan of the index box whose bound ** arity labels exceed MAX_LABELS."""
-    arity = len(_slots(cat.unit))
+    arity = len(cat.unit.indices)
     if bound**arity > MAX_LABELS:
         raise ConfigError(f"{flag} {bound} asks for {bound}**{arity} labels of {cat.name}, "
                           f"above the cap of {MAX_LABELS}")
@@ -149,7 +144,7 @@ def _require_label_count(cat: CategorySpec, bound: int, flag: str) -> None:
 def _require_fusion_size(x: SimpleLabel, y: SimpleLabel) -> None:
     """Refuse a product whose summand count exceeds MAX_LABELS: each slot's
     parity range holds min(a, b) indices, and the slots multiply."""
-    count = math.prod(min(a, b) for a, b in zip(_slots(x), _slots(y)))
+    count = math.prod(min(a, b) for a, b in zip(x.indices, y.indices))
     if count > MAX_LABELS:
         raise ConfigError(f"the product of {x} and {y} has {count} summands, "
                           f"above the cap of {MAX_LABELS}")
@@ -265,7 +260,7 @@ def cmd_center(args) -> int:
     cat = _category(args.category)
     if args.bound < 1 or args.witness_bound < 1:
         raise ConfigError("scan bounds must be >= 1")
-    arity = len(_slots(cat.unit))
+    arity = len(cat.unit.indices)
     if (args.bound * args.witness_bound) ** arity > MAX_LABELS:
         raise ConfigError(f"--bound {args.bound} and --witness-bound {args.witness_bound} ask for "
                           f"({args.bound}*{args.witness_bound})**{arity} label pairs of {cat.name}, "

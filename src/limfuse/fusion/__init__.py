@@ -1,7 +1,7 @@
 """Fusion-ring arithmetic, monodromy, and transparency scans."""
 
 from limfuse.fusion.element import FusionElement
-from limfuse.fusion.ring import CategoryMismatch, hom_dim, ring_mul
+from limfuse.fusion.ring import CategoryMismatch, ring_mul
 from limfuse.fusion.monodromy import (
     INTEGER,
     NON_INTEGER_CONSTANT,
@@ -19,7 +19,6 @@ __all__ = [
     "FusionElement",
     "CategoryMismatch",
     "ring_mul",
-    "hom_dim",
     "MonodromyEntry",
     "MonodromyReport",
     "TransparencyCertificate",

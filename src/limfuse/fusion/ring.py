@@ -1,4 +1,4 @@
-"""Bilinear fusion-ring arithmetic and semisimple Hom counting."""
+"""Bilinear fusion-ring arithmetic."""
 
 from __future__ import annotations
 
@@ -31,11 +31,3 @@ def ring_mul(cat: CategorySpec, a: FusionElement, b: FusionElement) -> FusionEle
             for z, mz in cat.fusion_of(x, y):
                 acc[z] = acc.get(z, 0) + m * mz
     return FusionElement(acc)
-
-
-def hom_dim(cat: CategorySpec, a: FusionElement, b: FusionElement) -> int:
-    """Dimension of the Hom space between two semisimple decompositions:
-    the multiplicity pairing over common simple summands."""
-    _require_element(cat, a)
-    _require_element(cat, b)
-    return sum(ma * b.mult(x) for x, ma in a)

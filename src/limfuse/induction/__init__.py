@@ -12,7 +12,7 @@ from limfuse.induction.algebra import (
 )
 from limfuse.induction.induced import InducedModule, TruncationTooSmall, induce, min_weight_summand
 from limfuse.induction.locality import LOCAL, NON_LOCAL, LocalityCertificate, locality
-from limfuse.induction.frobenius import frobenius_dim, support_bound
+from limfuse.induction.frobenius import frobenius_dim
 from limfuse.induction.fused import (
     NotLocal,
     induced_fusion,
@@ -38,7 +38,6 @@ __all__ = [
     "LOCAL",
     "NON_LOCAL",
     "frobenius_dim",
-    "support_bound",
     "NotLocal",
     "induced_fusion",
     "restrict_truncated",

@@ -2,21 +2,22 @@
 
 An algebra object here is a rule r -> simple label (r = 1, 2, ...) whose
 summands are pairs with affinely growing indices; it is never materialized.
-The affine index templates are what make every downstream sum provably
-finite: fusion ranges grow linearly with the summand index, so only a
-bounded window of summands can reach any fixed label.  `summand_window`
-computes that window from per-slot limits, and `pair_slots` reads a pair
-label's indices in the same (factor, slot) layout.
+`slots` lists one affine expression a*r + b (a >= 0) per index of a summand,
+in the flat layout of `Pair.indices`, so slot i of summand r is index i of
+the label.  The affine slots are what make every downstream sum provably
+finite: a slot that grows past a fixed bound stays past it, so only the
+summands up to `last_summand(tops)` can keep every slot within `tops`.
+Restriction and Frobenius both read their windows from it.
 
 `algebra_from_json` reads a summand rule from a document and checks each
-factor's kind and index count against the label kinds.
+factor's keys, kind and index count against the label kinds.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from limfuse.catdata.category import CategorySpec, category_by_name
 from limfuse.catdata.labels import (
@@ -43,14 +44,12 @@ class AffineExpr:
     a: int
     b: int
 
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError(f"index expression {self} decreases with r; expected a >= 0")
+
     def at(self, r: int) -> int:
         return self.a * r + self.b
-
-    def window_bound(self, limit: int) -> Optional[int]:
-        """Largest r with value <= limit, or None when the slot is constant."""
-        if self.a == 0:
-            return None
-        return (limit - self.b) // self.a
 
     def __str__(self) -> str:
         if self.a == 0:
@@ -107,11 +106,12 @@ class AlgebraObject:
         self.name = name
         self.base_category = base_category
         self.factors = factors
+        self.slots = factors[0].indices + factors[1].indices
         self.induced_category = induced_category
         self._to_induced = to_induced
         self._from_induced = from_induced
         self._summands: dict[int, SimpleLabel] = {}
-        if not any(e.a > 0 for f in factors for e in f.indices):
+        if not any(e.a > 0 for e in self.slots):
             raise ValueError("summand rule must grow with r")
         if self.summand(1) != base_category.unit:
             raise ValueError(f"summand(1) = {self.summand(1)} is not the unit of {base_category.name}")
@@ -140,24 +140,10 @@ class AlgebraObject:
             raise ValueError(f"{self.name} has no induced-label dictionary")
         return self._from_induced(label)
 
-    def summand_window(self, limit_per_slot: Callable[[int, int], int]) -> int:
-        """Largest r that any slot allows, where limit_per_slot(factor, slot)
-        is the largest admissible index value of that slot."""
-        bounds = []
-        for fi, f in enumerate(self.factors):
-            for si, e in enumerate(f.indices):
-                w = e.window_bound(limit_per_slot(fi, si))
-                if w is not None:
-                    bounds.append(w)
-        return max(min(bounds), 0)
-
-
-def pair_slots(label: SimpleLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Indices of the two factors of a pair label, addressed (factor, slot)
-    like the limits passed to `AlgebraObject.summand_window`."""
-    if not isinstance(label, Pair):
-        raise ValueError(f"expected a pair label, got {label}")
-    return label.left.indices, label.right.indices
+    def last_summand(self, tops: Sequence[int]) -> int:
+        """Largest r >= 0 at which every growing slot a*r + b is at most its
+        entry t of `tops`: min((t - b) // a), as a slot never shrinks."""
+        return max(min((t - e.b) // e.a for e, t in zip(self.slots, tops, strict=True) if e.a), 0)
 
 
 def _svir_to_induced(base: SimpleLabel) -> SimpleLabel:
@@ -228,9 +214,17 @@ def osp_extension() -> AlgebraObject:
     )
 
 
+def _key(doc: dict, key: str, where: str):
+    """doc[key], or a ValueError that names `where` and the missing key."""
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def _factor(k: int, f: dict) -> FactorTemplate:
     """Factor k of a JSON summand rule, checked against the label kinds."""
-    kind, indices = f["kind"], f["indices"]
+    where = f"summand factor {k}"
+    kind, indices = _key(f, "kind", where), _key(f, "indices", where)
     if kind not in _LABEL_KINDS:
         raise ValueError(f"summand factor {k}: unknown kind {kind!r}; expected one of {', '.join(_LABEL_KINDS)}")
     if len(indices) != (arity := len(fields(_LABEL_KINDS[kind]))):
@@ -251,17 +245,17 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     """Build an algebra from {"name"?, "base_category": name, "summand_rule":
     [{"kind": ..., "indices": [...]}, {"kind": ..., "indices": [...]}]}.
 
-    A bare builtin name string is also accepted.  A factor of an unknown
-    kind, or with the wrong number of index expressions, is refused with a
-    ValueError that names it.
+    A bare builtin name string is also accepted.  A missing key, a factor of
+    an unknown kind, or one with the wrong number of index expressions is
+    refused with a ValueError that names it.
     """
     if isinstance(doc, str):
         return algebra_by_name(doc)
-    rule = doc["summand_rule"]
+    rule = _key(doc, "summand_rule", "algebra document")
     if len(rule) != 2:
         raise ValueError("summand rule needs exactly two tensor factors")
     factors = tuple(_factor(k, f) for k, f in enumerate(rule, start=1))
-    base = doc["base_category"]
+    base = _key(doc, "base_category", "algebra document")
     cat = category_by_name(base) if isinstance(base, str) else None
     if cat is None:
         from limfuse.catdata.category import load_category

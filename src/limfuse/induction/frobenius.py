@@ -1,32 +1,18 @@
 """Hom-space dimensions between induced modules via restriction.
 
 The dimension of Hom between modules induced from two base simples equals
-the multiplicity pairing of the first base with the fusion of the algebra
-against the second.  The sum over algebra summands has finite support: the
-fusion range of an affinely growing index can reach a fixed target index
-only within an explicit window, computed from the slots `pair_slots` reads
-off both bases, so the sum is exact, not truncated.
+the multiplicity of the first base in the fusion of the algebra with the
+second.  The sum over algebra summands has finite support: fusing a slot
+index e(r) with x gives indices >= e(r) - x + 1, so the target index x' is
+reachable only while e(r) <= x + x' - 1.  `AlgebraObject.last_summand` turns
+those per-slot tops into the last summand that can contribute, so the sum is
+exact, not truncated.
 """
 
 from __future__ import annotations
 
 from limfuse.catdata.labels import SimpleLabel
-from limfuse.fusion.element import FusionElement
-from limfuse.fusion.ring import hom_dim
-from limfuse.induction.algebra import AlgebraObject, pair_slots
-
-
-def support_bound(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -> int:
-    """Largest r for which fusion of summand(r) with base2 can contain base1."""
-    idx1 = pair_slots(base1)
-    idx2 = pair_slots(base2)
-
-    def limit(fi: int, si: int) -> int:
-        # fusing index e(r) with x produces indices >= |e(r)-x|+1, so the
-        # target x' is reachable only while e(r) <= x + x' - 1
-        return idx2[fi][si] + idx1[fi][si] - 1
-
-    return alg.summand_window(limit)
+from limfuse.induction.algebra import AlgebraObject
 
 
 def frobenius_dim(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -> int:
@@ -34,8 +20,5 @@ def frobenius_dim(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) ->
     cat = alg.base_category
     cat._require(base1)
     cat._require(base2)
-    total = 0
-    one = FusionElement.of(base1)
-    for r in range(1, support_bound(alg, base1, base2) + 1):
-        total += hom_dim(cat, one, cat.fusion_of(alg.summand(r), base2))
-    return total
+    r_max = alg.last_summand([a + b - 1 for a, b in zip(base1.indices, base2.indices)])
+    return sum(cat.fusion_of(alg.summand(r), base2).mult(base1) for r in range(1, r_max + 1))

@@ -11,12 +11,13 @@ against the base-category product.  The two sides share only the base
 fusion primitive, so a wrong range or parity in the induced rule shows up as
 a multiplicity mismatch.
 
-`restrict_truncated` is memoized per (base, truncate) on the algebra, so a
-session restricts each base once and both routes read the same memo.  That
-keeps the routes independent: the memo caches a pure function of its key,
-computed from the base fusion, while the routes still differ in which bases
-they ask for and with which multiplicities, the induced-category rule on
-one side and `ring_mul` on the other.
+`restrict_truncated` reads its summand window from
+`AlgebraObject.last_summand` and is memoized per (base, truncate) on the
+algebra, so a session restricts each base once and both routes read the same
+memo.  That keeps the routes independent: the memo caches a pure function of
+its key, computed from the base fusion, while the routes still differ in
+which bases they ask for and with which multiplicities, the induced-category
+rule on one side and `ring_mul` on the other.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.fusion.element import FusionElement
 from limfuse.fusion.ring import ring_mul
-from limfuse.induction.algebra import AlgebraObject, pair_slots
+from limfuse.induction.algebra import AlgebraObject
 from limfuse.induction.locality import locality
 
 
@@ -48,13 +49,15 @@ def induced_fusion(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -
 
 def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:
     """Restriction of the module induced from `base`, complete on every label
-    with all indices <= truncate.
+    with all indices <= truncate, for truncate >= 1.
 
-    Summands beyond the window can only produce labels with some index above
-    the truncation, so the loop bound loses nothing.  The result is memoized
-    per (base, truncate) on the algebra; the first call computes it through
-    the category's fusion, which validates `base`.
+    A slot index e(r) fused with x gives indices >= e(r) - x + 1, so no
+    summand beyond the window with tops truncate + x - 1 reaches the
+    truncation, and the loop bound loses nothing.  The result is memoized
+    per (base, truncate) on the algebra; the first call validates `base`.
     """
+    if truncate < 1:
+        raise ValueError("truncate must be >= 1")
     cache = alg.__dict__.setdefault("_restrict_cache", {})
     hit = cache.get((base, truncate))
     if hit is None:
@@ -63,17 +66,12 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
 
 
 def _restrict(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:
-    acc: dict[SimpleLabel, int] = {}
     cat = alg.base_category
-    slots = pair_slots(base)
-
-    def limit(fi: int, si: int) -> int:
-        return truncate + slots[fi][si] - 1
-
-    r_max = alg.summand_window(limit)
-    for r in range(1, r_max + 1):
+    cat._require(base)
+    acc: dict[SimpleLabel, int] = {}
+    for r in range(1, alg.last_summand([truncate + x - 1 for x in base.indices]) + 1):
         for z, m in cat.fusion_of(alg.summand(r), base):
-            if max(*z.left.indices, *z.right.indices) <= truncate:
+            if max(z.indices) <= truncate:
                 acc[z] = acc.get(z, 0) + m
     return FusionElement(acc)
 

@@ -2,9 +2,10 @@
 index, and the minimum-weight slice.
 
 Slice r of the module induced from a base is summand(r) fused with the base.
-A growing slot e(r) = a*r + b fuses with the base index x to e(r)-x+1 ..
-e(r)+x-1 once e(r) >= x.  So from r0, the first r at which every growing slot
-reaches the base's index, each slice has the same size, the k-th summand (in
+A growing slot e(r) = a*r + b of `AlgebraObject.slots` fuses with the base
+index x at the same position of `indices` to e(r)-x+1 .. e(r)+x-1 once
+e(r) >= x.  So from r0, the first r at which every growing slot reaches its
+base index, each slice has the same size, the k-th summand (in
 canonical order) has indices affine in r, and its weight, every built-in
 weight being quadratic in the indices, is quadratic in r:
 w(r0 + u) = w(r0) + u*d1 + u(u-1)/2 * d2, with `WeightVec` steps d1, d2 fixed
@@ -21,7 +22,7 @@ from limfuse.catdata.labels import SimpleLabel
 from limfuse.catdata.params import WeightVec
 from limfuse.exact import RatFunc
 from limfuse.fusion.element import FusionElement
-from limfuse.induction.algebra import AlgebraObject, pair_slots
+from limfuse.induction.algebra import AlgebraObject
 
 
 class TruncationTooSmall(ValueError):
@@ -69,8 +70,7 @@ def slice_family(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
 def _derive(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
     cat = alg.base_category
     # a growing slot a*r + b reaches x from r = ceil((x - b) / a) on
-    r0 = max(1, *(-((e.b - x) // e.a) for f, xs in zip(alg.factors, pair_slots(base))
-                  for e, x in zip(f.indices, xs) if e.a))
+    r0 = max(1, *(-((e.b - x) // e.a) for e, x in zip(alg.slots, base.indices) if e.a))
     top = [[cat.weight_vec(z) for z, _ in cat.fusion_of(alg.summand(r), base)] for r in range(r0, r0 + 3)]
     steps = []
     for w0, w1, w2 in zip(*top):

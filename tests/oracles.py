@@ -6,6 +6,8 @@ needs it.
 - `parse_ratfunc`: the inverse of `format_ratfunc`, for round trips.
 - `central_charge_t` and `central_charge_super`: the two central charges of
   the coset identity.
+- `hom_dim`: the multiplicity pairing of two fusion elements, the Frobenius
+  oracle (`frobenius_dim` sums it over a window of summands).
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import re
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from limfuse.catdata import CategorySpec
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
+from limfuse.fusion import FusionElement
+from limfuse.fusion.ring import _require_element
 
 _F = Fraction
 
@@ -148,3 +153,11 @@ def central_charge_super() -> RatFunc:
     """15/2 - 3s - 3/s, the N=1 central charge in the s-parameter."""
     s = RatFunc.var()
     return _F(15, 2) - 3 * s - 3 / s
+
+
+def hom_dim(cat: CategorySpec, a: FusionElement, b: FusionElement) -> int:
+    """Dimension of the Hom space between two semisimple decompositions:
+    the multiplicity pairing over common simple summands."""
+    _require_element(cat, a)
+    _require_element(cat, b)
+    return sum(ma * b.mult(x) for x, ma in a)

@@ -163,6 +163,15 @@ class TestLabelIndices:
         labels = PAIR_CAT.labels_up_to(4)
         assert labels == sorted(labels)
 
+    def test_pair_indices_flatten_the_factors(self):
+        nested = category_by_name("deligne(deligne(kl-sl2,virasoro-kp2),virasoro-t)")
+        cats = [category_by_name("deligne(virasoro-kp2,virasoro-t)"), category_by_name("deligne(kl-sl2,virasoro-t)")]
+        for cat in (*cats, nested):
+            for x in cat.labels_up_to(4):
+                assert x.indices == x.left.indices + x.right.indices
+        x = Pair(Pair(AffineVerma(3), VirasoroKp2(2, 5)), VirasoroT(4, 1))
+        assert nested.contains(x) and x.indices == (3, 2, 5, 4, 1)
+
 
 class TestWeights:
     def test_unit_weight_zero(self):
@@ -597,6 +606,10 @@ class TestLoading:
         for k in (0, 2):
             with pytest.raises(ValueError, match=r"^family 'virasoro-t': min_index must be 1, where labels and the unit start$"):
                 load_category({"families": [{"kind": "virasoro-t", "min_index": k}]})
+
+    def test_family_without_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^family 2: missing key 'kind'$"):
+            load_category({"families": ["virasoro-kp2", {"min_index": 1}]})
 
     def test_declared_parameter_mismatch(self):
         with pytest.raises(ValueError):

@@ -28,12 +28,12 @@ from limfuse.fusion import (
     PARAMETER_DEPENDENT,
     CategoryMismatch,
     FusionElement,
-    hom_dim,
     is_transparent,
     monodromy,
     mueger_scan,
     ring_mul,
 )
+from oracles import hom_dim
 
 X = RatFunc.var()
 VT = VirasoroTCategory()

@@ -21,7 +21,7 @@ from limfuse.catdata import (
     super_weight,
 )
 from limfuse.exact import Poly, RatFunc
-from limfuse.fusion import FusionElement, hom_dim
+from limfuse.fusion import FusionElement
 from limfuse.fusion.monodromy import INTEGER, exponent_status
 from limfuse.induction import (
     LOCAL,
@@ -42,11 +42,10 @@ from limfuse.induction import (
     parse_affine,
     restrict_truncated,
     restriction_oracle_check,
-    support_bound,
     svir_extension,
 )
 from limfuse.induction.induced import slice_family
-from oracles import first_non_integer_positive, interpolate
+from oracles import first_non_integer_positive, hom_dim, interpolate
 
 SVX = svir_extension()
 OSPX = osp_extension()
@@ -150,6 +149,64 @@ class TestAlgebraObjects:
                     ],
                 }
             )
+
+    def test_factor_without_kind_rejected(self):
+        doc = {
+            "base_category": "deligne(virasoro-kp2,virasoro-t)",
+            "summand_rule": [{"kind": "virasoro-kp2", "indices": ["1", "r"]}, {"indices": ["1", "r"]}],
+        }
+        with pytest.raises(ValueError, match=r"^summand factor 2: missing key 'kind'$"):
+            algebra_from_json(doc)
+
+    def test_factor_without_indices_rejected(self):
+        doc = {
+            "base_category": "deligne(virasoro-kp2,virasoro-t)",
+            "summand_rule": [{"kind": "virasoro-kp2"}, {"kind": "virasoro-t", "indices": ["1", "r"]}],
+        }
+        with pytest.raises(ValueError, match=r"^summand factor 1: missing key 'indices'$"):
+            algebra_from_json(doc)
+
+    def test_document_without_summand_rule_rejected(self):
+        with pytest.raises(ValueError, match=r"^algebra document: missing key 'summand_rule'$"):
+            algebra_from_json({"base_category": "deligne(virasoro-kp2,virasoro-t)"})
+
+    def test_document_without_base_category_rejected(self):
+        doc = {
+            "summand_rule": [
+                {"kind": "virasoro-kp2", "indices": ["1", "r"]},
+                {"kind": "virasoro-t", "indices": ["1", "r"]},
+            ],
+        }
+        with pytest.raises(ValueError, match=r"^algebra document: missing key 'base_category'$"):
+            algebra_from_json(doc)
+
+    def test_decreasing_slot_rejected(self):
+        # a slot -r + 2 would leave the labels at r = 2, yet a window read
+        # from it would silently come out empty
+        with pytest.raises(ValueError, match="decreases with r"):
+            AffineExpr(-1, 2)
+        assert AffineExpr(0, 2).at(7) == 2
+
+    def test_slots_flatten_the_factors(self):
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP):
+            for r in range(1, 9):
+                assert tuple(e.at(r) for e in alg.slots) == alg.summand(r).indices
+
+    def test_last_summand_matches_brute_force(self):
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP):
+            rng = random.Random(41)
+            for _ in range(300):
+                tops = [rng.randint(-3, 25) for _ in alg.slots]
+                assert alg.last_summand(tops) == brute_last_summand(alg, tops), (alg.name, tops)
+
+
+def brute_last_summand(alg, tops):
+    """The largest r >= 0 at which every growing slot is within its top,
+    found by stepping r up until the next summand breaks a top."""
+    r = 0
+    while all(e.at(r + 1) <= t for e, t in zip(alg.slots, tops) if e.a):
+        r += 1
+    return r
 
 
 class TestInduce:
@@ -332,10 +389,54 @@ class TestFrobenius:
                 hom_dim(cat, one, cat.fusion_of(SVX.summand(r), b2)) for r in range(1, 60)
             )
             assert exact == brute
-            # beyond the window nothing contributes
-            r_max = support_bound(SVX, b1, b2)
-            for r in range(r_max + 1, r_max + 6):
-                assert hom_dim(cat, one, cat.fusion_of(SVX.summand(r), b2)) == 0
+
+    def test_matches_hom_dim_oracle_on_small_labels(self):
+        # every growing slot is a*r + 1 - a, so the summands that reach base1
+        # from base2 lie in r <= max(x1) + max(x2)
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP):
+            labels = alg.base_category.labels_up_to(3)
+            for b1 in labels:
+                for b2 in labels:
+                    assert frobenius_dim(alg, b1, b2) == windowed_hom_dim(alg, b1, b2), (alg.name, b1, b2)
+
+    def test_matches_hom_dim_oracle_on_seeded_pairs(self):
+        # half the pairs are drawn at random, half pick base1 from a slice
+        # of base2, so that most of those have a nonzero dimension
+        rng = random.Random(73)
+        nonzero = 0
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP):
+            cat = alg.base_category
+            labels = cat.labels_up_to(10)
+            for k in range(60):
+                b1, b2 = rng.choice(labels), rng.choice(labels)
+                if k % 2:
+                    reached = [z for z, _ in cat.fusion_of(alg.summand(rng.randint(1, 6)), b2)]
+                    b1 = rng.choice([z for z in reached if max(z.indices) <= 10] or [b1])
+                got = frobenius_dim(alg, b1, b2)
+                assert got == windowed_hom_dim(alg, b1, b2), (alg.name, b1, b2)
+                nonzero += got > 0
+        assert nonzero >= 100
+
+    def test_reads_exactly_the_window(self):
+        # summand r can reach base1 from base2 only while each growing slot
+        # stays within x1 + x2 - 1; a wider loop would read more summands
+        rng = random.Random(5)
+        for make in (svir_extension, osp_extension):
+            labels = make().base_category.labels_up_to(6)
+            for _ in range(20):
+                alg = make()
+                b1, b2 = rng.choice(labels), rng.choice(labels)
+                frobenius_dim(alg, b1, b2)
+                tops = [x + y - 1 for x, y in zip(b1.indices, b2.indices)]
+                assert max(alg._summands) == brute_last_summand(alg, tops), (b1, b2)
+
+
+def windowed_hom_dim(alg, base1, base2):
+    """The Frobenius sum from the `hom_dim` oracle over r <= max(x1) + max(x2)."""
+    cat = alg.base_category
+    one = FusionElement.of(base1)
+    reach = max(base1.indices) + max(base2.indices)
+    return sum(hom_dim(cat, one, cat.fusion_of(alg.summand(r), base2)) for r in range(1, reach + 1))
 
 
 class TestInducedFusion:
@@ -529,6 +630,28 @@ class TestRestrictionMemo:
         for _ in range(2):
             with pytest.raises(ForeignLabel):
                 restrict_truncated(alg, sbase(3, 3), 1)
+
+    def test_truncate_below_one_is_refused(self):
+        foreign = Pair(VirasoroT(1, 1), VirasoroT(1, 1))
+        for base in (foreign, SVX.base_category.unit):
+            for truncate in (0, -4):
+                with pytest.raises(ValueError, match="truncate must be >= 1"):
+                    restrict_truncated(svir_extension(), base, truncate)
+        with pytest.raises(ForeignLabel):
+            restrict_truncated(svir_extension(), foreign, 1)
+
+    def test_reads_exactly_the_window(self):
+        # a slot index e(r) fused with x gives indices >= e(r) - x + 1, so
+        # only summands with every growing slot <= truncate + x - 1 are read
+        rng = random.Random(11)
+        for make in (svir_extension, osp_extension):
+            labels = make().base_category.labels_up_to(6)
+            for _ in range(20):
+                alg = make()
+                base, truncate = rng.choice(labels), rng.randint(1, 9)
+                restrict_truncated(alg, base, truncate)
+                tops = [truncate + x - 1 for x in base.indices]
+                assert max(alg._summands) == brute_last_summand(alg, tops), (base, truncate)
 
     def test_summand_memo_matches_templates(self):
         for alg in (svir_extension(), osp_extension(), SKEW_SVIR, SKEW_OSP):
