@@ -265,10 +265,13 @@ def load_category(doc: dict) -> CategorySpec:
     """Build a specification from {"name", "base_parameter"?, "families": [...]}.
 
     Each family entry is a built-in name or {"kind": name}; two families
-    combine as their Deligne product.  An entry without "kind" is refused.  A
+    combine as their Deligne product.  A document that is not an object, an
+    entry of any other type and an entry without "kind" are refused.  A
     family's labels start at index 1, where its unit lies, so a "min_index"
     other than 1 is refused.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"category document must be an object, got {type(doc).__name__}")
     families = doc.get("families", [])
     if not families:
         raise ValueError("category document needs at least one family")
@@ -276,6 +279,8 @@ def load_category(doc: dict) -> CategorySpec:
     for k, fam in enumerate(families, start=1):
         if isinstance(fam, str):
             parts.append(category_by_name(fam))
+        elif not isinstance(fam, dict):
+            raise ValueError(f"family {k}: expected a category name or an object with 'kind', got {fam!r}")
         else:
             if "kind" not in fam:
                 raise ValueError(f"family {k}: missing key 'kind'")

@@ -6,15 +6,22 @@ super-Virasoro family only admits index pairs of even sum and the affine
 osp family only odd indices; both constraints come from the locality of the
 corresponding extensions and are enforced at construction.
 
+A label is its canonical tuple.  An index label is (tag, *indices) with tag
+0-4 for Lt, Lk, V, S, M, and a pair is (5, left, right).  So equality,
+hashing and the canonical label order are the tuple's own, computed in C;
+a label class adds only the construction checks, named fields and printing.
+A raw tuple is not a label, although it equals the label with the same
+entries: `contains` tests the label type, and only labels go into the
+engine's caches.
+
 Every label exposes its indices as one flat tuple, `indices`: an index
-label's integer fields in declaration order, a pair's left indices then its
-right ones.  Categories, the CLI and the induction layer read indices only
-through it.  `sort_key()` of an index label is its tag followed by them.
+label's entries after the tag, a pair's left indices then its right ones.
+Categories, the CLI and the induction layer read indices only through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 MAX_INDEX = 10**6
 
@@ -23,166 +30,127 @@ class ForeignLabel(ValueError):
     """A label that does not belong to the category in use."""
 
 
-class SimpleLabel:
-    """Base class for simple-object labels; concrete variants below."""
-
-    __slots__ = ()
-
-    def sort_key(self) -> tuple:
-        """(tag, *indices) for index labels; the canonical label order."""
-        raise NotImplementedError
-
-    def __lt__(self, other: "SimpleLabel") -> bool:
-        return self.sort_key() < other.sort_key()
-
-
 def _check_index(*values: int) -> None:
     for v in values:
-        if not isinstance(v, int) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"label indices must be positive integers, got {v!r}")
         if v > MAX_INDEX:
             raise ValueError(f"label index {v} exceeds the accepted bound {MAX_INDEX}")
 
 
-@dataclass(frozen=True)
-class VirasoroT(SimpleLabel):
-    """Simple module of the generic Virasoro algebra in the t-parameter."""
+class SimpleLabel(tuple):
+    """Base class for simple-object labels; concrete variants below.
 
-    r: int
-    s: int
+    Each variant's `__new__` takes an early exit past `_check_index` when
+    every index is an int within range; anything else goes through it.
+    """
 
-    def __post_init__(self):
-        _check_index(self.r, self.s)
+    __slots__ = ()
+    head: str  # the name `str` prints before the indices
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return (self.r, self.s)
+        return self[1:]
 
-    def sort_key(self):
-        return (0, self.r, self.s)
+    def __reduce__(self):
+        return type(self), self[1:]
 
     def __str__(self):
-        return f"Lt({self.r},{self.s})"
+        return f"{self.head}({','.join(map(str, self[1:]))})"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
 
 
-@dataclass(frozen=True)
+class VirasoroT(SimpleLabel):
+    """Simple module of the generic Virasoro algebra in the t-parameter."""
+
+    __slots__ = ()
+    head = "Lt"
+    r = property(itemgetter(1))
+    s = property(itemgetter(2))
+
+    def __new__(cls, r: int, s: int):
+        if not (type(r) is int and type(s) is int and 0 < r <= MAX_INDEX and 0 < s <= MAX_INDEX):
+            _check_index(r, s)
+        return tuple.__new__(cls, (0, r, s))
+
+
 class VirasoroKp2(SimpleLabel):
     """Simple module of the generic Virasoro algebra at the shifted level,
     with weights expressed in the s-parameter."""
 
-    r: int
-    s: int
+    __slots__ = ()
+    head = "Lk"
+    r = property(itemgetter(1))
+    s = property(itemgetter(2))
 
-    def __post_init__(self):
-        _check_index(self.r, self.s)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return (self.r, self.s)
-
-    def sort_key(self):
-        return (1, self.r, self.s)
-
-    def __str__(self):
-        return f"Lk({self.r},{self.s})"
+    def __new__(cls, r: int, s: int):
+        if not (type(r) is int and type(s) is int and 0 < r <= MAX_INDEX and 0 < s <= MAX_INDEX):
+            _check_index(r, s)
+        return tuple.__new__(cls, (1, r, s))
 
 
-@dataclass(frozen=True)
 class AffineVerma(SimpleLabel):
     """Generalized Verma module of affine sl2 at generic level."""
 
-    r: int
+    __slots__ = ()
+    head = "V"
+    r = property(itemgetter(1))
 
-    def __post_init__(self):
-        _check_index(self.r)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return (self.r,)
-
-    def sort_key(self):
-        return (2, self.r)
-
-    def __str__(self):
-        return f"V({self.r})"
+    def __new__(cls, r: int):
+        if not (type(r) is int and 0 < r <= MAX_INDEX):
+            _check_index(r)
+        return tuple.__new__(cls, (2, r))
 
 
-@dataclass(frozen=True)
 class SuperVir(SimpleLabel):
     """Simple module of the N=1 super Virasoro algebra; n+m must be even."""
 
-    n: int
-    m: int
+    __slots__ = ()
+    head = "S"
+    n = property(itemgetter(1))
+    m = property(itemgetter(2))
 
-    def __post_init__(self):
-        _check_index(self.n, self.m)
-        if (self.n + self.m) % 2 != 0:
-            raise ValueError(f"super-Virasoro label needs n+m even, got ({self.n},{self.m})")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return (self.n, self.m)
-
-    def sort_key(self):
-        return (3, self.n, self.m)
-
-    def __str__(self):
-        return f"S({self.n},{self.m})"
+    def __new__(cls, n: int, m: int):
+        if not (type(n) is int and type(m) is int and 0 < n <= MAX_INDEX and 0 < m <= MAX_INDEX):
+            _check_index(n, m)
+        if (n + m) % 2:
+            raise ValueError(f"super-Virasoro label needs n+m even, got ({n},{m})")
+        return tuple.__new__(cls, (3, n, m))
 
 
-@dataclass(frozen=True)
 class OspMod(SimpleLabel):
     """Simple module of affine osp(1|2) at generic level; n must be odd."""
 
-    n: int
+    __slots__ = ()
+    head = "M"
+    n = property(itemgetter(1))
 
-    def __post_init__(self):
-        _check_index(self.n)
-        if self.n % 2 == 0:
-            raise ValueError(f"osp label needs n odd, got {self.n}")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return (self.n,)
-
-    def sort_key(self):
-        return (4, self.n)
-
-    def __str__(self):
-        return f"M({self.n})"
+    def __new__(cls, n: int):
+        if not (type(n) is int and 0 < n <= MAX_INDEX):
+            _check_index(n)
+        if not n % 2:
+            raise ValueError(f"osp label needs n odd, got {n}")
+        return tuple.__new__(cls, (4, n))
 
 
-@dataclass(frozen=True)
 class Pair(SimpleLabel):
-    """Simple object of a product category: a pair of factor simples.
+    """Simple object of a product category: a pair of factor simples."""
 
-    Pairs key every engine cache, so the hash is computed once, at
-    construction, as the hash of (left, right) that equality implies, and
-    `__hash__` returns it.  Copies and pickles rebuild the pair through the
-    constructor, so they carry the same hash.
-    """
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
 
-    left: SimpleLabel
-    right: SimpleLabel
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Pair, (self.left, self.right)
+    def __new__(cls, left: SimpleLabel, right: SimpleLabel):
+        return tuple.__new__(cls, (5, left, right))
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return self.left.indices + self.right.indices
-
-    def sort_key(self):
-        return (5, self.left.sort_key(), self.right.sort_key())
+        return self[1].indices + self[2].indices
 
     def __str__(self):
-        return f"{self.left}%{self.right}"
+        return f"{self[1]}%{self[2]}"
 
 
 def parse_label(text: str) -> SimpleLabel:

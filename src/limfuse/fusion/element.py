@@ -27,7 +27,7 @@ class FusionElement:
                 raise ValueError(f"multiplicity must be a non-negative integer, got {mult!r}")
             if mult:
                 acc[label] = acc.get(label, 0) + mult
-        object.__setattr__(self, "_terms", dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
+        object.__setattr__(self, "_terms", dict(sorted(acc.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionElement is immutable")

@@ -16,7 +16,7 @@ factor's keys, kind and index count against the label kinds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from limfuse.catdata.category import CategorySpec, category_by_name
@@ -227,7 +227,9 @@ def _factor(k: int, f: dict) -> FactorTemplate:
     kind, indices = _key(f, "kind", where), _key(f, "indices", where)
     if kind not in _LABEL_KINDS:
         raise ValueError(f"summand factor {k}: unknown kind {kind!r}; expected one of {', '.join(_LABEL_KINDS)}")
-    if len(indices) != (arity := len(fields(_LABEL_KINDS[kind]))):
+    if not isinstance(indices, list):
+        raise ValueError(f"summand factor {k} ({kind}): 'indices' must be a list of index expressions, got {indices!r}")
+    if len(indices) != (arity := len(category_by_name(kind).unit.indices)):
         raise ValueError(f"summand factor {k} ({kind}): {len(indices)} index expressions, expected {arity}")
     return FactorTemplate(kind, tuple(parse_affine(e) for e in indices))
 
@@ -246,8 +248,8 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     [{"kind": ..., "indices": [...]}, {"kind": ..., "indices": [...]}]}.
 
     A bare builtin name string is also accepted.  A missing key, a factor of
-    an unknown kind, or one with the wrong number of index expressions is
-    refused with a ValueError that names it.
+    an unknown kind, or one whose "indices" is not a list of the kind's
+    number of index expressions is refused with a ValueError that names it.
     """
     if isinstance(doc, str):
         return algebra_by_name(doc)

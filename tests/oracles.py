@@ -8,6 +8,8 @@ needs it.
   the coset identity.
 - `hom_dim`: the multiplicity pairing of two fusion elements, the Frobenius
   oracle (`frobenius_dim` sums it over a window of summands).
+- `sort_key`: the canonical label order, written out per kind from the
+  named fields, against which the tuple labels' own order is checked.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import re
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from limfuse.catdata import CategorySpec
+from limfuse.catdata import (
+    AffineVerma,
+    CategorySpec,
+    OspMod,
+    Pair,
+    SuperVir,
+    VirasoroKp2,
+    VirasoroT,
+)
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
 from limfuse.fusion import FusionElement
 from limfuse.fusion.ring import _require_element
@@ -161,3 +171,21 @@ def hom_dim(cat: CategorySpec, a: FusionElement, b: FusionElement) -> int:
     _require_element(cat, a)
     _require_element(cat, b)
     return sum(ma * b.mult(x) for x, ma in a)
+
+
+def sort_key(x) -> tuple:
+    """(tag, *fields) for an index label, (5, key(left), key(right)) for a
+    pair; tags 0-4 are Lt, Lk, V, S, M."""
+    if isinstance(x, Pair):
+        return (5, sort_key(x.left), sort_key(x.right))
+    if isinstance(x, VirasoroT):
+        return (0, x.r, x.s)
+    if isinstance(x, VirasoroKp2):
+        return (1, x.r, x.s)
+    if isinstance(x, AffineVerma):
+        return (2, x.r)
+    if isinstance(x, SuperVir):
+        return (3, x.n, x.m)
+    if isinstance(x, OspMod):
+        return (4, x.n)
+    raise TypeError(f"not a label: {x!r}")

@@ -1,7 +1,6 @@
 """Category data: labels, weights, fusion rules, parameters, loading."""
 
 import copy
-import dataclasses
 import functools
 import math
 import pickle
@@ -43,7 +42,7 @@ from limfuse.catdata import (
 from limfuse.catdata import params
 from limfuse.exact import Poly, RatFunc, format_ratfunc
 from limfuse.fusion import FusionElement, monodromy
-from oracles import central_charge_super, central_charge_t
+from oracles import central_charge_super, central_charge_t, sort_key
 
 X = RatFunc.var()
 VT = VirasoroTCategory()
@@ -79,13 +78,24 @@ class TestLabels:
         for text in ["Lt(2,3)", "Lk(1,4)", "V(5)", "S(3,5)", "M(7)", "V(2)%Lt(3,1)"]:
             assert str(parse_label(text)) == text
 
+    def test_bool_and_bad_indices_refused_in_every_kind(self):
+        # True == 1 and hash(True) == hash(1), so an accepted bool index
+        # would alias the label with a 1 in its place in every cache
+        for kind, arity in ((VirasoroT, 2), (VirasoroKp2, 2), (AffineVerma, 1), (SuperVir, 2), (OspMod, 1)):
+            for slot in range(arity):
+                for bad in (True, False, 0, -3, 1.0, "1", 10**6 + 1):
+                    args = [1] * arity
+                    args[slot] = bad
+                    with pytest.raises(ValueError, match=r"^label ind"):
+                        kind(*args)
+
     def test_ordering_lexicographic(self):
         labels = VT.labels_up_to(3)
         assert labels[:4] == [VirasoroT(1, 1), VirasoroT(1, 2), VirasoroT(1, 3), VirasoroT(2, 1)]
 
 
 class TestPairHash:
-    """`Pair` computes its hash once, at construction."""
+    """`Pair` is the tuple (5, left, right) and hashes as that tuple."""
 
     PAIRS = [
         (VirasoroKp2(3, 1), VirasoroT(5, 1)),
@@ -98,7 +108,7 @@ class TestPairHash:
         for a, b in self.PAIRS:
             p, q = Pair(a, b), parse_label(f"{a}%{b}")
             assert p == q and p is not q and q.left is not a
-            assert hash(p) == hash(q) == hash((a, b))
+            assert hash(p) == hash(q) == hash((5, a, b))
             assert {p: "hit"}[q] == "hit"
             assert q in {p} and p in {q: 1}
 
@@ -111,20 +121,17 @@ class TestPairHash:
     def test_copies_and_pickles_keep_equality_and_hash(self):
         for a, b in self.PAIRS:
             p = Pair(a, b)
-            for q in (copy.copy(p), copy.deepcopy(p), dataclasses.replace(p),
-                      pickle.loads(pickle.dumps(p))):
+            for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
                 assert q == p and hash(q) == hash(p)
                 assert {p: 1}[q] == 1
-            swapped = dataclasses.replace(p, left=b, right=a)
-            assert swapped == Pair(b, a) and hash(swapped) == hash(Pair(b, a))
 
     def test_fields_stay_frozen(self):
         p = Pair(VirasoroKp2(3, 1), VirasoroT(5, 1))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.left = VirasoroKp2(1, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.right = VirasoroT(1, 1)
-        assert hash(p) == hash((VirasoroKp2(3, 1), VirasoroT(5, 1)))
+        assert hash(p) == hash((5, VirasoroKp2(3, 1), VirasoroT(5, 1)))
 
 
 BUILTINS = (VT, KP2, KL, SV, OSP)
@@ -140,6 +147,75 @@ def brute_fusion(x, y):
     return FusionElement({type(x)(*c): 1 for c in combos})
 
 
+def labels_up_to_6():
+    """Every label with indices <= 6 of the five families and of two
+    Deligne products, in the oracle's order."""
+    names = ("deligne(virasoro-kp2,virasoro-t)", "deligne(kl-sl2,virasoro-t)")
+    cats = (*BUILTINS, *(category_by_name(n) for n in names))
+    return sorted((x for cat in cats for x in cat.labels_up_to(6)), key=sort_key)
+
+
+LABEL_FIELDS = {
+    VirasoroT: ("r", "s"),
+    VirasoroKp2: ("r", "s"),
+    AffineVerma: ("r",),
+    SuperVir: ("n", "m"),
+    OspMod: ("n",),
+    Pair: ("left", "right"),
+}
+
+
+class TestLabelOrderOracle:
+    """Labels are their canonical tuples; `oracles.sort_key` writes the
+    order out per kind from the named fields."""
+
+    LABELS = labels_up_to_6()
+
+    def test_sorted_order_matches_oracle(self):
+        labels = self.LABELS
+        assert len(labels) == 36 + 36 + 6 + 18 + 3 + 36 * 36 + 6 * 36
+        assert sorted(reversed(labels)) == labels
+        assert all(x == sort_key(x) for x in labels)
+        assert all(a < b and not b < a for a, b in zip(labels, labels[1:]))
+
+    def test_distinct_labels_unequal(self):
+        labels = self.LABELS
+        assert len(set(labels)) == len({str(x) for x in labels}) == len(labels)
+        small = [x for x in labels if max(x.indices) <= 3]
+        for a in small:
+            for b in small:
+                assert (a == b) == (str(a) == str(b)), (a, b)
+                assert (a < b) == (sort_key(a) < sort_key(b)), (a, b)
+        assert VirasoroT(1, 1) != VirasoroKp2(1, 1) and AffineVerma(1) != OspMod(1)
+
+    def test_equal_labels_hash_equal_and_find_each_other(self):
+        table = {x: k for k, x in enumerate(self.LABELS)}
+        for k, x in enumerate(self.LABELS):
+            y = parse_label(str(x))
+            assert y == x and y is not x and hash(y) == hash(x)
+            assert table[y] == k
+
+    def test_str_parse_roundtrip(self):
+        for x in self.LABELS:
+            y = parse_label(str(x))
+            assert type(y) is type(x) and str(y) == str(x)
+
+    def test_copy_deepcopy_pickle_roundtrip(self):
+        for x in self.LABELS[::7]:
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(y) is type(x) and y == x and hash(y) == hash(x)
+                assert str(y) == str(x) and y.indices == x.indices
+
+    def test_fields_refuse_assignment_in_every_kind(self):
+        samples = {type(x): x for x in self.LABELS}
+        assert set(samples) == set(LABEL_FIELDS)
+        for kind, names in LABEL_FIELDS.items():
+            x = samples[kind]
+            for name in (*names, "indices", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, getattr(x, name, 1))
+
+
 class TestLabelIndices:
     """`indices` is the one index accessor; categories fuse through it."""
 
@@ -149,7 +225,7 @@ class TestLabelIndices:
             assert labels == sorted(labels)
             for x in labels:
                 assert type(x)(*x.indices) == x
-                assert x.sort_key()[1:] == x.indices
+                assert sort_key(x)[1:] == x.indices
                 assert parse_label(str(x)) == x
 
     def test_fusion_matches_brute_force_up_to_8(self):
@@ -606,6 +682,14 @@ class TestLoading:
         for k in (0, 2):
             with pytest.raises(ValueError, match=r"^family 'virasoro-t': min_index must be 1, where labels and the unit start$"):
                 load_category({"families": [{"kind": "virasoro-t", "min_index": k}]})
+
+    def test_family_of_wrong_type_rejected(self):
+        with pytest.raises(ValueError, match=r"^family 2: expected a category name or an object with 'kind', got 3$"):
+            load_category({"families": ["virasoro-kp2", 3]})
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match=r"^category document must be an object, got list$"):
+            load_category(["virasoro-kp2", "virasoro-t"])
 
     def test_family_without_kind_rejected(self):
         with pytest.raises(ValueError, match=r"^family 2: missing key 'kind'$"):

@@ -150,6 +150,17 @@ class TestAlgebraObjects:
                 }
             )
 
+    def test_string_indices_rejected(self):
+        doc = {
+            "base_category": "deligne(virasoro-kp2,virasoro-t)",
+            "summand_rule": [{"kind": "virasoro-kp2", "indices": "1r"}, {"kind": "virasoro-t", "indices": ["1", "r"]}],
+        }
+        with pytest.raises(
+            ValueError,
+            match=r"^summand factor 1 \(virasoro-kp2\): 'indices' must be a list of index expressions, got '1r'$",
+        ):
+            algebra_from_json(doc)
+
     def test_factor_without_kind_rejected(self):
         doc = {
             "base_category": "deligne(virasoro-kp2,virasoro-t)",
