@@ -265,14 +265,16 @@ def load_category(doc: dict) -> CategorySpec:
     """Build a specification from {"name", "base_parameter"?, "families": [...]}.
 
     Each family entry is a built-in name or {"kind": name}; two families
-    combine as their Deligne product.  A document that is not an object, an
-    entry of any other type and an entry without "kind" are refused.  A
-    family's labels start at index 1, where its unit lies, so a "min_index"
-    other than 1 is refused.
+    combine as their Deligne product.  A document that is not an object,
+    "families" that is not a list, an entry of any other type and an entry
+    without a string "kind" are refused.  A family's labels start at index
+    1, where its unit lies, so a "min_index" other than 1 is refused.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"category document must be an object, got {type(doc).__name__}")
     families = doc.get("families", [])
+    if not isinstance(families, (list, tuple)):
+        raise ValueError(f"'families' must be a list of category names or objects, got {families!r}")
     if not families:
         raise ValueError("category document needs at least one family")
     parts = []
@@ -284,6 +286,8 @@ def load_category(doc: dict) -> CategorySpec:
         else:
             if "kind" not in fam:
                 raise ValueError(f"family {k}: missing key 'kind'")
+            if not isinstance(fam["kind"], str):
+                raise ValueError(f"family {k}: 'kind' must be a category name, got {fam['kind']!r}")
             if fam.get("min_index", 1) != 1:
                 raise ValueError(f"family {fam['kind']!r}: min_index must be 1, where labels and the unit start")
             parts.append(category_by_name(fam["kind"]))

@@ -143,6 +143,9 @@ class Pair(SimpleLabel):
     right = property(itemgetter(2))
 
     def __new__(cls, left: SimpleLabel, right: SimpleLabel):
+        if not isinstance(left, SimpleLabel) or not isinstance(right, SimpleLabel):
+            side, bad = ("right", right) if isinstance(left, SimpleLabel) else ("left", left)
+            raise ValueError(f"pair {side} factor must be a label, got {bad!r}")
         return tuple.__new__(cls, (5, left, right))
 
     @property

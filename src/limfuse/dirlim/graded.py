@@ -11,6 +11,10 @@ distinct weights are kept as strays, seen by `.matrix`, equality and
 `grade_violations` so that validation can report them; every operation that
 computes refuses such a map with ValueError.
 
+Kernels skip exact elimination on blocks of full column rank modulo the prime
+2^61 - 1: a maximal minor nonzero mod the prime is a nonzero integer, so such
+a block has full column rank over Q and no kernel (`linalg.injective_mod_p`).
+
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are
 ever used.
@@ -101,8 +105,9 @@ def _block_of(values: Sequence[Sequence[Union[int, Fraction]]]) -> Block:
     return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in values), den
 
 
-def _lowest_terms(rows: Sequence[Sequence[int]], den: int) -> Block:
-    g = gcd(den, *(v for row in rows for v in row))
+def _lowest_terms(rows: tuple[tuple[int, ...], ...], den: int) -> Block:
+    if den == 1 or (g := gcd(den, *(v for row in rows for v in row))) == 1:
+        return rows, den
     return tuple(tuple(v // g for v in row) for row in rows), den // g
 
 
@@ -243,14 +248,16 @@ class GradeMap:
 
     def kernel(self) -> Rows:
         """Canonical basis of the kernel, as vectors in source coordinates:
-        the block kernels side by side, ordered by pivot; computed once."""
+        the block kernels side by side, ordered by pivot; computed once.
+        Only the blocks `linalg.injective_mod_p` does not certify are
+        reduced exactly."""
         self._require_graded()
         kernel = self._memo.get("kernel")
         if kernel is None:
             found = []
             for key, cols in self.source.grades.items():
                 block = self._blocks.get(key, ((), 1))  # no target vectors of this weight: all of it
-                if block != _identity_block(len(cols)):
+                if block != _identity_block(len(cols)) and not linalg.injective_mod_p(block[0], len(cols)):
                     found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
             kernel = self._memo.setdefault("kernel", _spread(found, self.source.dim))
         return kernel
@@ -277,7 +284,7 @@ class GradeMap:
             if rows:
                 pairs = [divmod(c, n2) for c in cols]
                 blocks[key] = _lowest_terms(
-                    [[a[r // m2][c1] * b[r % m2][c2] for c1, c2 in pairs] for r in rows], da * db)
+                    tuple(tuple([a[r // m2][c1] * b[r % m2][c2] for c1, c2 in pairs]) for r in rows), da * db)
         return GradeMap._of(src, tgt, blocks)
 
     def factor_through(self, other: "GradeMap") -> Optional["GradeMap"]:

@@ -6,6 +6,12 @@ updated by cross-multiplication with per-row gcd reduction, so no rational
 arithmetic happens inside the pivot loops.  Pivot normalization back to
 Fractions occurs once at the end, producing the canonical reduced row
 echelon form.
+
+`injective_mod_p` certifies full column rank without it, by elimination of an
+integer block modulo the prime P = 2^61 - 1: a minor nonzero mod P is a
+nonzero integer, so rank mod P never exceeds rank over Q.  A False answer
+proves nothing (a rank-deficient block, or P divides each maximal minor);
+the caller then reduces exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +84,28 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Rows, tuple[in
 
 def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return len(rref(rows, ncols)[1])
+
+
+P = (1 << 61) - 1
+
+
+def injective_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> bool:
+    """True when the integer matrix has rank ncols modulo P, which proves
+    rank ncols over Q; False proves nothing.  Entries are reduced mod P by
+    the first elimination step that updates their row."""
+    mat = list(rows)
+    for col in range(ncols):
+        for k, row in enumerate(mat):
+            if row[col] % P:
+                break
+        else:
+            return False
+        pivot_row = mat.pop(k)
+        inv, tail = pow(pivot_row[col], -1, P), pivot_row[col + 1:]
+        for r, row in enumerate(mat):
+            if f := row[col] * inv % P:
+                mat[r] = [0] * (col + 1) + [(x - f * y) % P for x, y in zip(row[col + 1:], tail)]
+    return True
 
 
 def null_space(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, Vec]]:

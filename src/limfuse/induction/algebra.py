@@ -224,6 +224,8 @@ def _key(doc: dict, key: str, where: str):
 def _factor(k: int, f: dict) -> FactorTemplate:
     """Factor k of a JSON summand rule, checked against the label kinds."""
     where = f"summand factor {k}"
+    if not isinstance(f, dict):
+        raise ValueError(f"{where}: expected an object with 'kind' and 'indices', got {f!r}")
     kind, indices = _key(f, "kind", where), _key(f, "indices", where)
     if kind not in _LABEL_KINDS:
         raise ValueError(f"summand factor {k}: unknown kind {kind!r}; expected one of {', '.join(_LABEL_KINDS)}")
@@ -247,15 +249,16 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     """Build an algebra from {"name"?, "base_category": name, "summand_rule":
     [{"kind": ..., "indices": [...]}, {"kind": ..., "indices": [...]}]}.
 
-    A bare builtin name string is also accepted.  A missing key, a factor of
-    an unknown kind, or one whose "indices" is not a list of the kind's
-    number of index expressions is refused with a ValueError that names it.
+    A bare builtin name string is also accepted.  A missing key, a rule not
+    a list of two factors, a factor not an object or of an unknown kind, or
+    one whose "indices" is not a list of its kind's number of index
+    expressions is refused with a ValueError that names it.
     """
     if isinstance(doc, str):
         return algebra_by_name(doc)
     rule = _key(doc, "summand_rule", "algebra document")
-    if len(rule) != 2:
-        raise ValueError("summand rule needs exactly two tensor factors")
+    if not isinstance(rule, (list, tuple)) or len(rule) != 2:
+        raise ValueError(f"summand rule must be a list of exactly two tensor factors, got {rule!r}")
     factors = tuple(_factor(k, f) for k, f in enumerate(rule, start=1))
     base = _key(doc, "base_category", "algebra document")
     cat = category_by_name(base) if isinstance(base, str) else None

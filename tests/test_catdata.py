@@ -5,6 +5,7 @@ import functools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -73,6 +74,15 @@ class TestLabels:
     def test_huge_index_rejected(self):
         with pytest.raises(ValueError):
             VirasoroT(10**6 + 1, 1)
+
+    def test_pair_refuses_factors_that_are_not_labels(self):
+        # a pair of ints used to build, print `1%2` and fail only on `.indices`
+        lt = VirasoroT(1, 1)
+        for left, right, side, bad in ((1, lt, "left", 1), (lt, 2, "right", 2),
+                                       ((0, 1, 1), lt, "left", (0, 1, 1)), (lt, "Lt(1,1)", "right", "Lt(1,1)")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'pair {side} factor must be a label, got {bad!r}')}$"):
+                Pair(left, right)
+        assert str(Pair(Pair(VirasoroT(1, 2), AffineVerma(3)), SuperVir(1, 1))) == "Lt(1,2)%V(3)%S(1,1)"
 
     def test_parse_roundtrip(self):
         for text in ["Lt(2,3)", "Lk(1,4)", "V(5)", "S(3,5)", "M(7)", "V(2)%Lt(3,1)"]:
@@ -690,6 +700,15 @@ class TestLoading:
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match=r"^category document must be an object, got list$"):
             load_category(["virasoro-kp2", "virasoro-t"])
+
+    def test_families_not_a_list_rejected(self):
+        # a string would be read one character at a time
+        with pytest.raises(ValueError, match=r"^'families' must be a list of category names or objects, got 'virasoro-t'$"):
+            load_category({"families": "virasoro-t"})
+
+    def test_family_kind_not_a_name_rejected(self):
+        with pytest.raises(ValueError, match=r"^family 1: 'kind' must be a category name, got 5$"):
+            load_category({"families": [{"kind": 5}]})
 
     def test_family_without_kind_rejected(self):
         with pytest.raises(ValueError, match=r"^family 2: missing key 'kind'$"):

@@ -667,6 +667,38 @@ class TestLinalg:
             assert linalg.rref(rows, m) == _reference_rref(rows, m)
 
 
+class TestKernelCertificate:
+    """`linalg.injective_mod_p` certifies full column rank modulo P = 2^61 - 1;
+    the exact reduction decides every block it does not certify."""
+
+    def test_certificate_agrees_with_exact_rank_on_small_entries(self):
+        # every minor here is far below P, so rank mod P equals rank over Q
+        rng = random.Random(21)
+        for _ in range(400):
+            n, m = rng.randint(0, 6), rng.randint(1, 6)
+            rows = [[rng.choice([0, 0, 1, -1, 2, 3, -4]) for _ in range(m)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:  # force a dependent row
+                rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+            full = len(_reference_rref([[F(v) for v in r] for r in rows], m)[1]) == m
+            assert linalg.injective_mod_p(rows, m) == full
+
+    def test_blocks_singular_mod_p_fall_back_to_the_exact_kernel(self):
+        p = linalg.P
+        assert p == 2**61 - 1
+        for block in ([[p]], [[p, 0], [0, 1]], [[1, 1], [1, p + 1]], [[3 * p, 1], [0, p], [p, 0]]):
+            n = len(block[0])
+            assert not linalg.injective_mod_p(block, n)
+            assert len(_reference_rref([[F(v) for v in r] for r in block], n)[1]) == n
+            space, target = GradedSpace.std(n), GradedSpace.std(len(block))
+            f = GradeMap.make(space, target, block)
+            assert f.kernel() == () and f.rank() == n
+
+    def test_fallback_still_finds_kernels_hidden_by_large_entries(self):
+        p = linalg.P
+        f = GradeMap.make(GradedSpace.std(2), GradedSpace.std(2), [[p, 2 * p], [1, 2]])
+        assert f.kernel() == ((F(1), F(-1, 2)),)
+
+
 def _old_matmul(a, b, ncols_b):
     """The dense product GradeMap used before weight blocks: b scaled by the
     lcm of its denominators, each row of a by its own, summed on integers."""
@@ -765,6 +797,42 @@ class TestGradeMapAgainstDense:
             assert f.tensor(g).matrix == kron
             for part in (f.kernel(), f.image(), (g @ f).matrix, f.tensor(g).matrix):
                 assert all(type(x) is F for row in part for x in row)
+
+    def test_wide_and_unitriangular_blocks_match_dense_kernel(self):
+        # the block shapes of the long and wide chains, injective or not
+        rng = random.Random(13)
+        one = GradedSpace.std(12)
+        for _ in range(30):
+            dense = [[rng.choice([-3, -2, -1, 0, 1, 2, 3]) for _ in range(12)] for _ in range(12)]
+            if rng.random() < 0.5:  # a dependent column
+                k, a, b = rng.sample(range(12), 3)
+                for row in dense:
+                    row[k] = row[a] + rng.choice([-2, 1, 3]) * row[b]
+            upper = [[1 if r == c else rng.choice([0, 0, 1, -1, 2]) if c > r else 0 for c in range(12)]
+                     for r in range(12)]
+            lower = [list(col) for col in zip(*upper)]
+            for rows in (dense, upper, lower):
+                f = GradeMap.make(one, one, rows)
+                assert f.kernel() == _dense_kernel(f.matrix, 12)
+                g = GradeMap.make(one, one, upper) @ f
+                assert g.kernel() == _dense_kernel(g.matrix, 12)
+
+    def test_computed_blocks_stay_tuples_and_match_their_dense_rebuild(self):
+        # a block held as a list would compare unequal to the same tuple block
+        rng = random.Random(14)
+        for _ in range(200):
+            u, v, w = (_random_space(rng, p) for p in "uvw")
+            f, g = _random_graded_map(rng, u, v), _random_graded_map(rng, v, w)
+            made = [g @ f, GradeMap.identity(v) @ f, g @ GradeMap.identity(v), f.tensor(g),
+                    f.tensor(GradeMap.identity(w)), GradeMap.identity(u).tensor(g),
+                    (g @ f).factor_through(f), f.factor_through(GradeMap.identity(u))]
+            for h in made:
+                if h is None:
+                    continue
+                for block, den in h._blocks.values():
+                    assert type(block) is tuple and all(type(row) is tuple for row in block)
+                    assert type(den) is int
+                assert GradeMap(h.source, h.target, h.matrix) == h
 
     def test_equality_sees_every_entry(self):
         rng = random.Random(12)

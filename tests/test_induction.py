@@ -161,6 +161,17 @@ class TestAlgebraObjects:
         ):
             algebra_from_json(doc)
 
+    def test_factor_not_an_object_rejected(self):
+        doc = {"base_category": "deligne(virasoro-kp2,virasoro-t)",
+               "summand_rule": [{"kind": "virasoro-kp2", "indices": ["1", "r"]}, 3]}
+        with pytest.raises(ValueError, match=r"^summand factor 2: expected an object with 'kind' and 'indices', got 3$"):
+            algebra_from_json(doc)
+
+    def test_summand_rule_not_a_list_rejected(self):
+        doc = {"base_category": "deligne(virasoro-kp2,virasoro-t)", "summand_rule": 5}
+        with pytest.raises(ValueError, match=r"^summand rule must be a list of exactly two tensor factors, got 5$"):
+            algebra_from_json(doc)
+
     def test_factor_without_kind_rejected(self):
         doc = {
             "base_category": "deligne(virasoro-kp2,virasoro-t)",
