@@ -79,6 +79,15 @@ class GradedSpace:
             out.setdefault((w.numerator, w.denominator), (w, []))[1].append(k)
         return {key: tuple(ix) for key, (_, ix) in sorted(out.items(), key=lambda item: item[1][0])}
 
+    @cached_property
+    def positions(self) -> tuple[tuple[GradeKey, int], ...]:
+        """(grade key, position within the grade) of each basis index."""
+        out: list = [None] * self.dim
+        for key, ix in self.grades.items():
+            for p, k in enumerate(ix):
+                out[k] = (key, p)
+        return tuple(out)
+
     def blocks(self) -> dict[Weight, tuple[int, ...]]:
         """`grades` keyed by the weights themselves."""
         return {Fraction(*key): ix for key, ix in self.grades.items()}
@@ -118,6 +127,13 @@ def _zero_block(nrows: int, ncols: int) -> Block:
 @lru_cache(maxsize=64)
 def _identity_block(n: int) -> Block:
     return tuple(tuple(int(r == c) for c in range(n)) for r in range(n)), 1
+
+
+def _common_den(blocks: dict[GradeKey, Block]) -> tuple[dict[GradeKey, tuple[tuple[int, ...], ...]], int]:
+    """The blocks' integer rows over one common denominator."""
+    den = lcm(1, *(d for _, d in blocks.values()))
+    return {key: rows if d == den else tuple(tuple(v * (den // d) for v in row) for row in rows)
+            for key, (rows, d) in blocks.items()}, den
 
 
 def _spread(found: list[tuple[int, Sequence[int], Sequence[Fraction]]], n: int) -> Rows:
@@ -189,22 +205,16 @@ class GradeMap:
         if self._stray or other is not None and other._stray:
             raise ValueError("map does not preserve the grading")
 
-    def _dense_ints(self) -> tuple[list[list[int]], int]:
-        """Dense integer matrix over one common denominator."""
-        den = lcm(1, *(d for _, d in self._blocks.values()))
-        rows = [[0] * self.source.dim for _ in range(self.target.dim)]
-        for key, (block, d) in self._blocks.items():
-            for r, brow in zip(self.target.grades[key], block):
-                for c, v in zip(self.source.grades[key], brow):
-                    rows[r][c] = v * (den // d)
-        return rows, den
-
     @property
     def matrix(self) -> Rows:
         """Dense view: rows over the target basis, Fraction entries."""
         if self._matrix is None:
-            rows, den = self._dense_ints()
-            dense = [[Fraction(v, den) if v else _ZERO for v in row] for row in rows]
+            dense = [[_ZERO] * self.source.dim for _ in range(self.target.dim)]
+            for key, (block, den) in self._blocks.items():
+                for r, brow in zip(self.target.grades[key], block):
+                    for c, v in zip(self.source.grades[key], brow):
+                        if v:
+                            dense[r][c] = Fraction(v, den)
             for (r, c), v in self._stray:
                 dense[r][c] = v
             self._matrix = tuple(map(tuple, dense))
@@ -273,18 +283,39 @@ class GradeMap:
         return _spread(found, self.target.dim)
 
     def tensor(self, other: "GradeMap") -> "GradeMap":
-        """Kronecker product, matching GradedSpace.tensor basis ordering."""
+        """Kronecker product, matching GradedSpace.tensor basis ordering.
+
+        Entry ((r1, r2), (c1, c2)) is a[r1][c1] * b[r2][c2], nonzero only when
+        r1, c1 share a weight block of `self` and r2, c2 one of `other`, so
+        each product block is filled from those pairs of factor blocks."""
         self._require_graded(other)
         src, tgt = self.source.tensor(other.source), self.target.tensor(other.target)
-        (a, da), (b, db) = self._dense_ints(), other._dense_ints()
+        a, da = _common_den(self._blocks)
+        b, db = _common_den(other._blocks)
+        in1, in2 = self.source.positions, other.source.positions
+        out1, out2 = self.target.positions, other.target.positions
         n2, m2 = other.source.dim, other.target.dim
         blocks: dict[GradeKey, Block] = {}
         for key, cols in src.grades.items():
             rows = tgt.grades.get(key)
-            if rows:
-                pairs = [divmod(c, n2) for c in cols]
-                blocks[key] = _lowest_terms(
-                    tuple(tuple([a[r // m2][c1] * b[r % m2][c2] for c1, c2 in pairs]) for r in rows), da * db)
+            if not rows:
+                continue
+            # columns of this weight grouped by the pair of factor blocks they lie in
+            groups: dict[tuple[GradeKey, GradeKey], list[tuple[int, int, int]]] = {}
+            for j, c in enumerate(cols):
+                (k1, q1), (k2, q2) = in1[c // n2], in2[c % n2]
+                groups.setdefault((k1, k2), []).append((j, q1, q2))
+            out = []
+            for r in rows:
+                (k1, p1), (k2, p2) = out1[r // m2], out2[r % m2]
+                row = [0] * len(cols)
+                group = groups.get((k1, k2))
+                if group:
+                    arow, brow = a[k1][p1], b[k2][p2]
+                    for j, q1, q2 in group:
+                        row[j] = arow[q1] * brow[q2]
+                out.append(tuple(row))
+            blocks[key] = _lowest_terms(tuple(out), da * db)
         return GradeMap._of(src, tgt, blocks)
 
     def factor_through(self, other: "GradeMap") -> Optional["GradeMap"]:

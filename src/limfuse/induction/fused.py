@@ -6,10 +6,10 @@ relabels every summand as a simple of the induced category.
 
 `restriction_oracle_check` verifies the induced category's own fusion rule
 against that identity through two independent routes: the rule instantiated
-directly on induced labels followed by restriction, versus the algebra fused
-against the base-category product.  The two sides share only the base
-fusion primitive, so a wrong range or parity in the induced rule shows up as
-a multiplicity mismatch.
+directly on induced labels followed by restriction, versus the restriction
+of the base fusion of the two bases.  The two sides share only the base
+fusion primitive, so a wrong range, parity or multiplicity in the induced
+rule shows up as a mismatch.
 
 `restrict_truncated` reads its summand window from
 `AlgebraObject.last_summand` and is memoized per (base, truncate) on the
@@ -17,14 +17,24 @@ algebra, so a session restricts each base once and both routes read the same
 memo.  That keeps the routes independent: the memo caches a pure function of
 its key, computed from the base fusion, while the routes still differ in
 which bases they ask for and with which multiplicities, the induced-category
-rule on one side and `ring_mul` on the other.
+rule on one side and the base fusion on the other.
+
+The oracle compares packed integers, not multiplicity maps.  Each memoized
+restriction is packed once into one int holding the multiplicity of label z
+at bit offset _WIDTH * slot(z), slots numbered per algebra on first sight,
+next to its total multiplicity; a side is then sum(mult * packed).  Every
+slot of a side holds at most the side's total, so while both totals are
+below 2**_WIDTH no slot carries into the next, each side is the base-2**_WIDTH
+expansion of its multiplicities, and one int comparison decides equality.
+A side at or above that bound is refused with ValueError, never compared.
+Route one also memoizes the induced-to-base label dictionary on the algebra,
+so a warm check builds no label.
 """
 
 from __future__ import annotations
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.fusion.element import FusionElement
-from limfuse.fusion.ring import ring_mul
 from limfuse.induction.algebra import AlgebraObject
 from limfuse.induction.locality import locality
 
@@ -47,17 +57,23 @@ def induced_fusion(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -
     return FusionElement([(alg.to_induced(z), m) for z, m in product])
 
 
+def _check_truncate(truncate: int) -> None:
+    if isinstance(truncate, bool) or not isinstance(truncate, int):
+        raise ValueError(f"truncate must be an int, got {truncate!r}")
+    if truncate < 1:
+        raise ValueError("truncate must be >= 1")
+
+
 def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:
     """Restriction of the module induced from `base`, complete on every label
-    with all indices <= truncate, for truncate >= 1.
+    with all indices <= truncate, for an int truncate >= 1.
 
     A slot index e(r) fused with x gives indices >= e(r) - x + 1, so no
     summand beyond the window with tops truncate + x - 1 reaches the
     truncation, and the loop bound loses nothing.  The result is memoized
     per (base, truncate) on the algebra; the first call validates `base`.
     """
-    if truncate < 1:
-        raise ValueError("truncate must be >= 1")
+    _check_truncate(truncate)
     cache = alg.__dict__.setdefault("_restrict_cache", {})
     hit = cache.get((base, truncate))
     if hit is None:
@@ -76,9 +92,55 @@ def _restrict(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionEle
     return FusionElement(acc)
 
 
-def _add_scaled(acc: dict[SimpleLabel, int], elem: FusionElement, k: int) -> None:
-    for z, m in elem:
-        acc[z] = acc.get(z, 0) + k * m
+# bits per label slot of a packed restriction
+_WIDTH = 32
+
+
+def _pack(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> tuple[int, int]:
+    """`restrict_truncated(alg, base, truncate)` packed at the algebra's label
+    slots, with its total multiplicity."""
+    slots = alg.__dict__.setdefault("_label_slots", {})
+    packed = total = 0
+    for z, m in restrict_truncated(alg, base, truncate):
+        packed += m << _WIDTH * slots.setdefault(z, len(slots))
+        total += m
+    return packed, total
+
+
+def _packed_side(alg: AlgebraObject, terms, truncate: int) -> int:
+    """sum(mult * packed restriction of base) over the (base, mult) terms,
+    each packed restriction memoized per (base, truncate); ValueError when
+    the side's total multiplicity reaches 2**_WIDTH."""
+    cache = alg.__dict__.setdefault("_packed_cache", {})
+    packed = total = 0
+    for base, mult in terms:
+        hit = cache.get((base, truncate))
+        if hit is None:
+            hit = cache[(base, truncate)] = _pack(alg, base, truncate)
+        packed += mult * hit[0]
+        total += mult * hit[1]
+    if total >> _WIDTH:
+        raise ValueError(f"restriction total {total} does not fit {_WIDTH}-bit label slots")
+    return packed
+
+
+def _packed_sides(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel, truncate: int) -> tuple[int, int]:
+    """The two routes of `restriction_oracle_check`, each side packed."""
+    _require_local(alg, base1)
+    _require_local(alg, base2)
+    if alg.induced_category is None:
+        raise ValueError(f"{alg.name} has no induced category to check against")
+    _check_truncate(truncate)
+    # route one: induced-label rule, then restriction; `from_induced` is
+    # memoized per induced summand, a key from the induced category's
+    # fusion, never from the caller
+    prod_ind = alg.induced_category.fusion_of(alg.to_induced(base1), alg.to_induced(base2))
+    bases = alg.__dict__.setdefault("_base_of_induced", {})
+    rule_terms = [(bases.get(s) or bases.setdefault(s, alg.from_induced(s)), m) for s, m in prod_ind]
+    rule_side = _packed_side(alg, rule_terms, truncate)
+    # route two: restriction of the base fusion of the two bases
+    monoidal_side = _packed_side(alg, alg.base_category.fusion_of(base1, base2), truncate)
+    return rule_side, monoidal_side
 
 
 def restriction_oracle_check(
@@ -89,25 +151,12 @@ def restriction_oracle_check(
 
     Route one instantiates the induced category's fusion rule on the induced
     labels and restricts each resulting simple; route two restricts the
-    induction of the base-category product directly.  Monoidality of
-    induction says they must agree.  Both routes accumulate into plain
-    multiplicity maps, which compare equal exactly when the elements would.
+    induction of the base-category product, `fusion_of(base1, base2)`, the
+    ring product of two simples.  Monoidality of induction says they must
+    agree.  Each side is one packed int (see the module docstring): while
+    both side totals are below 2**_WIDTH the packing is injective, so the
+    ints are equal exactly when the multiplicity maps are; a larger side
+    raises ValueError.
     """
-    _require_local(alg, base1)
-    _require_local(alg, base2)
-    if alg.induced_category is None:
-        raise ValueError(f"{alg.name} has no induced category to check against")
-
-    # route one: induced-label rule, then restriction
-    rule_side: dict[SimpleLabel, int] = {}
-    prod_ind = alg.induced_category.fusion_of(alg.to_induced(base1), alg.to_induced(base2))
-    for s_label, mult in prod_ind:
-        _add_scaled(rule_side, restrict_truncated(alg, alg.from_induced(s_label), truncate), mult)
-
-    # route two: restriction of the induced base-category product
-    base_prod = ring_mul(alg.base_category, FusionElement.of(base1), FusionElement.of(base2))
-    monoidal_side: dict[SimpleLabel, int] = {}
-    for z, mult in base_prod:
-        _add_scaled(monoidal_side, restrict_truncated(alg, z, truncate), mult)
-
+    rule_side, monoidal_side = _packed_sides(alg, base1, base2, truncate)
     return rule_side == monoidal_side

@@ -10,6 +10,9 @@ needs it.
   oracle (`frobenius_dim` sums it over a window of summands).
 - `sort_key`: the canonical label order, written out per kind from the
   named fields, against which the tuple labels' own order is checked.
+- `restriction_sides`: the two routes of `restriction_oracle_check` summed
+  as multiplicity maps, route two through `ring_mul`, against which the
+  packed sides are checked.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from limfuse.catdata import (
 )
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
 from limfuse.fusion import FusionElement
-from limfuse.fusion.ring import _require_element
+from limfuse.fusion.ring import _require_element, ring_mul
+from limfuse.induction import restrict_truncated
 
 _F = Fraction
 
@@ -189,3 +193,23 @@ def sort_key(x) -> tuple:
     if isinstance(x, OspMod):
         return (4, x.n)
     raise TypeError(f"not a label: {x!r}")
+
+
+def _add_scaled(acc: dict, elem: FusionElement, k: int) -> None:
+    for z, m in elem:
+        acc[z] = acc.get(z, 0) + k * m
+
+
+def restriction_sides(alg, base1, base2, truncate: int) -> tuple[dict, dict]:
+    """The rule side and the monoidal side of the restriction oracle, each
+    a plain multiplicity map: the induced rule on the induced labels, each
+    summand restricted, against the restriction of every summand of
+    `ring_mul` of the two bases."""
+    rule_side: dict = {}
+    prod_ind = alg.induced_category.fusion_of(alg.to_induced(base1), alg.to_induced(base2))
+    for s_label, mult in prod_ind:
+        _add_scaled(rule_side, restrict_truncated(alg, alg.from_induced(s_label), truncate), mult)
+    monoidal_side: dict = {}
+    for z, mult in ring_mul(alg.base_category, FusionElement.of(base1), FusionElement.of(base2)):
+        _add_scaled(monoidal_side, restrict_truncated(alg, z, truncate), mult)
+    return rule_side, monoidal_side

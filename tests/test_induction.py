@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -44,8 +45,9 @@ from limfuse.induction import (
     restriction_oracle_check,
     svir_extension,
 )
+from limfuse.induction import fused as fused_mod
 from limfuse.induction.induced import slice_family
-from oracles import first_non_integer_positive, hom_dim, interpolate
+from oracles import first_non_integer_positive, hom_dim, interpolate, restriction_sides
 
 SVX = svir_extension()
 OSPX = osp_extension()
@@ -519,22 +521,56 @@ class TestRestrictionOracle:
             restriction_oracle_check(SVX, sbase(2, 1), sbase(2, 2), truncate=6)
 
     def test_oracle_catches_wrong_rule(self):
-        # an induced category with a sabotaged range rule must fail the check
-        class BrokenSV(SuperVirCategory):
-            def _fusion_raw(self, x, y):
-                full = super()._fusion_raw(x, y)
-                kept = [(z, m) for z, m in full if z.n >= abs(x.n - y.n) + 3 or z == x]
-                return FusionElement(kept)
+        # induced categories with a sabotaged rule must fail the check: one
+        # drops summands, one doubles a multiplicity, one swaps a summand
+        # for its neighbour
+        for rule in SABOTAGED_RULES:
+            assert not restriction_oracle_check(sabotaged(rule), sbase(2, 2), sbase(2, 2), truncate=10), rule
 
-        broken = AlgebraObject(
-            name="broken",
-            base_category=SVX.base_category,
-            factors=SVX.factors,
-            induced_category=BrokenSV(),
-            to_induced=SVX._to_induced,
-            from_induced=SVX._from_induced,
-        )
-        assert not restriction_oracle_check(broken, sbase(2, 2), sbase(2, 2), truncate=10)
+    def test_matches_dict_sum_reference(self):
+        # the packed sides unpack to the reference's per-label sums, and the
+        # verdict is the reference's, on every pair of grid bases
+        small = [sbase(n, m) for n in range(1, 5) for m in range(1, 5) if (n + m) % 2 == 0]
+        grid = [
+            (SVX, [sbase(n, m) for n in range(1, 7) for m in range(1, 7) if (n + m) % 2 == 0]),
+            (OSPX, [obase(n) for n in range(1, 8, 2)]),
+            *((sabotaged(rule), small) for rule in SABOTAGED_RULES),
+        ]
+        for alg, bases in grid:
+            for truncate in (1, 4, 10, 12):
+                for b1 in bases:
+                    for b2 in bases:
+                        rule_ref, monoidal_ref = restriction_sides(alg, b1, b2, truncate)
+                        rule_side, monoidal_side = fused_mod._packed_sides(alg, b1, b2, truncate)
+                        assert unpack(alg, rule_side) == rule_ref, (alg.name, b1, b2, truncate)
+                        assert unpack(alg, monoidal_side) == monoidal_ref, (alg.name, b1, b2, truncate)
+                        verdict = restriction_oracle_check(alg, b1, b2, truncate)
+                        assert verdict is (rule_ref == monoidal_ref), (alg.name, b1, b2, truncate)
+                        assert verdict or alg.name == "sabotaged"
+
+    def test_interleaved_truncations_match_fresh_algebras(self):
+        # label slots are shared by every truncation of one algebra; verdicts
+        # must not depend on the order the truncations were first asked in
+        rng = random.Random(23)
+        bases = [sbase(n, m) for n in range(1, 6) for m in range(1, 6) if (n + m) % 2 == 0]
+        for make in (svir_extension, *(partial(sabotaged, rule) for rule in SABOTAGED_RULES)):
+            alg = make()
+            for _ in range(40):
+                b1, b2, truncate = rng.choice(bases), rng.choice(bases), rng.choice((1, 3, 4, 7, 10, 12))
+                want = restriction_oracle_check(make(), b1, b2, truncate)
+                assert restriction_oracle_check(alg, b1, b2, truncate) is want, (alg.name, b1, b2, truncate)
+
+    def test_side_total_beyond_the_slot_width_is_refused(self, monkeypatch):
+        # with 2-bit slots a side of total 4 could carry into the next slot
+        monkeypatch.setattr(fused_mod, "_WIDTH", 2)
+        alg = svir_extension()
+        unit = alg.base_category.unit
+        assert sum(restriction_sides(alg, unit, unit, 1)[0].values()) == 1
+        assert restriction_oracle_check(alg, unit, unit, 1)
+        big = sbase(3, 3)
+        assert min(sum(side.values()) for side in restriction_sides(alg, big, big, 10)) >= 4
+        with pytest.raises(ValueError, match="2-bit label slots"):
+            restriction_oracle_check(alg, big, big, 10)
 
     def test_requires_induced_category(self):
         bare = AlgebraObject(
@@ -544,6 +580,50 @@ class TestRestrictionOracle:
         )
         with pytest.raises(ValueError):
             restriction_oracle_check(bare, sbase(2, 2), sbase(2, 2), truncate=6)
+
+
+def _drop_low(x, y, full):
+    return [(z, m) for z, m in full if z.n >= abs(x.n - y.n) + 3 or z == x]
+
+
+def _double_first(x, y, full):
+    return [(z, 2 * m if k == 0 else m) for k, (z, m) in enumerate(full)]
+
+
+def _swap_last(x, y, full):
+    *keep, (z, m) = full
+    return keep + [(SuperVir(z.n + 2, z.m), m)]
+
+
+SABOTAGED_RULES = (_drop_low, _double_first, _swap_last)
+
+
+def sabotaged(rule):
+    """The super-Virasoro algebra with `rule(x, y, summands)` in place of
+    the induced category's fusion of x and y."""
+
+    class BrokenSV(SuperVirCategory):
+        def _fusion_raw(self, x, y):
+            return FusionElement(rule(x, y, list(super()._fusion_raw(x, y))))
+
+    return AlgebraObject(
+        name="sabotaged",
+        base_category=SVX.base_category,
+        factors=SVX.factors,
+        induced_category=BrokenSV(),
+        to_induced=SVX._to_induced,
+        from_induced=SVX._from_induced,
+    )
+
+
+def unpack(alg, packed):
+    """label -> multiplicity of a packed side, read back at the algebra's
+    label slots."""
+    width = fused_mod._WIDTH
+    slots = alg.__dict__.get("_label_slots", {})
+    assert packed >> width * len(slots) == 0
+    out = {z: packed >> width * slot & (1 << width) - 1 for z, slot in slots.items()}
+    return {z: m for z, m in out.items() if m}
 
 
 def reference_restriction(alg, base, truncate):
@@ -630,9 +710,6 @@ class TestRestrictionMemo:
         assert restrict_truncated(alg, base, 6) is first
 
     def test_oracle_restricts_each_base_once(self, monkeypatch):
-        import importlib
-
-        fused_mod = importlib.import_module("limfuse.induction.fused")
         computed = []
         real = fused_mod._restrict
 
@@ -661,6 +738,17 @@ class TestRestrictionMemo:
                     restrict_truncated(svir_extension(), base, truncate)
         with pytest.raises(ForeignLabel):
             restrict_truncated(svir_extension(), foreign, 1)
+
+    def test_truncate_not_an_int_is_refused(self):
+        # True would otherwise read as 1 and share its memo entry
+        alg, base = svir_extension(), sbase(3, 3)
+        for truncate in (True, False, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="truncate must be an int"):
+                restrict_truncated(alg, base, truncate)
+            with pytest.raises(ValueError, match="truncate must be an int"):
+                restriction_oracle_check(alg, base, base, truncate)
+        assert not alg.__dict__.get("_restrict_cache")
+        assert restriction_oracle_check(alg, base, base, 1)
 
     def test_reads_exactly_the_window(self):
         # a slot index e(r) fused with x gives indices >= e(r) - x + 1, so
