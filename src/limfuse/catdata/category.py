@@ -10,6 +10,10 @@ multiplying, and their weights live in a single aligned parameter.
 Labels reject indices below 1, so a family is its label type: `contains` is
 a type test, and the unit, every index 1, is always an object.
 
+Every memo here is keyed by labels, and a raw tuple equals the label with
+the same entries; a key argument that is not a `SimpleLabel` therefore never
+reads a memo and is refused on the miss path, warm or cold.
+
 Inside the engine a weight is a `WeightVec`, integer numerators over
 (x, 1, 1/x, 1/(x+1)) in the category's formal variable x and one
 denominator; `weight_vec` computes and caches it, and `WeightVec.format`
@@ -77,7 +81,7 @@ class CategorySpec:
     def weight_vec(self, x: SimpleLabel) -> WeightVec:
         cache = self.__dict__.setdefault("_vec_cache", {})
         hit = cache.get(x)
-        if hit is None:
+        if hit is None or not isinstance(x, SimpleLabel):
             self._require(x)
             hit = cache[x] = self._weight_raw(x)
         return hit
@@ -85,14 +89,14 @@ class CategorySpec:
     def weight_of(self, x: SimpleLabel) -> RatFunc:
         cache = self.__dict__.setdefault("_weight_cache", {})
         hit = cache.get(x)
-        if hit is None:
+        if hit is None or not isinstance(x, SimpleLabel):
             hit = cache[x] = self.weight_vec(x).to_ratfunc()
         return hit
 
     def fusion_of(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
         cache = self.__dict__.setdefault("_fusion_cache", {})
         hit = cache.get((x, y))
-        if hit is None:
+        if hit is None or not (isinstance(x, SimpleLabel) and isinstance(y, SimpleLabel)):
             self._require(x)
             self._require(y)
             hit = cache[(x, y)] = self._fusion_raw(x, y)

@@ -11,8 +11,9 @@ A label is its canonical tuple.  An index label is (tag, *indices) with tag
 hashing and the canonical label order are the tuple's own, computed in C;
 a label class adds only the construction checks, named fields and printing.
 A raw tuple is not a label, although it equals the label with the same
-entries: `contains` tests the label type, and only labels go into the
-engine's caches.
+entries: `contains` tests the label type, and a memo refuses to answer
+for a key argument that is not a label, since the raw tuple would find the
+label's entry.
 
 Every label exposes its indices as one flat tuple, `indices`: an index
 label's entries after the tag, a pair's left indices then its right ones.

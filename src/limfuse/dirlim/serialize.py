@@ -40,17 +40,46 @@ def system_to_json(sys: DirectSystem) -> dict[str, Any]:
     }
 
 
+def _field(doc: Any, key: str, where: str, kind: type) -> Any:
+    """doc[key] of type `kind`, or a ValueError that names `where` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ValueError(f"{where}.{key}: expected {kind.__name__}, got {doc[key]!r}")
+    return doc[key]
+
+
+def _two(entry: Any, where: str) -> tuple:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise ValueError(f"{where}: expected a pair, got {entry!r}")
+    return tuple(entry)
+
+
+def _rat(text: Any, where: str):
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: expected a rational string like \"-3/4\", got {text!r}")
+    return parse_rat(text)
+
+
 def system_from_json(doc: dict[str, Any]) -> DirectSystem:
+    """Read the schema above.  A document or "poset" that is not an object,
+    a missing top-level or poset key, a leq or basis entry that is not a
+    pair and a weight or entry that is not a string are refused with a
+    ValueError that names the key or path."""
+    pdoc = _field(doc, "poset", "document", dict)
+    leq = _field(pdoc, "leq", "poset", list)
     poset = DirectedPoset(
-        tuple(doc["poset"]["elements"]),
-        frozenset((i, j) for i, j in doc["poset"]["leq"]),
+        tuple(_field(pdoc, "elements", "poset", list)),
+        frozenset(_two(pair, f"poset.leq[{k}]") for k, pair in enumerate(leq)),
     )
-    spaces = {
-        e: GradedSpace(tuple((bid, parse_rat(w)) for bid, w in basis))
-        for e, basis in doc["spaces"].items()
-    }
+    spaces = {}
+    for e, basis in _field(doc, "spaces", "document", dict).items():
+        entries = [_two(entry, f"spaces.{e}[{k}]") for k, entry in enumerate(basis)]
+        spaces[e] = GradedSpace(tuple((bid, _rat(w, f"spaces.{e}[{k}]")) for k, (bid, w) in enumerate(entries)))
     maps = {}
-    for key, rows in doc["maps"].items():
+    for key, rows in _field(doc, "maps", "document", dict).items():
         pair = key.split("<=")
         if len(pair) != 2 or not all(e in spaces for e in pair):
             raise ValueError(f"map key {key!r} is not i<=j over elements with spaces")
@@ -58,6 +87,6 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
         maps[(i, j)] = GradeMap(
             spaces[i],
             spaces[j],
-            tuple(tuple(parse_rat(v) for v in row) for row in rows),
+            tuple(tuple(_rat(v, f"maps.{key}") for v in row) for row in rows),
         )
     return DirectSystem(poset, spaces, maps)

@@ -26,14 +26,18 @@ def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
         for j in b.poset.elements
     }
     maps: dict[tuple[str, str], GradeMap] = {}
-    for i, i2 in a.poset.covers():
+    # one identity per factor stage, shared by every cover beside it
+    a_covers, b_covers = a.poset.covers(), b.poset.covers()
+    ids_b = {j: GradeMap.identity(b.space(j)) for j in b.poset.elements} if a_covers else {}
+    ids_a = {i: GradeMap.identity(a.space(i)) for i in a.poset.elements} if b_covers else {}
+    for i, i2 in a_covers:
         fa = a.map(i, i2)
-        for j in b.poset.elements:
-            maps[(f"({i},{j})", f"({i2},{j})")] = fa.tensor(GradeMap.identity(b.space(j)))
-    for j, j2 in b.poset.covers():
+        for j, id_j in ids_b.items():
+            maps[(f"({i},{j})", f"({i2},{j})")] = fa.tensor(id_j)
+    for j, j2 in b_covers:
         fb = b.map(j, j2)
-        for i in a.poset.elements:
-            maps[(f"({i},{j})", f"({i},{j2})")] = GradeMap.identity(a.space(i)).tensor(fb)
+        for i, id_i in ids_a.items():
+            maps[(f"({i},{j})", f"({i},{j2})")] = id_i.tensor(fb)
     return DirectSystem(poset, spaces, maps)
 
 

@@ -9,6 +9,15 @@ finite: a slot that grows past a fixed bound stays past it, so only the
 summands up to `last_summand(tops)` can keep every slot within `tops`.
 Restriction and Frobenius both read their windows from it.
 
+An algebra also owns every per-algebra memo of the induction layer, all
+declared in `AlgebraObject.__init__`: summands, both directions of the
+induced-label dictionary, induced fusion, locality certificates, slice
+families, truncated restrictions and their packed forms.  Each caches a pure
+function of its key and stores only a successful answer, so a refused
+argument raises on every call.  A key argument that is not a `SimpleLabel`
+never reads a memo, although a raw tuple equals the label with the same
+entries: it takes the miss path, which refuses it.
+
 `algebra_from_json` reads a summand rule from a document and checks each
 factor's keys, kind and index count against the label kinds.
 """
@@ -107,11 +116,22 @@ class AlgebraObject:
         self.base_category = base_category
         self.factors = factors
         self.slots = factors[0].indices + factors[1].indices
+        # (position, a, b) of each growing slot a*r + b, for `last_summand`
+        self._growing = tuple((k, e.a, e.b) for k, e in enumerate(self.slots) if e.a)
         self.induced_category = induced_category
         self._to_induced = to_induced
         self._from_induced = from_induced
+        # the per-algebra memos (see the module docstring)
         self._summands: dict[int, SimpleLabel] = {}
-        if not any(e.a > 0 for e in self.slots):
+        self._induced_of: dict[SimpleLabel, SimpleLabel] = {}  # to_induced
+        self._base_of: dict[SimpleLabel, SimpleLabel] = {}  # from_induced
+        self._induced_fusion_cache: dict = {}  # fused.induced_fusion, per (base1, base2)
+        self._locality_cache: dict = {}  # locality.locality, per base
+        self._slice_cache: dict = {}  # induced.slice_family, per base
+        self._restrict_cache: dict = {}  # fused.restrict_truncated, per (base, truncate)
+        self._packed_cache: dict = {}  # fused._pack, per (base, truncate)
+        self._label_slots: dict[SimpleLabel, int] = {}  # fused._pack's slot of each label
+        if not self._growing:
             raise ValueError("summand rule must grow with r")
         if self.summand(1) != base_category.unit:
             raise ValueError(f"summand(1) = {self.summand(1)} is not the unit of {base_category.name}")
@@ -131,19 +151,30 @@ class AlgebraObject:
         return hit
 
     def to_induced(self, base: SimpleLabel) -> SimpleLabel:
-        if self._to_induced is None:
-            raise ValueError(f"{self.name} has no induced-label dictionary")
-        return self._to_induced(base)
+        """The induced simple of a canonical base, memoized per base."""
+        hit = self._induced_of.get(base)
+        if hit is None or not isinstance(base, SimpleLabel):
+            if self._to_induced is None:
+                raise ValueError(f"{self.name} has no induced-label dictionary")
+            hit = self._induced_of[base] = self._to_induced(base)
+        return hit
 
     def from_induced(self, label: SimpleLabel) -> SimpleLabel:
-        if self._from_induced is None:
-            raise ValueError(f"{self.name} has no induced-label dictionary")
-        return self._from_induced(label)
+        """The canonical base of an induced simple, memoized per label."""
+        hit = self._base_of.get(label)
+        if hit is None or not isinstance(label, SimpleLabel):
+            if self._from_induced is None:
+                raise ValueError(f"{self.name} has no induced-label dictionary")
+            hit = self._base_of[label] = self._from_induced(label)
+        return hit
 
     def last_summand(self, tops: Sequence[int]) -> int:
         """Largest r >= 0 at which every growing slot a*r + b is at most its
-        entry t of `tops`: min((t - b) // a), as a slot never shrinks."""
-        return max(min((t - e.b) // e.a for e, t in zip(self.slots, tops, strict=True) if e.a), 0)
+        entry t of `tops`, one entry per slot: min((t - b) // a), as a slot
+        never shrinks."""
+        if len(tops) != len(self.slots):
+            raise ValueError(f"expected {len(self.slots)} slot tops, got {len(tops)}")
+        return max(min([(tops[k] - b) // a for k, a, b in self._growing]), 0)
 
 
 def _svir_to_induced(base: SimpleLabel) -> SimpleLabel:

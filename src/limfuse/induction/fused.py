@@ -2,7 +2,11 @@
 
 Induction is monoidal, so fusing two induced modules amounts to fusing their
 bases and inducing the result; `induced_fusion` computes exactly that and
-relabels every summand as a simple of the induced category.
+relabels every summand as a simple of the induced category through the
+algebra's memoized label dictionary.  Its answer is memoized per
+(base1, base2) on the algebra, the key `CategorySpec.fusion_of` uses for base
+fusion; an entry is stored only after both bases pass the locality check, so
+a non-local or foreign base is refused on every call.
 
 `restriction_oracle_check` verifies the induced category's own fusion rule
 against that identity through two independent routes: the rule instantiated
@@ -27,8 +31,9 @@ slot of a side holds at most the side's total, so while both totals are
 below 2**_WIDTH no slot carries into the next, each side is the base-2**_WIDTH
 expansion of its multiplicities, and one int comparison decides equality.
 A side at or above that bound is refused with ValueError, never compared.
-Route one also memoizes the induced-to-base label dictionary on the algebra,
-so a warm check builds no label.
+Route one reads the algebra's memoized label dictionary in both directions,
+so a warm check builds no label.  The verdict itself is never memoized: a
+cached verdict would make a warm check verify nothing.
 """
 
 from __future__ import annotations
@@ -50,11 +55,16 @@ def _require_local(alg: AlgebraObject, base: SimpleLabel) -> None:
 
 
 def induced_fusion(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -> FusionElement:
-    """Fusion of the two induced modules, expressed in induced labels."""
-    _require_local(alg, base1)
-    _require_local(alg, base2)
-    product = alg.base_category.fusion_of(base1, base2)
-    return FusionElement([(alg.to_induced(z), m) for z, m in product])
+    """Fusion of the two induced modules, expressed in induced labels;
+    memoized per (base1, base2) on the algebra once both bases are local."""
+    hit = alg._induced_fusion_cache.get((base1, base2))
+    if hit is None or not (isinstance(base1, SimpleLabel) and isinstance(base2, SimpleLabel)):
+        _require_local(alg, base1)
+        _require_local(alg, base2)
+        product = alg.base_category.fusion_of(base1, base2)
+        hit = FusionElement([(alg.to_induced(z), m) for z, m in product])
+        alg._induced_fusion_cache[(base1, base2)] = hit
+    return hit
 
 
 def _check_truncate(truncate: int) -> None:
@@ -71,13 +81,13 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
     A slot index e(r) fused with x gives indices >= e(r) - x + 1, so no
     summand beyond the window with tops truncate + x - 1 reaches the
     truncation, and the loop bound loses nothing.  The result is memoized
-    per (base, truncate) on the algebra; the first call validates `base`.
+    per (base, truncate) on the algebra; the first call validates `base`,
+    and a base that is not a label is validated, and refused, on every call.
     """
     _check_truncate(truncate)
-    cache = alg.__dict__.setdefault("_restrict_cache", {})
-    hit = cache.get((base, truncate))
-    if hit is None:
-        hit = cache[(base, truncate)] = _restrict(alg, base, truncate)
+    hit = alg._restrict_cache.get((base, truncate))
+    if hit is None or not isinstance(base, SimpleLabel):
+        hit = alg._restrict_cache[(base, truncate)] = _restrict(alg, base, truncate)
     return hit
 
 
@@ -99,7 +109,7 @@ _WIDTH = 32
 def _pack(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> tuple[int, int]:
     """`restrict_truncated(alg, base, truncate)` packed at the algebra's label
     slots, with its total multiplicity."""
-    slots = alg.__dict__.setdefault("_label_slots", {})
+    slots = alg._label_slots
     packed = total = 0
     for z, m in restrict_truncated(alg, base, truncate):
         packed += m << _WIDTH * slots.setdefault(z, len(slots))
@@ -111,7 +121,7 @@ def _packed_side(alg: AlgebraObject, terms, truncate: int) -> int:
     """sum(mult * packed restriction of base) over the (base, mult) terms,
     each packed restriction memoized per (base, truncate); ValueError when
     the side's total multiplicity reaches 2**_WIDTH."""
-    cache = alg.__dict__.setdefault("_packed_cache", {})
+    cache = alg._packed_cache
     packed = total = 0
     for base, mult in terms:
         hit = cache.get((base, truncate))
@@ -131,13 +141,9 @@ def _packed_sides(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel, tr
     if alg.induced_category is None:
         raise ValueError(f"{alg.name} has no induced category to check against")
     _check_truncate(truncate)
-    # route one: induced-label rule, then restriction; `from_induced` is
-    # memoized per induced summand, a key from the induced category's
-    # fusion, never from the caller
+    # route one: induced-label rule, then restriction
     prod_ind = alg.induced_category.fusion_of(alg.to_induced(base1), alg.to_induced(base2))
-    bases = alg.__dict__.setdefault("_base_of_induced", {})
-    rule_terms = [(bases.get(s) or bases.setdefault(s, alg.from_induced(s)), m) for s, m in prod_ind]
-    rule_side = _packed_side(alg, rule_terms, truncate)
+    rule_side = _packed_side(alg, [(alg.from_induced(s), m) for s, m in prod_ind], truncate)
     # route two: restriction of the base fusion of the two bases
     monoidal_side = _packed_side(alg, alg.base_category.fusion_of(base1, base2), truncate)
     return rule_side, monoidal_side

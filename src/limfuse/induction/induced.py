@@ -60,15 +60,15 @@ class SliceFamily:
 
 def slice_family(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
     """The family of `base`, derived once and memoized per base on the algebra."""
-    cache = alg.__dict__.setdefault("_slice_cache", {})
-    hit = cache.get(base)
-    if hit is None:
-        hit = cache[base] = _derive(alg, base)
+    hit = alg._slice_cache.get(base)
+    if hit is None or not isinstance(base, SimpleLabel):
+        hit = alg._slice_cache[base] = _derive(alg, base)
     return hit
 
 
 def _derive(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
     cat = alg.base_category
+    cat._require(base)
     # a growing slot a*r + b reaches x from r = ceil((x - b) / a) on
     r0 = max(1, *(-((e.b - x) // e.a) for e, x in zip(alg.slots, base.indices) if e.a))
     top = [[cat.weight_vec(z) for z, _ in cat.fusion_of(alg.summand(r), base)] for r in range(r0, r0 + 3)]

@@ -9,6 +9,10 @@ e(r0 + u) = e0 + u*e1 + u(u-1)/2 * e2, an integer for every u >= 0 exactly
 when e0, e1, e2 are integer constants, that is, when the exponents at u = 0,
 1, 2 are.  So the slices r <= r0+2 decide every r, and the first of them
 with an exponent that is not an integer constant is the smallest witness.
+
+Certificates are memoized per base in the algebra's `_locality_cache`; every
+induction entry point that needs local modules (induced fusion, the
+restriction oracle) reads its verdicts from there.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ def locality(alg: AlgebraObject, base: SimpleLabel) -> LocalityCertificate:
 
     Local means every monodromy exponent against every algebra summand is an
     integer.  Non-local verdicts carry the smallest witness index.
-    Certificates are cached on the algebra per base.
+    Certificates are cached on the algebra per base; a base that is not a
+    label is refused on every call, even when it equals a cached one.
     """
-    cache = alg.__dict__.setdefault("_locality_cache", {})
-    hit = cache.get(base)
-    if hit is None:
+    hit = alg._locality_cache.get(base)
+    if hit is None or not isinstance(base, SimpleLabel):
         alg.base_category._require(base)
-        hit = cache[base] = _decide(alg, base)
+        hit = alg._locality_cache[base] = _decide(alg, base)
     return hit
 
 

@@ -602,6 +602,40 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'1<=2'"):
             system_from_json(doc)
 
+    @staticmethod
+    def chain_doc():
+        sp = GradedSpace.make([("a", 0), ("b", F(1, 2))])
+        return json.loads(json.dumps(system_to_json(DirectSystem.on_chain([sp, sp], [GradeMap.identity(sp)]))))
+
+    def test_document_without_poset_is_named(self):
+        doc = self.chain_doc()
+        del doc["poset"]
+        with pytest.raises(ValueError, match="^document: missing key 'poset'$"):
+            system_from_json(doc)
+
+    def test_weight_not_a_string_is_named(self):
+        doc = self.chain_doc()
+        doc["spaces"]["2"][1][1] = 0
+        with pytest.raises(ValueError, match=re.escape("spaces.2[1]: expected a rational string")):
+            system_from_json(doc)
+
+    def test_list_document_is_named(self):
+        with pytest.raises(ValueError, match="^document: expected an object, got list$"):
+            system_from_json([self.chain_doc()])
+
+    def test_basis_entry_not_a_pair_is_named(self):
+        doc = self.chain_doc()
+        doc["spaces"]["1"][0] = ["a"]
+        with pytest.raises(ValueError, match=re.escape("spaces.1[0]: expected a pair, got ['a']")):
+            system_from_json(doc)
+
+    def test_elements_not_a_list_is_named(self):
+        # a string would be read one character at a time
+        doc = self.chain_doc()
+        doc["poset"]["elements"] = "12"
+        with pytest.raises(ValueError, match="^poset.elements: expected list, got '12'$"):
+            system_from_json(doc)
+
     def test_missing_cover_is_named_not_a_key_error(self):
         sp = GradedSpace.make([("a", 0)])
         ident = GradeMap.identity(sp)

@@ -8,6 +8,7 @@ import pytest
 
 from limfuse.catdata import (
     AffineVerma,
+    OspMod,
     DeligneCategory,
     ForeignLabel,
     KLCategory,
@@ -222,6 +223,13 @@ class TestAlgebraObjects:
             for _ in range(300):
                 tops = [rng.randint(-3, 25) for _ in alg.slots]
                 assert alg.last_summand(tops) == brute_last_summand(alg, tops), (alg.name, tops)
+
+    def test_last_summand_refuses_tops_of_the_wrong_length(self):
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP):
+            n = len(alg.slots)
+            for tops in ([], [9] * (n - 1), [9] * (n + 1)):
+                with pytest.raises(ValueError, match=f"expected {n} slot tops, got {len(tops)}"):
+                    alg.last_summand(tops)
 
 
 def brute_last_summand(alg, tops):
@@ -489,6 +497,55 @@ class TestInducedFusion:
         with pytest.raises(NotLocal):
             induced_fusion(SVX, sbase(2, 1), sbase(2, 2))
 
+    def test_not_local_rejected_on_every_call(self):
+        alg = svir_extension()
+        assert induced_fusion(alg, sbase(2, 2), sbase(2, 2))
+        for b1, b2 in [(sbase(2, 1), sbase(2, 2)), (sbase(2, 2), sbase(2, 1)), (sbase(2, 1), sbase(2, 1))]:
+            for _ in range(3):
+                with pytest.raises(NotLocal):
+                    induced_fusion(alg, b1, b2)
+
+    def test_memo_matches_fresh_algebras_and_the_induced_rule(self):
+        # every pair of grid bases, local or not, asked twice of one algebra:
+        # a local pair answers what a fresh algebra and the induced
+        # category's rule on the induced labels answer, a non-local pair
+        # raises NotLocal every time
+        for make, grid in INDUCED_GRIDS:
+            alg = make()
+            for _ in range(2):
+                for b1, local1 in grid:
+                    for b2, local2 in grid:
+                        if local1 and local2:
+                            rule = alg.induced_category.fusion_of(alg.to_induced(b1), alg.to_induced(b2))
+                            fresh = induced_fusion(make(), b1, b2)
+                            assert induced_fusion(alg, b1, b2) == fresh == rule, (alg.name, b1, b2)
+                        else:
+                            for target in (alg, make()):
+                                with pytest.raises(NotLocal):
+                                    induced_fusion(target, b1, b2)
+
+    def test_label_dictionary_round_trips_and_refuses_every_time(self):
+        # only a conversion that succeeds is memoized; a refused label
+        # raises on a repeat as on the first call
+        foreign = {"svir-ext": (OspMod(3), Pair(VirasoroKp2(2, 3), VirasoroT(1, 5))),
+                   "osp-ext": (SuperVir(2, 2), Pair(AffineVerma(3), VirasoroT(2, 2)))}
+        for make, grid in INDUCED_GRIDS:
+            alg = make()
+            induced_label, non_canonical = foreign[alg.name]
+            for _ in range(2):
+                for base, local in grid:
+                    if local:
+                        label = alg.to_induced(base)
+                        assert alg.from_induced(label) == base and make().to_induced(base) == label
+                        assert alg.to_induced(alg.from_induced(label)) == label
+                    else:
+                        with pytest.raises(ValueError):
+                            alg.to_induced(base)
+                with pytest.raises(ValueError, match="canonical"):
+                    alg.to_induced(non_canonical)
+                with pytest.raises(ValueError, match="is not an? "):
+                    alg.from_induced(induced_label)
+
     def test_matches_direct_category_rule(self):
         sv = SVX.induced_category
         for n in range(1, 5):
@@ -580,6 +637,59 @@ class TestRestrictionOracle:
         )
         with pytest.raises(ValueError):
             restriction_oracle_check(bare, sbase(2, 2), sbase(2, 2), truncate=6)
+
+
+# (algebra maker, [(base, base is local)]): svir bases n, m <= 6, local when
+# n + m is even; osp bases n <= 9, local when n is odd
+INDUCED_GRIDS = (
+    (svir_extension, [(sbase(n, m), (n + m) % 2 == 0) for n in range(1, 7) for m in range(1, 7)]),
+    (osp_extension, [(obase(n), n % 2 == 1) for n in range(1, 10)]),
+)
+
+
+def raw(label):
+    """The plain tuple equal to `label`, its factors plain tuples too."""
+    return tuple(raw(v) if isinstance(v, tuple) else v for v in label)
+
+
+# (name, object maker, label, call(object, x), refusal): each entry point
+# keyed by labels, called with the label or with the raw tuple equal to it
+RAW_KEY_CASES = [
+    ("weight_vec", lambda: category_by_name("virasoro-t"), VirasoroT(3, 1), lambda c, x: c.weight_vec(x), ForeignLabel),
+    ("weight_of", lambda: category_by_name("virasoro-t"), VirasoroT(3, 1), lambda c, x: c.weight_of(x), ForeignLabel),
+    ("fusion_of left", lambda: category_by_name("virasoro-t"), VirasoroT(3, 1),
+     lambda c, x: c.fusion_of(x, VirasoroT(2, 1)), ForeignLabel),
+    ("fusion_of right", lambda: category_by_name("virasoro-t"), VirasoroT(3, 1),
+     lambda c, x: c.fusion_of(VirasoroT(2, 1), x), ForeignLabel),
+    ("pair fusion_of", lambda: category_by_name("deligne(virasoro-kp2,virasoro-t)"), sbase(3, 3),
+     lambda c, x: c.fusion_of(x, x), ForeignLabel),
+    ("locality", svir_extension, sbase(3, 3), locality, ForeignLabel),
+    ("slice_family", svir_extension, sbase(3, 3), slice_family, ForeignLabel),
+    ("restrict_truncated", svir_extension, sbase(3, 3), lambda a, x: restrict_truncated(a, x, 6), ForeignLabel),
+    ("induced_fusion left", svir_extension, sbase(3, 3), lambda a, x: induced_fusion(a, x, sbase(2, 2)), ForeignLabel),
+    ("induced_fusion right", svir_extension, sbase(3, 3), lambda a, x: induced_fusion(a, sbase(2, 2), x), ForeignLabel),
+    ("to_induced", svir_extension, sbase(3, 3), lambda a, x: a.to_induced(x), ValueError),
+    ("from_induced", svir_extension, SuperVir(3, 3), lambda a, x: a.from_induced(x), ValueError),
+]
+
+
+class TestRawTupleKeys:
+    """A raw tuple equals the label with the same entries, so it finds the
+    label's memo entry; every memoized entry point refuses it all the same,
+    on a fresh object and once the label's answer is memoized."""
+
+    @pytest.mark.parametrize("name, make, label, call, refusal", RAW_KEY_CASES, ids=[c[0] for c in RAW_KEY_CASES])
+    def test_refused_cold_and_warm(self, name, make, label, call, refusal):
+        key = raw(label)
+        assert key == label and type(key) is tuple
+        with pytest.raises(refusal):
+            call(make(), key)
+        warm = make()
+        answer = call(warm, label)
+        for _ in range(2):
+            with pytest.raises(refusal):
+                call(warm, key)
+        assert call(warm, label) == answer
 
 
 def _drop_low(x, y, full):
