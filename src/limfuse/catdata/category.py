@@ -61,6 +61,13 @@ class CategorySpec:
     base_parameter: str  # formal-variable letter of the weights
     unit: SimpleLabel
 
+    def __init__(self):
+        # the memos of weight_vec, weight_of and fusion_of, keyed by label
+        # and by label pair
+        self._vec_cache: dict = {}
+        self._weight_cache: dict = {}
+        self._fusion_cache: dict = {}
+
     def contains(self, x: SimpleLabel) -> bool:
         raise NotImplementedError
 
@@ -79,7 +86,7 @@ class CategorySpec:
             raise ForeignLabel(f"{x} is not an object of {self.name}")
 
     def weight_vec(self, x: SimpleLabel) -> WeightVec:
-        cache = self.__dict__.setdefault("_vec_cache", {})
+        cache = self._vec_cache
         hit = cache.get(x)
         if hit is None or not isinstance(x, SimpleLabel):
             self._require(x)
@@ -87,14 +94,14 @@ class CategorySpec:
         return hit
 
     def weight_of(self, x: SimpleLabel) -> RatFunc:
-        cache = self.__dict__.setdefault("_weight_cache", {})
+        cache = self._weight_cache
         hit = cache.get(x)
         if hit is None or not isinstance(x, SimpleLabel):
             hit = cache[x] = self.weight_vec(x).to_ratfunc()
         return hit
 
     def fusion_of(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
-        cache = self.__dict__.setdefault("_fusion_cache", {})
+        cache = self._fusion_cache
         hit = cache.get((x, y))
         if hit is None or not (isinstance(x, SimpleLabel) and isinstance(y, SimpleLabel)):
             self._require(x)
@@ -198,6 +205,7 @@ class DeligneCategory(CategorySpec):
     """
 
     def __init__(self, left: CategorySpec, right: CategorySpec):
+        super().__init__()
         self.left = left
         self.right = right
         self.name = f"deligne({left.name},{right.name})"

@@ -49,9 +49,7 @@ class SimpleLabel(tuple):
     __slots__ = ()
     head: str  # the name `str` prints before the indices
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self[1:]
+    indices = property(itemgetter(slice(1, None)), doc="The entries after the tag.")
 
     def __reduce__(self):
         return type(self), self[1:]

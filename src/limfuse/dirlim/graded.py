@@ -1,7 +1,8 @@
 """Graded vector spaces over Q and grade-preserving linear maps.
 
 A GradedSpace is a finite list of basis vectors, each carrying a rational
-weight; its grades (basis indices per weight) are computed once.  A GradeMap
+weight; its grades (basis indices per weight) are computed at construction,
+weights ordered as integers over the lcm of their denominators.  A GradeMap
 holds, per weight of both spaces, one block of integers over the least
 common denominator, keyed by the weight's (numerator, denominator), which
 hashes far faster than a Fraction.  Composition, equality, rank, kernel,
@@ -9,7 +10,9 @@ image, tensor products and factoring act block by block; `.matrix` is the
 dense Fraction view, derived on demand.  Entries of a dense input that join
 distinct weights are kept as strays, seen by `.matrix`, equality and
 `grade_violations` so that validation can report them; every operation that
-computes refuses such a map with ValueError.
+computes refuses such a map with ValueError.  A dense input is read into its
+blocks in one pass; an all-int input needs no common denominator, and it is
+searched for strays only when it has nonzero entries outside its blocks.
 
 Kernels skip exact elimination on blocks of full column rank modulo the prime
 2^61 - 1: a maximal minor nonzero mod the prime is a nonzero integer, so such
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from limfuse.dirlim import linalg
@@ -40,12 +44,35 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class GradedSpace:
+    """Basis ids with rational weights.  `grades` (basis indices per weight,
+    weights ascending, indices in basis order, keyed by the weight's
+    (numerator, denominator)) and `positions` ((grade key, position within
+    the grade) of each basis index) are computed at construction; equality
+    and hashing see `basis` only."""
+
     basis: tuple[tuple[str, Weight], ...]
 
     def __post_init__(self):
-        ids = [b for b, _ in self.basis]
-        if len(set(ids)) != len(ids):
+        if len({b for b, _ in self.basis}) != len(self.basis):
             raise ValueError("duplicate basis ids")
+        found: dict[GradeKey, list[int]] = {}
+        for k, (_, w) in enumerate(self.basis):
+            key = w.as_integer_ratio()
+            ix = found.get(key)
+            if ix is None:
+                found[key] = [k]
+            else:
+                ix.append(k)
+        keys = found
+        if len(found) > 1:  # weights in order, as integers over one denominator
+            scale = lcm(*(d for _, d in found))
+            keys = sorted(found, key=lambda key: key[0] * (scale // key[1]))
+        grades = {key: tuple(found[key]) for key in keys}
+        positions: list = [None] * len(self.basis)
+        for key, ix in grades.items():
+            for p, k in enumerate(ix):
+                positions[k] = (key, p)
+        self.__dict__.update(grades=grades, positions=tuple(positions))
 
     @staticmethod
     def make(basis: Sequence[tuple[str, Union[int, Fraction]]]) -> "GradedSpace":
@@ -70,24 +97,6 @@ class GradedSpace:
     def weight(self, idx: int) -> Weight:
         return self.basis[idx][1]
 
-    @cached_property
-    def grades(self) -> dict[GradeKey, tuple[int, ...]]:
-        """Basis indices per weight, weights ascending, indices in basis
-        order, keyed by the (numerator, denominator) pair of the weight."""
-        out: dict[GradeKey, tuple[Weight, list[int]]] = {}
-        for k, (_, w) in enumerate(self.basis):
-            out.setdefault((w.numerator, w.denominator), (w, []))[1].append(k)
-        return {key: tuple(ix) for key, (_, ix) in sorted(out.items(), key=lambda item: item[1][0])}
-
-    @cached_property
-    def positions(self) -> tuple[tuple[GradeKey, int], ...]:
-        """(grade key, position within the grade) of each basis index."""
-        out: list = [None] * self.dim
-        for key, ix in self.grades.items():
-            for p, k in enumerate(ix):
-                out[k] = (key, p)
-        return tuple(out)
-
     def blocks(self) -> dict[Weight, tuple[int, ...]]:
         """`grades` keyed by the weights themselves."""
         return {Fraction(*key): ix for key, ix in self.grades.items()}
@@ -106,6 +115,9 @@ class GradedSpace:
             )
             hit = memo[id(other)] = (other, product)
         return hit[1]
+
+
+_INT, _EXACT = {int}, {int, Fraction}
 
 
 def _block_of(values: Sequence[Sequence[Union[int, Fraction]]]) -> Block:
@@ -159,15 +171,34 @@ class GradeMap:
         for row in matrix:
             if len(row) != source.dim:
                 raise ValueError(f"expected {source.dim} columns, got {len(row)}")
+        types: set = set()
+        for row in matrix:
+            types.update(map(type, row))
+        ints = types <= _INT
+        src = source.grades
         blocks: dict[GradeKey, Block] = {}
-        stray = []
+        inside = 0  # nonzero entries read into blocks
         for key, rows in target.grades.items():
-            cols = source.grades.get(key, ())
+            cols = src.get(key)
             if cols:
-                blocks[key] = _block_of([[matrix[r][c] for c in cols] for r in rows])
-            others = [c for c in range(source.dim) if c not in cols]
-            stray += [((r, c), Fraction(matrix[r][c])) for r in rows for c in others if matrix[r][c]]
-        self._fill(source, target, blocks, tuple(sorted(stray, key=lambda entry: entry[0])), {})
+                if len(cols) == 1:
+                    c = cols[0]
+                    values = [(matrix[r][c],) for r in rows]
+                else:
+                    get = itemgetter(*cols)
+                    values = [get(matrix[r]) for r in rows]
+                if ints:
+                    blocks[key] = tuple(values), 1
+                    inside += sum([len(v) - v.count(0) for v in values])
+                else:
+                    blocks[key] = _block_of(values)
+        stray = ()
+        # an int matrix has strays only if it has nonzero entries outside its blocks
+        if not ints or inside != sum([len(row) - row.count(0) for row in matrix]):
+            keys = [key for key, _ in source.positions]
+            stray = tuple(((r, c), Fraction(v)) for r, (key, _) in enumerate(target.positions)
+                          for c, v in enumerate(matrix[r]) if keys[c] != key and v)
+        self._fill(source, target, blocks, stray, {})
 
     def _fill(self, source, target, blocks, stray, memo) -> None:
         self.source, self.target = source, target
@@ -183,7 +214,12 @@ class GradeMap:
 
     @staticmethod
     def make(source: GradedSpace, target: GradedSpace, rows: Sequence[Sequence[Union[int, Fraction]]]) -> "GradeMap":
-        return GradeMap(source, target, [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows])
+        """The map of `rows`, entries converted to Fraction unless int or
+        Fraction already."""
+        return GradeMap(source, target, [
+            r if isinstance(r, (list, tuple)) and {*map(type, r)} <= _EXACT
+            else [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r]
+            for r in rows])
 
     @staticmethod
     def identity(space: GradedSpace) -> "GradeMap":

@@ -1,9 +1,17 @@
-"""Finite directed posets given by an explicit reflexive-transitive relation."""
+"""Finite directed posets given by an explicit reflexive-transitive relation.
+
+Posets are read-only and their derived data (covers, strict pairs, the
+greatest element, the violations) is computed once per poset.  Chains and
+products are shared per shape: `DirectedPoset.chain(n, prefix)` returns one
+poset per (n, prefix) from a bounded cache, and `product` is memoized on its
+left factor, keyed by the right one, so every system over the same shape
+reads the same derived data.  `from_covers` builds a new poset each time.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 
@@ -41,12 +49,9 @@ class DirectedPoset:
 
     @staticmethod
     def chain(n: int, prefix: str = "") -> "DirectedPoset":
-        """The n-stage truncation 1 <= 2 <= ... <= n of the infinite chain."""
-        elements = tuple(f"{prefix}{k}" for k in range(1, n + 1))
-        leq = frozenset(
-            (elements[a], elements[b]) for a in range(n) for b in range(a, n)
-        )
-        return DirectedPoset(elements, leq)
+        """The n-stage truncation 1 <= 2 <= ... <= n of the infinite chain,
+        one shared poset per (n, prefix)."""
+        return _chain(n, prefix)
 
     @staticmethod
     def from_covers(elements: Sequence[str], covers: Iterable[tuple[str, str]]) -> "DirectedPoset":
@@ -104,13 +109,19 @@ class DirectedPoset:
         return next((k for k in self.elements if all(k in up[i] for i in self.elements)), None)
 
     def product(self, other: "DirectedPoset") -> "DirectedPoset":
-        elements = tuple(f"({a},{b})" for a in self.elements for b in other.elements)
-        leq = frozenset(
-            (f"({a},{b})", f"({c},{d})")
-            for (a, c) in self.leq
-            for (b, d) in other.leq
-        )
-        return DirectedPoset(elements, leq)
+        """Componentwise order on pairs "(a,b)"; kept per right factor, so
+        products of the same factors are one poset."""
+        memo = self.__dict__.setdefault("_product", {})
+        hit = memo.get(id(other))
+        if hit is None or hit[0] is not other:
+            elements = tuple(f"({a},{b})" for a in self.elements for b in other.elements)
+            leq = frozenset(
+                (f"({a},{b})", f"({c},{d})")
+                for (a, c) in self.leq
+                for (b, d) in other.leq
+            )
+            hit = memo[id(other)] = (other, DirectedPoset(elements, leq))
+        return hit[1]
 
     @_once
     def violations(self) -> tuple[str, ...]:
@@ -130,3 +141,10 @@ class DirectedPoset:
                 if up[i].isdisjoint(up[j]):
                     out.append(f"no upper bound for {{{i}, {j}}}")
         return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _chain(n: int, prefix: str) -> DirectedPoset:
+    elements = tuple(f"{prefix}{k}" for k in range(1, n + 1))
+    leq = frozenset((elements[a], elements[b]) for a in range(n) for b in range(a, n))
+    return DirectedPoset(elements, leq)

@@ -57,6 +57,18 @@ def _two(entry: Any, where: str) -> tuple:
     return tuple(entry)
 
 
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected list, got {value!r}")
+    return value
+
+
+def _name(text: Any, where: str) -> str:
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: expected a string, got {text!r}")
+    return text
+
+
 def _rat(text: Any, where: str):
     if not isinstance(text, str):
         raise ValueError(f"{where}: expected a rational string like \"-3/4\", got {text!r}")
@@ -65,28 +77,38 @@ def _rat(text: Any, where: str):
 
 def system_from_json(doc: dict[str, Any]) -> DirectSystem:
     """Read the schema above.  A document or "poset" that is not an object,
-    a missing top-level or poset key, a leq or basis entry that is not a
-    pair and a weight or entry that is not a string are refused with a
-    ValueError that names the key or path."""
+    a missing top-level or poset key, a basis or map that is not a list, a
+    leq or basis entry that is not a pair, an element, leq entry or basis id
+    that is not a string, a map row that is not a list and a weight or entry
+    that is not a string are refused with a ValueError that names the key or
+    path."""
     pdoc = _field(doc, "poset", "document", dict)
     leq = _field(pdoc, "leq", "poset", list)
+    elements = _field(pdoc, "elements", "poset", list)
     poset = DirectedPoset(
-        tuple(_field(pdoc, "elements", "poset", list)),
-        frozenset(_two(pair, f"poset.leq[{k}]") for k, pair in enumerate(leq)),
+        tuple(_name(e, f"poset.elements[{k}]") for k, e in enumerate(elements)),
+        frozenset(tuple(_name(e, f"poset.leq[{k}]") for e in _two(pair, f"poset.leq[{k}]"))
+                  for k, pair in enumerate(leq)),
     )
     spaces = {}
-    for e, basis in _field(doc, "spaces", "document", dict).items():
-        entries = [_two(entry, f"spaces.{e}[{k}]") for k, entry in enumerate(basis)]
-        spaces[e] = GradedSpace(tuple((bid, _rat(w, f"spaces.{e}[{k}]")) for k, (bid, w) in enumerate(entries)))
+    sdoc = _field(doc, "spaces", "document", dict)
+    for e in sdoc:
+        where = f"spaces.{e}"
+        entries = [_two(entry, f"{where}[{k}]") for k, entry in enumerate(_field(sdoc, e, "spaces", list))]
+        spaces[e] = GradedSpace(tuple((_name(bid, f"{where}[{k}]"), _rat(w, f"{where}[{k}]"))
+                                      for k, (bid, w) in enumerate(entries)))
     maps = {}
-    for key, rows in _field(doc, "maps", "document", dict).items():
+    mdoc = _field(doc, "maps", "document", dict)
+    for key in mdoc:
         pair = key.split("<=")
         if len(pair) != 2 or not all(e in spaces for e in pair):
             raise ValueError(f"map key {key!r} is not i<=j over elements with spaces")
         i, j = pair
+        rows = _field(mdoc, key, "maps", list)
         maps[(i, j)] = GradeMap(
             spaces[i],
             spaces[j],
-            tuple(tuple(_rat(v, f"maps.{key}") for v in row) for row in rows),
+            tuple(tuple(_rat(v, f"maps.{key}[{r}]") for v in _list(row, f"maps.{key}[{r}]"))
+                  for r, row in enumerate(rows)),
         )
     return DirectSystem(poset, spaces, maps)

@@ -249,7 +249,7 @@ def direct_limit(sys: DirectSystem) -> Limit:
     _require_valid(sys)
     top = sys.poset.greatest()
     basis = sys.spaces[top].basis
-    order = sorted(range(len(basis)), key=lambda k: basis[k][1])
+    order = [k for ix in sys.spaces[top].grades.values() for k in ix]
     space = GradedSpace(tuple((f"{top}:{basis[k][0]}", basis[k][1]) for k in order))
     legs = {e: sys.map(e, top).with_target(space) for e in sys.poset.elements}
     return Limit(space, legs, sys)

@@ -6,6 +6,15 @@ transition maps.  For three systems the limit can be taken all at once or in
 stages; because the tensor product of vector spaces is exact, the canonical
 comparison map between the two results is always an isomorphism, and this
 module computes that map explicitly and checks it rank-by-grade.
+
+A product is valid by construction when both factors are: the product of
+directed posets is directed, its covers are a cover of one factor beside an
+element of the other, each given one Kronecker map between the spaces
+`GradedSpace.tensor` shares, and every square of covers commutes, both ways
+round being f (x) g.  So `tensor_system` keeps an empty validation report on
+the product of two valid factors, and leaves the product of an invalid factor
+to the full check.  Product posets and product spaces are shared per pair of
+factors, so products over the same shapes read the same derived data.
 """
 
 from __future__ import annotations
@@ -13,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from limfuse.dirlim.graded import GradeMap, Weight
-from limfuse.dirlim.system import DirectSystem, Limit, Target, direct_limit, universal_map
+from limfuse.dirlim.system import (DirectSystem, Limit, Target, ValidationReport, direct_limit, universal_map,
+                                   validate_system)
 
 
 def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
     """Componentwise tensor product over the product poset, given by its
-    covers: a cover of one factor beside an element of the other."""
+    covers: a cover of one factor beside an element of the other.  Valid
+    when both factors are, and then its report is empty from the start."""
     poset = a.poset.product(b.poset)
     spaces = {
         f"({i},{j})": a.space(i).tensor(b.space(j))
@@ -38,7 +49,10 @@ def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
         fb = b.map(j, j2)
         for i, id_i in ids_a.items():
             maps[(f"({i},{j})", f"({i},{j2})")] = id_i.tensor(fb)
-    return DirectSystem(poset, spaces, maps)
+    product = DirectSystem(poset, spaces, maps)
+    if validate_system(a).ok and validate_system(b).ok:
+        product.__dict__["_validation"] = ValidationReport(())
+    return product
 
 
 @dataclass(frozen=True)

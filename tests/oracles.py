@@ -13,12 +13,17 @@ needs it.
 - `restriction_sides`: the two routes of `restriction_oracle_check` summed
   as multiplicity maps, route two through `ring_mul`, against which the
   packed sides are checked.
+- `space_grades` and `grade_map_parts`: a graded space's grades sorted by
+  Fraction comparison, and a dense matrix cut into weight blocks and strays
+  with per-grade column scans, the former `GradedSpace.grades` and
+  `GradeMap.__init__`, against which the one-pass construction is checked.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from limfuse.catdata import (
@@ -213,3 +218,29 @@ def restriction_sides(alg, base1, base2, truncate: int) -> tuple[dict, dict]:
     for z, mult in ring_mul(alg.base_category, FusionElement.of(base1), FusionElement.of(base2)):
         _add_scaled(monoidal_side, restrict_truncated(alg, z, truncate), mult)
     return rule_side, monoidal_side
+
+
+def space_grades(space) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Basis indices per weight, weights ascending by Fraction comparison,
+    keyed by (numerator, denominator)."""
+    out: dict = {}
+    for k, (_, w) in enumerate(space.basis):
+        out.setdefault((w.numerator, w.denominator), (w, []))[1].append(k)
+    return {key: tuple(ix) for key, (_, ix) in sorted(out.items(), key=lambda item: item[1][0])}
+
+
+def grade_map_parts(source, target, matrix) -> tuple[dict, tuple]:
+    """The weight blocks (integer rows over the least common denominator)
+    and the sorted ((row, col), Fraction) strays of a dense matrix, one
+    target grade at a time, strays found by scanning the columns outside
+    the grade."""
+    sgrades, blocks, stray = space_grades(source), {}, []
+    for key, rows in space_grades(target).items():
+        cols = sgrades.get(key, ())
+        if cols:
+            values = [[matrix[r][c] for c in cols] for r in rows]
+            den = lcm(1, *(v.denominator for row in values for v in row))
+            blocks[key] = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in values), den
+        others = [c for c in range(source.dim) if c not in cols]
+        stray += [((r, c), Fraction(matrix[r][c])) for r in rows for c in others if matrix[r][c]]
+    return blocks, tuple(sorted(stray, key=lambda entry: entry[0]))

@@ -636,6 +636,49 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^poset.elements: expected list, got '12'$"):
             system_from_json(doc)
 
+    def test_basis_not_a_list_is_named(self):
+        doc = self.chain_doc()
+        doc["spaces"]["1"] = 5
+        with pytest.raises(ValueError, match="^spaces.1: expected list, got 5$"):
+            system_from_json(doc)
+
+    def test_map_rows_not_a_list_are_named(self):
+        doc = self.chain_doc()
+        doc["maps"]["1<=2"] = 5
+        with pytest.raises(ValueError, match=re.escape("maps.1<=2: expected list, got 5")):
+            system_from_json(doc)
+
+    def test_map_row_none_is_named(self):
+        doc = self.chain_doc()
+        doc["maps"]["1<=2"][1] = None
+        with pytest.raises(ValueError, match=re.escape("maps.1<=2[1]: expected list, got None")):
+            system_from_json(doc)
+
+    def test_map_row_string_is_named(self):
+        # a string row would be read one character at a time, "10" as [1, 0]
+        doc = self.chain_doc()
+        doc["maps"]["1<=2"][0] = "10"
+        with pytest.raises(ValueError, match=re.escape("maps.1<=2[0]: expected list, got '10'")):
+            system_from_json(doc)
+
+    def test_element_not_a_string_is_named(self):
+        doc = self.chain_doc()
+        doc["poset"]["elements"][1] = ["2"]
+        with pytest.raises(ValueError, match=re.escape("poset.elements[1]: expected a string, got ['2']")):
+            system_from_json(doc)
+
+    def test_leq_entry_not_a_string_is_named(self):
+        doc = self.chain_doc()
+        doc["poset"]["leq"][2] = ["2", ["2"]]
+        with pytest.raises(ValueError, match=re.escape("poset.leq[2]: expected a string, got ['2']")):
+            system_from_json(doc)
+
+    def test_basis_id_not_a_string_is_named(self):
+        doc = self.chain_doc()
+        doc["spaces"]["2"][0][0] = ["a"]
+        with pytest.raises(ValueError, match=re.escape("spaces.2[0]: expected a string, got ['a']")):
+            system_from_json(doc)
+
     def test_missing_cover_is_named_not_a_key_error(self):
         sp = GradedSpace.make([("a", 0)])
         ident = GradeMap.identity(sp)

@@ -1,0 +1,195 @@
+"""Construction of direct systems: shared chain and product posets, grades
+computed at construction, one-pass grade maps, and products whose report is
+taken from their factors, each against a reference built from scratch."""
+
+from fractions import Fraction as F
+
+import random
+
+import pytest
+
+from limfuse.dirlim import (
+    DirectedPoset,
+    DirectSystem,
+    GradedSpace,
+    GradeMap,
+    tensor_system,
+    validate_system,
+)
+from limfuse.dirlim.randgen import random_chain_system, random_fubini_triple, random_grade_map, random_space
+from limfuse.dirlim.system import _validate
+from limfuse.dirlim.tensor import fubini_compare
+
+from oracles import grade_map_parts, space_grades
+
+WEIGHTS = [F(0), F(1, 2), F(1), F(2), F(-1, 3), F(5, 6)]
+
+
+def _space(rng, pool, max_dim, prefix):
+    return GradedSpace(tuple((f"{prefix}{k}", rng.choice(pool)) for k in range(rng.randint(0, max_dim))))
+
+
+def _matrix(rng, source, target, entries, graded):
+    """Dense rows over the target basis; `graded` keeps entries that join
+    distinct weights at zero."""
+    return [[rng.choice(entries) if not graded or source.weight(c) == target.weight(r) else 0
+             for c in range(source.dim)] for r in range(target.dim)]
+
+
+def _assert_matches_reference(g, source, target, matrix):
+    blocks, stray = grade_map_parts(source, target, matrix)
+    assert g._blocks == blocks and g._stray == stray
+    assert all(type(v) is int for rows, den in g._blocks.values() for row in rows for v in row)
+    assert all(type(rows) is tuple and all(type(row) is tuple for row in rows) for rows, _ in g._blocks.values())
+    assert g.matrix == tuple(tuple(F(v) for v in row) for row in matrix)
+
+
+class TestGradedSpace:
+    def test_grades_and_positions_match_the_fraction_sort(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            space = _space(rng, WEIGHTS[:rng.randint(1, len(WEIGHTS))], 8, "b")
+            assert list(space.grades.items()) == list(space_grades(space).items())
+            for key, ix in space.grades.items():
+                for p, k in enumerate(ix):
+                    assert space.positions[k] == (key, p)
+            assert len(space.positions) == space.dim
+
+    def test_equality_and_hash_see_the_basis_only(self):
+        a = GradedSpace.make([("x", F(1, 2)), ("y", 0)])
+        b = GradedSpace.make([("x", F(1, 2)), ("y", 0)])
+        assert a == b and hash(a) == hash(b) and a.grades == b.grades
+        assert repr(a) == "GradedSpace(basis=(('x', Fraction(1, 2)), ('y', Fraction(0, 1))))"
+        with pytest.raises(ValueError, match="duplicate basis ids"):
+            GradedSpace.make([("x", 0), ("x", 1)])
+
+
+class TestGradeMapAgainstReference:
+    def test_randgen_maps(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            source, target = random_space(rng, prefix="s"), random_space(rng, prefix="t")
+            g = random_grade_map(rng, source, target)
+            _assert_matches_reference(g, source, target, g.matrix)
+
+    def test_int_and_fraction_entries_with_and_without_strays(self):
+        rng = random.Random(7)
+        ints, fractions = [-2, -1, 0, 0, 0, 1, 2, 3], [F(0), F(0), F(1), F(-1, 2), F(7, 4), 2, -3]
+        for _ in range(400):
+            source, target = _space(rng, WEIGHTS[:4], 6, "s"), _space(rng, WEIGHTS[:4], 6, "t")
+            matrix = _matrix(rng, source, target, rng.choice([ints, fractions]), graded=rng.random() < 0.5)
+            _assert_matches_reference(GradeMap(source, target, matrix), source, target, matrix)
+
+    def test_weights_on_one_side_only(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            source = _space(rng, [F(0), F(1, 2), F(1)], 5, "s")
+            target = _space(rng, [F(1, 2), F(2), F(-1, 3)], 5, "t")
+            for graded in (True, False):
+                matrix = _matrix(rng, source, target, [0, 1, -1, F(1, 3)], graded)
+                _assert_matches_reference(GradeMap(source, target, matrix), source, target, matrix)
+
+    def test_make_converts_only_what_is_not_exact(self):
+        s = GradedSpace.make([("a", 0), ("b", 0), ("c", 1)])
+        rows = [[1, F(1, 2), 0], ("1/3", 0.5, 0), [0, 0, F(3)]]
+        g = GradeMap.make(s, s, rows)
+        dense = [[F(1), F(1, 2), F(0)], [F(1, 3), F(1, 2), F(0)], [F(0), F(0), F(3)]]
+        assert g == GradeMap(s, s, dense)
+        _assert_matches_reference(g, s, s, dense)
+        assert GradeMap.make(s, s, (iter(row) for row in dense)) == g
+        with pytest.raises(ValueError, match="expected 3 columns"):
+            GradeMap.make(s, s, [[1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+class TestSharedPosets:
+    @pytest.mark.parametrize("n, prefix", [(1, ""), (2, "a"), (4, ""), (12, "c")])
+    def test_chain_is_shared_and_equals_a_fresh_chain(self, n, prefix):
+        elements = tuple(f"{prefix}{k}" for k in range(1, n + 1))
+        fresh = DirectedPoset(elements, frozenset((elements[a], elements[b]) for a in range(n) for b in range(a, n)))
+        chain = DirectedPoset.chain(n, prefix)
+        assert chain is DirectedPoset.chain(n, prefix)
+        assert chain.elements == fresh.elements and chain.leq == fresh.leq and chain == fresh
+        assert chain.covers() == fresh.covers() and chain.violations() == fresh.violations() == ()
+        assert chain.greatest() == fresh.greatest()
+        sp = GradedSpace.std(1)
+        assert DirectSystem.on_chain([sp] * n, [GradeMap.identity(sp)] * (n - 1), prefix).poset is chain
+
+    def test_product_is_memoized_per_right_factor(self):
+        a, b = DirectedPoset.chain(3, "a"), DirectedPoset.from_covers(["x", "y", "z"], [("x", "z"), ("y", "z")])
+        product = a.product(b)
+        assert a.product(b) is product
+        elements = tuple(f"({i},{j})" for i in a.elements for j in b.elements)
+        leq = frozenset((f"({i},{j})", f"({k},{m})") for i, k in a.leq for j, m in b.leq)
+        assert product == DirectedPoset(elements, leq)
+        twin = DirectedPoset(b.elements, b.leq)
+        assert a.product(twin) == product and a.product(twin) is a.product(twin)
+        assert b.product(a) != product
+
+
+def _chain(rng, length, prefix, min_dim=0):
+    """A chain shaped like the benchmark's: up to two basis vectors over
+    three weights, sparse integer steps."""
+    spaces = [GradedSpace.make([(f"{prefix}{k}b{m}", rng.choice(WEIGHTS[:3]))
+                                for m in range(rng.randint(min_dim, 2))]) for k in range(length)]
+    steps = [GradeMap.make(spaces[k], spaces[k + 1], _matrix(rng, spaces[k], spaces[k + 1], [-2, -1, 0, 0, 1, 1, 2], True))
+             for k in range(length - 1)]
+    return DirectSystem.on_chain(spaces, steps, prefix)
+
+
+def _non_directed(prefix):
+    sp = GradedSpace.std(1)
+    return DirectSystem(DirectedPoset.from_covers([f"{prefix}x", f"{prefix}y"], []),
+                        {f"{prefix}x": sp, f"{prefix}y": sp}, {})
+
+
+def _wrong_source(prefix):
+    q1, q2 = GradedSpace.std(1), GradedSpace.std(2)
+    return DirectSystem.on_chain([q2, q2], [GradeMap.identity(q1)], prefix)
+
+
+def _wrong_claim(prefix):
+    # a wrong non-cover claim: the product uses only covers, so it stays valid
+    q = GradedSpace.std(1)
+    ident = GradeMap.identity(q)
+    chain = DirectSystem.on_chain([q] * 3, [ident] * 2, prefix)
+    return DirectSystem(chain.poset, chain.spaces, {**chain.maps, (f"{prefix}1", f"{prefix}3"): GradeMap.zero(q, q)})
+
+
+def _assert_report_is_the_full_check(a, b):
+    product = tensor_system(a, b)
+    seeded = "_validation" in product.__dict__
+    assert seeded == (_validate(a).ok and _validate(b).ok)
+    assert validate_system(product) == _validate(product)
+    return product
+
+
+class TestProductReport:
+    def test_randgen_and_selftest_products(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            a = random_chain_system(rng, rng.choice([2, 3]), 2, "a")
+            _assert_report_is_the_full_check(a, random_chain_system(rng, 2, 2, "b"))
+        for seed in range(40):
+            a, b, c = random_fubini_triple(seed)
+            bc = _assert_report_is_the_full_check(b, c)
+            _assert_report_is_the_full_check(a, bc)
+            assert fubini_compare(a, b, c).is_isomorphism
+
+    def test_benchmark_product_and_fubini_shapes(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            _assert_report_is_the_full_check(_chain(rng, 2, "a"), _chain(rng, 2, "b"))
+            a, b, c = (_chain(rng, n, p, min_dim=1) for n, p in zip(rng.sample([3, 2, 2], 3), "abc"))
+            _assert_report_is_the_full_check(a, _assert_report_is_the_full_check(b, c))
+
+    @pytest.mark.parametrize("bad", [_non_directed, _wrong_source])
+    def test_invalid_factor_gets_the_full_check(self, bad):
+        rng = random.Random(1)
+        for a, b in ((bad("p"), _chain(rng, 2, "q")), (_chain(rng, 2, "q"), bad("p")), (bad("p"), bad("r"))):
+            product = _assert_report_is_the_full_check(a, b)
+            assert not validate_system(product).ok
+
+    def test_invalid_claim_in_a_factor_leaves_a_valid_product(self):
+        rng = random.Random(2)
+        product = _assert_report_is_the_full_check(_wrong_claim("p"), _chain(rng, 2, "q"))
+        assert validate_system(product).ok
