@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 computation error, 2 configuration error.
 The argparse parser is built once per process, on the first `main()` call,
 and reused: parsing returns a fresh namespace each time, and argparse looks
 up sys.stdout, sys.stderr and the terminal width only when it prints, so
-reuse carries no state from one call to the next.
+reuse carries no state from one call to the next.  Each call is parsed once,
+by its command's own parser.  The full parser reads the arguments only when
+they name no command or leave some unrecognized, and then only to report
+help or the error, so that output and its exit code are argparse's own.
 
 Work is capped up front, and a request over a cap exits 2 before anything
 is built:
@@ -342,11 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
 
+    parser.commands = sub.choices  # the parser of each command, by name
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        # what the full parser would do, less its own pass over the arguments
+        args, extra = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

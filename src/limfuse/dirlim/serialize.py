@@ -70,9 +70,12 @@ def _name(text: Any, where: str) -> str:
 
 
 def _rat(text: Any, where: str):
-    if not isinstance(text, str):
-        raise ValueError(f"{where}: expected a rational string like \"-3/4\", got {text!r}")
-    return parse_rat(text)
+    try:
+        if isinstance(text, str):
+            return parse_rat(text)
+    except (ValueError, ZeroDivisionError):  # no rational, or a zero denominator
+        pass
+    raise ValueError(f"{where}: expected a rational string like \"-3/4\", got {text!r}")
 
 
 def system_from_json(doc: dict[str, Any]) -> DirectSystem:
@@ -80,8 +83,8 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
     a missing top-level or poset key, a basis or map that is not a list, a
     leq or basis entry that is not a pair, an element, leq entry or basis id
     that is not a string, a map row that is not a list and a weight or entry
-    that is not a string are refused with a ValueError that names the key or
-    path."""
+    that is not a rational string (a zero denominator included) are refused
+    with a ValueError that names the key or path."""
     pdoc = _field(doc, "poset", "document", dict)
     leq = _field(pdoc, "leq", "poset", list)
     elements = _field(pdoc, "elements", "poset", list)

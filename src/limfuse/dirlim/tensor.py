@@ -13,7 +13,8 @@ element of the other, each given one Kronecker map between the spaces
 `GradedSpace.tensor` shares, and every square of covers commutes, both ways
 round being f (x) g.  So `tensor_system` keeps an empty validation report on
 the product of two valid factors, and leaves the product of an invalid factor
-to the full check.  Product posets and product spaces are shared per pair of
+to the full check; `fubini_compare` does the same for a valid system tensored
+with a fixed space.  Product posets and product spaces are shared per pair of
 factors, so products over the same shapes read the same derived data.
 """
 
@@ -80,6 +81,8 @@ def fubini_compare(a: DirectSystem, b: DirectSystem, c: DirectSystem) -> FubiniR
     ident = GradeMap.identity(inner_space)
     maps = {(i, j): a.map(i, j).tensor(ident) for i, j in a.poset.covers()}
     iterated_sys = DirectSystem(a.poset, spaces, maps)
+    if validate_system(a).ok:  # a's cover maps (x) id commute as a's do
+        iterated_sys.__dict__["_validation"] = ValidationReport(())
     lim_iter = direct_limit(iterated_sys)
 
     psis: dict[str, GradeMap] = {}

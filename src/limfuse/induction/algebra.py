@@ -258,7 +258,7 @@ def _factor(k: int, f: dict) -> FactorTemplate:
     if not isinstance(f, dict):
         raise ValueError(f"{where}: expected an object with 'kind' and 'indices', got {f!r}")
     kind, indices = _key(f, "kind", where), _key(f, "indices", where)
-    if kind not in _LABEL_KINDS:
+    if not isinstance(kind, str) or kind not in _LABEL_KINDS:
         raise ValueError(f"summand factor {k}: unknown kind {kind!r}; expected one of {', '.join(_LABEL_KINDS)}")
     if not isinstance(indices, list):
         raise ValueError(f"summand factor {k} ({kind}): 'indices' must be a list of index expressions, got {indices!r}")
@@ -280,13 +280,16 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     """Build an algebra from {"name"?, "base_category": name, "summand_rule":
     [{"kind": ..., "indices": [...]}, {"kind": ..., "indices": [...]}]}.
 
-    A bare builtin name string is also accepted.  A missing key, a rule not
-    a list of two factors, a factor not an object or of an unknown kind, or
-    one whose "indices" is not a list of its kind's number of index
-    expressions is refused with a ValueError that names it.
+    A bare builtin name string is also accepted.  A document of any other
+    type, a missing key, a rule not a list of two factors, a factor not an
+    object or of an unknown kind, or one whose "indices" is not a list of its
+    kind's number of index expressions is refused with a ValueError that
+    names it.
     """
     if isinstance(doc, str):
         return algebra_by_name(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"algebra document must be a name or an object, got {doc!r}")
     rule = _key(doc, "summand_rule", "algebra document")
     if not isinstance(rule, (list, tuple)) or len(rule) != 2:
         raise ValueError(f"summand rule must be a list of exactly two tensor factors, got {rule!r}")

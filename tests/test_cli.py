@@ -1,5 +1,5 @@
-"""Command-line surface: golden rows, determinism, exit codes, JSON, work caps
-and reuse of the one parser per process."""
+"""Command-line surface: golden rows, determinism, exit codes, JSON, work caps,
+reuse of the one parser per process and one parse per call."""
 
 import hashlib
 import json
@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -451,3 +452,86 @@ class TestGolden:
             h.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
         assert codes == {0, 1, 2}
         assert h.hexdigest() == GOLDEN_CLI_MATRIX
+
+
+def _full_parse_main(argv):
+    """`main` as one full `build_parser().parse_args` pass and the same
+    dispatch: the reference for parsing each call with its command's parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except cli.ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (cli.NotLocal, cli.TruncationTooSmall, cli.ForeignLabel, cli.CategoryMismatch, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+
+
+_W = ["weights", "--category", "osp"]
+_F = ["fuse", "--category", "virasoro-t", "--m", "1", "--r", "1", "--s-index", "2"]
+# help, unknown and abbreviated commands, surplus and repeated arguments,
+# abbreviated and `=` flags, `--`, bad values
+_EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["nope"], ["fus"], ["fuse", "--help"], ["weights", "-h"],
+    [*_W, "extra"], [*_W, "--bound", "2", "extra", "more"], ["--cat"], ["--cat", "osp"],
+    ["weights", "--cat", "osp", "--bound", "2"], [*_F, "--n=2"], [*_F, "--n"],
+    ["--"], ["--", *_W], [*_W, "--"], [*_W, "--", "--bound", "2"], [*_W, "--bound", "2", "--"],
+    [*_W, "--bound", "2", "--bound", "3"], [*_W, "--format", "json", "--format", "tsv", "--bound", "1"],
+    [*_W, "--bound", "x"], [*_W, "--format", "xml"], ["fuse", "--category", "osp", "--n", "1.5"],
+    ["weights", "--bound", "2"], ["-h", "weights"], ["weights", "--category"],
+    ["weights", "--category", "osp", "-x"], ["locality", "--algebra", "osp-ext", "--n", "3", "--truncate=5"],
+]
+
+
+def _outcome(capsys, call):
+    """(return code or ("exit", SystemExit code), stdout, stderr) of one call."""
+    try:
+        code = call()
+    except SystemExit as e:
+        code = ("exit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParse:
+    def test_matches_the_full_parse(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        codes = set()
+        for argv in _golden_matrix() + _EDGE_ARGVS:
+            got = _outcome(capsys, lambda: main(list(argv)))
+            assert got == _outcome(capsys, lambda: _full_parse_main(list(argv))), argv
+            codes.add(got[0])
+        assert {0, 1, 2, ("exit", 0), ("exit", 2)} <= codes
+
+    def test_none_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["weights", "--category", "supervir", "--bound", "3"]
+        want = _outcome(capsys, lambda: main(argv))
+        monkeypatch.setattr(sys, "argv", ["limfuse", *argv])
+        assert _outcome(capsys, main) == want
+        monkeypatch.setattr(sys, "argv", ["limfuse", "nope"])
+        assert _outcome(capsys, main)[0] == ("exit", 2)
+
+    def test_command_map_is_built_once(self, child_env):
+        # every call kind: a command, help, an unknown command, surplus arguments
+        probe = textwrap.dedent("""
+            import argparse, contextlib, io
+            built = []
+            add = argparse.ArgumentParser.add_subparsers
+            argparse.ArgumentParser.add_subparsers = lambda *a, **k: built.append(1) or add(*a, **k)
+            import limfuse.cli as c
+            maps = []
+            for argv in (['weights', '--category=osp'], ['-h'], ['nope'], ['weights', '--category=osp', 'x']):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        c.main(argv)
+                    except SystemExit:
+                        pass
+                maps.append(c.build_parser().commands)
+            print(len(built), c.build_parser.cache_info().misses, all(m is maps[0] for m in maps))
+            print(' '.join(maps[0]))
+        """)
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env,
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out == ("1 1 True\nweights fuse monodromy locality induce min-weight frobenius "
+                       "fuse-induced center dirlim-selftest\n")

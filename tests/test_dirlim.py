@@ -619,6 +619,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("spaces.2[1]: expected a rational string")):
             system_from_json(doc)
 
+    @pytest.mark.parametrize("value", ["1/0", "-2/0"])
+    def test_zero_denominator_is_named(self, value):
+        doc = self.chain_doc()
+        doc["spaces"]["2"][1][1] = value
+        with pytest.raises(ValueError, match=re.escape(f"spaces.2[1]: expected a rational string like \"-3/4\", got {value!r}")):
+            system_from_json(doc)
+        doc = self.chain_doc()
+        doc["maps"]["1<=2"][0][1] = value
+        with pytest.raises(ValueError, match=re.escape(f"maps.1<=2[0]: expected a rational string like \"-3/4\", got {value!r}")):
+            system_from_json(doc)
+
     def test_list_document_is_named(self):
         with pytest.raises(ValueError, match="^document: expected an object, got list$"):
             system_from_json([self.chain_doc()])

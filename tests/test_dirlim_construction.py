@@ -1,6 +1,7 @@
 """Construction of direct systems: shared chain and product posets, grades
 computed at construction, one-pass grade maps, and products whose report is
-taken from their factors, each against a reference built from scratch."""
+taken from their factors (fubini's iterated system from its outer factor),
+each against a reference built from scratch."""
 
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from limfuse.dirlim import (
     tensor_system,
     validate_system,
 )
+from limfuse.dirlim import system as dirlim_system
 from limfuse.dirlim.randgen import random_chain_system, random_fubini_triple, random_grade_map, random_space
 from limfuse.dirlim.system import _validate
 from limfuse.dirlim.tensor import fubini_compare
@@ -193,3 +195,18 @@ class TestProductReport:
         rng = random.Random(2)
         product = _assert_report_is_the_full_check(_wrong_claim("p"), _chain(rng, 2, "q"))
         assert validate_system(product).ok
+
+    def test_fubini_iterated_system_is_seeded_from_a_valid_outer_factor(self, monkeypatch):
+        full = []  # every system given the full check
+        monkeypatch.setattr(dirlim_system, "_validate", lambda sys_: full.append(sys_) or _validate(sys_))
+        rng = random.Random(7)
+        triples = [random_fubini_triple(seed) for seed in range(20)]
+        triples += [tuple(_chain(rng, n, p, min_dim=1) for n, p in zip(rng.sample([3, 2, 2], 3), "abc"))
+                    for _ in range(20)]
+        triples.append((_wrong_claim("a"), *triples[0][1:]))
+        for a, b, c in triples:
+            report = fubini_compare(a, b, c)
+            iterated = report.iterated.system
+            assert all(s is not iterated for s in full) == _validate(a).ok
+            assert validate_system(iterated) == _validate(iterated)
+            assert report.is_isomorphism

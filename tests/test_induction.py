@@ -1,6 +1,7 @@
 """Induction: restrictions, locality, minimum weights, Frobenius, oracle."""
 
 import random
+import re
 from fractions import Fraction as F
 from functools import partial
 
@@ -126,6 +127,18 @@ class TestAlgebraObjects:
             ValueError,
             match=r"^summand factor 2: unknown kind 'foo'; expected one of virasoro-t, virasoro-kp2, kl-sl2$",
         ):
+            algebra_from_json(doc)
+
+    @pytest.mark.parametrize("kind", [["virasoro-t"], {"kind": "virasoro-t"}])
+    def test_unhashable_factor_kind_rejected(self, kind):
+        doc = {"base_category": "deligne(virasoro-kp2,virasoro-t)",
+               "summand_rule": [{"kind": "virasoro-kp2", "indices": ["1", "r"]}, {"kind": kind, "indices": ["1", "r"]}]}
+        with pytest.raises(ValueError, match=re.escape(f"summand factor 2: unknown kind {kind!r}")):
+            algebra_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [0, None, True, 2.5, ["svir-ext"]])
+    def test_document_neither_name_nor_object_rejected(self, doc):
+        with pytest.raises(ValueError, match=re.escape(f"algebra document must be a name or an object, got {doc!r}")):
             algebra_from_json(doc)
 
     def test_wrong_index_count_rejected(self):
