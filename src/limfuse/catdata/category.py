@@ -23,7 +23,7 @@ once per label and cached, for callers outside the engine.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, starmap
 
 from limfuse.catdata.labels import (
     AffineVerma,
@@ -120,8 +120,9 @@ class _IndexedCategory(CategorySpec):
         return isinstance(x, self.label_type)
 
     def _fusion_raw(self, x, y) -> FusionElement:
+        # ascending ranges give ascending index tuples, which is label order
         slots = [parity_range(a, b) for a, b in zip(x.indices, y.indices)]
-        return FusionElement([(self.label_type(*c), 1) for c in product(*slots)])
+        return FusionElement._canonical(dict.fromkeys(starmap(self.label_type, product(*slots)), 1))
 
     def labels_up_to(self, bound: int) -> list[SimpleLabel]:
         out = []
@@ -235,9 +236,8 @@ class DeligneCategory(CategorySpec):
     def _fusion_raw(self, x: Pair, y: Pair) -> FusionElement:
         lf = self.left.fusion_of(x.left, y.left)
         rf = self.right.fusion_of(x.right, y.right)
-        return FusionElement(
-            [(Pair(a, b), ma * mb) for a, ma in lf for b, mb in rf]
-        )
+        # a pair sorts as (5, left, right), so sorted factors give sorted pairs
+        return FusionElement._canonical({Pair(a, b): ma * mb for a, ma in lf for b, mb in rf})
 
     def labels_up_to(self, bound: int) -> list[SimpleLabel]:
         return [
@@ -278,9 +278,9 @@ def load_category(doc: dict) -> CategorySpec:
 
     Each family entry is a built-in name or {"kind": name}; two families
     combine as their Deligne product.  A document that is not an object,
-    "families" that is not a list, an entry of any other type and an entry
-    without a string "kind" are refused.  A family's labels start at index
-    1, where its unit lies, so a "min_index" other than 1 is refused.
+    "families" that is not a list, an entry of any other type or without a
+    string "kind", a non-string "name", and a "min_index" other than 1 (a
+    family's labels and its unit start at index 1) are refused.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"category document must be an object, got {type(doc).__name__}")
@@ -311,6 +311,7 @@ def load_category(doc: dict) -> CategorySpec:
         raise ValueError(
             f"declared base parameter {declared!r} disagrees with {cat.base_parameter!r}"
         )
-    if "name" in doc:
-        cat.name = doc["name"]
+    if not isinstance(name := doc.get("name", cat.name), str):
+        raise ValueError(f"category document: 'name' must be a string, got {name!r}")
+    cat.name = name
     return cat

@@ -5,13 +5,13 @@ center, dirlim-selftest.  Output ordering is fixed by the canonical label
 order and the given seed, so identical invocations are byte-identical.
 Exit codes: 0 success, 1 computation error, 2 configuration error.
 
-The argparse parser is built once per process, on the first `main()` call,
-and reused: parsing returns a fresh namespace each time, and argparse looks
-up sys.stdout, sys.stderr and the terminal width only when it prints, so
-reuse carries no state from one call to the next.  Each call is parsed once,
-by its command's own parser.  The full parser reads the arguments only when
-they name no command or leave some unrecognized, and then only to report
-help or the error, so that output and its exit code are argparse's own.
+Every command's options are declared once, in COMMANDS.  `_match` reads a
+call made of a command and `--flag value` pairs the table accepts exactly,
+without argparse.  Any other call goes to the argparse parser built from the
+same table, so help, errors and exit codes are argparse's own.  The parser
+is built once per process, on the first call the matcher declines, and
+reused: each parse returns a fresh namespace, and argparse reads sys.stdout,
+sys.stderr and the terminal width only when it prints.
 
 Work is capped up front, and a request over a cap exits 2 before anything
 is built:
@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from limfuse.catdata.category import CategorySpec, category_by_name
 from limfuse.catdata.labels import ForeignLabel, Pair, SimpleLabel
@@ -288,78 +289,97 @@ def cmd_dirlim_selftest(args) -> int:
     return 0
 
 
-_SELECTORS = (
-    ("--n", "first index of the first label"),
-    ("--m", "second index of the first label"),
-    ("--r", "first index of the second label"),
-    ("--s-index", "second index of the second label"),
-)
+class Option(NamedTuple):
+    """One `--flag value` option of a command, in argparse's `add_argument` terms."""
+    flag: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _command(func, help, *options):
+    return func, help, {o.flag: o for o in options}
+
+
+_FORMAT, _BOUND, _TRUNCATE = (Option("--format", default="tsv", choices=("tsv", "json")),
+                              Option("--bound", int, 12), Option("--truncate", int, 20))
+_CAT, _ALG = Option("--category", required=True), Option("--algebra", required=True)
+_N = Option("--n", int, help="first index of the first label")
+_M = Option("--m", int, help="second index of the first label")
+_R = Option("--r", int, help="first index of the second label")
+_S = Option("--s-index", int, help="second index of the second label")
+
+# The command table, in the order `limfuse -h` lists it: name -> (function,
+# help, {flag: option}).  `build_parser` and `_match` both read it.
+COMMANDS = {
+    "weights": _command(cmd_weights, "conformal-weight table", _FORMAT, _CAT, _BOUND),
+    "fuse": _command(cmd_fuse, "fusion product of two simples", _FORMAT, _CAT, _N, _M, _R, _S),
+    "monodromy": _command(cmd_monodromy, "per-summand double-braiding exponents", _FORMAT, _CAT, _N, _M, _R, _S),
+    "locality": _command(cmd_locality, "locality certificate for an induced module", _FORMAT, _ALG, _N, _M),
+    "induce": _command(cmd_induce, "restriction table of an induced module", _FORMAT, _ALG, _N, _M, _TRUNCATE),
+    "min-weight": _command(
+        cmd_min_weight, "minimum-weight slice of an induced module", _FORMAT, _ALG, _N, _M, _TRUNCATE,
+        Option("--sample", default="355/113", help="rational s > 0 at which weights are compared; it "
+               "matters only when a slice's r^2 or r coefficient depends on the parameter")),
+    "frobenius": _command(cmd_frobenius, "Hom dimension between two induced modules", _FORMAT, _ALG, _N, _M, _R, _S),
+    "fuse-induced": _command(cmd_fuse_induced, "fusion of two induced modules", _FORMAT, _ALG, _N, _M, _R, _S),
+    "center": _command(cmd_center, "transparent-object scan", _FORMAT, _CAT, _BOUND, Option("--witness-bound", int, 8)),
+    "dirlim-selftest": _command(cmd_dirlim_selftest, "seeded property suite for the limit machinery",
+                                Option("--seed", int, 0), Option("--cases", int, 100)),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use."""
+    """The one parser of this process, built from COMMANDS on first use."""
     parser = argparse.ArgumentParser(
         prog="limfuse",
         description="Exact tables for direct limits and generic fusion-category data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def table(name, func, help, source, selectors=0):
-        """A table command: --format, its required --category or --algebra,
-        and the first `selectors` label index selectors."""
+    for name, (func, help, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        p.add_argument(f"--{source}", required=True)
-        for flag, text in _SELECTORS[:selectors]:
-            p.add_argument(flag, type=int, default=None, help=text)
-        return p
-
-    p = table("weights", cmd_weights, "conformal-weight table", "category")
-    p.add_argument("--bound", type=int, default=12)
-
-    table("fuse", cmd_fuse, "fusion product of two simples", "category", 4)
-    table("monodromy", cmd_monodromy, "per-summand double-braiding exponents", "category", 4)
-
-    table("locality", cmd_locality, "locality certificate for an induced module", "algebra", 2)
-
-    p = table("induce", cmd_induce, "restriction table of an induced module", "algebra", 2)
-    p.add_argument("--truncate", type=int, default=20)
-
-    p = table("min-weight", cmd_min_weight, "minimum-weight slice of an induced module", "algebra", 2)
-    p.add_argument("--truncate", type=int, default=20)
-    p.add_argument("--sample", default="355/113",
-                   help="rational s > 0 at which weights are compared; it matters only when "
-                        "a slice's r^2 or r coefficient depends on the parameter")
-
-    table("frobenius", cmd_frobenius, "Hom dimension between two induced modules", "algebra", 4)
-    table("fuse-induced", cmd_fuse_induced, "fusion of two induced modules", "algebra", 4)
-
-    p = table("center", cmd_center, "transparent-object scan", "category")
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--witness-bound", type=int, default=8)
-
-    p = sub.add_parser("dirlim-selftest", help="seeded property suite for the limit machinery")
-    p.set_defaults(func=cmd_dirlim_selftest)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
-
-    parser.commands = sub.choices  # the parser of each command, by name
+        for o in options.values():
+            p.add_argument(o.flag, dest=o.dest, type=o.type, default=o.default, choices=o.choices,
+                           required=o.required, help=o.help)
     return parser
+
+
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would make of `argv`, when it is a command and
+    `--flag value` pairs that its options accept exactly; None otherwise."""
+    entry = COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    func, _, options = entry
+    given = {}
+    for k in range(1, len(argv), 2):
+        o, value = options.get(argv[k]), argv[k + 1]
+        if o is None or o.flag in given or value.startswith("-"):  # unknown, repeated, or no value
+            return None
+        try:
+            given[o.flag] = value = o.type(value)
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+    if any(o.required and flag not in given for flag, o in options.items()):
+        return None
+    return argparse.Namespace(func=func, command=argv[0],
+                              **{o.dest: given.get(flag, o.default) for flag, o in options.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        # what the full parser would do, less its own pass over the arguments
-        args, extra = command.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if command is None or extra:
-        args = parser.parse_args(argv)
+    args = _match(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

@@ -29,6 +29,13 @@ class FusionElement:
                 acc[label] = acc.get(label, 0) + mult
         object.__setattr__(self, "_terms", dict(sorted(acc.items())))
 
+    @classmethod
+    def _canonical(cls, terms: dict[SimpleLabel, int]) -> "FusionElement":
+        """An element over `terms`, trusted to be sorted with positive int values."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "_terms", terms)
+        return element
+
     def __setattr__(self, name, value):
         raise AttributeError("FusionElement is immutable")
 

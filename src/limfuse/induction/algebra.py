@@ -282,9 +282,9 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
 
     A bare builtin name string is also accepted.  A document of any other
     type, a missing key, a rule not a list of two factors, a factor not an
-    object or of an unknown kind, or one whose "indices" is not a list of its
-    kind's number of index expressions is refused with a ValueError that
-    names it.
+    object or of an unknown kind, one whose "indices" is not a list of its
+    kind's number of index expressions, or a "name" that is not a string is
+    refused with a ValueError that names it.
     """
     if isinstance(doc, str):
         return algebra_by_name(doc)
@@ -300,4 +300,6 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
         from limfuse.catdata.category import load_category
 
         cat = load_category(base)
-    return AlgebraObject(doc.get("name", "custom"), cat, factors)
+    if not isinstance(name := doc.get("name", "custom"), str):
+        raise ValueError(f"algebra document: 'name' must be a string, got {name!r}")
+    return AlgebraObject(name, cat, factors)

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import itertools
 import math
 import pickle
 import random
@@ -640,6 +641,35 @@ class TestFusion:
                 for b in (1, 3)
             }
         )
+
+    @staticmethod
+    def checked_fusion(cat, x, y):
+        """The fusion rule's product through the checked, sorting constructor."""
+        if isinstance(cat, DeligneCategory):
+            lf, rf = cat.left.fusion_of(x.left, y.left), cat.right.fusion_of(x.right, y.right)
+            return FusionElement([(Pair(a, b), ma * mb) for a, ma in lf for b, mb in rf])
+        slots = [range(abs(a - b) + 1, a + b, 2) for a, b in zip(x.indices, y.indices)]
+        return FusionElement([(cat.label_type(*c), 1) for c in itertools.product(*slots)])
+
+    @pytest.mark.parametrize("name", [
+        "virasoro-t", "virasoro-kp2", "kl-sl2", "supervir", "osp",
+        "deligne(virasoro-kp2,virasoro-t)", "deligne(kl-sl2,virasoro-t)", "deligne(virasoro-t,virasoro-t)",
+    ])
+    def test_trusted_rules_match_checked_elements(self, name):
+        # every pair of labels with indices <= 8 for a family; a product has
+        # too many such pairs, so it takes every pair up to 3 and a seeded
+        # sample up to 8
+        cat = category_by_name(name)
+        labels = cat.labels_up_to(8)
+        if isinstance(cat, DeligneCategory):
+            small = cat.labels_up_to(3)
+            rng = random.Random(name)
+            pairs = [*itertools.product(small, repeat=2), *(rng.sample(labels, 2) for _ in range(400))]
+        else:
+            pairs = itertools.product(labels, repeat=2)
+        for x, y in pairs:
+            got = cat._fusion_raw(x, y)
+            assert got.terms() == self.checked_fusion(cat, x, y).terms(), (x, y)
 
     def test_associativity_small_exhaustive(self):
         from limfuse.fusion import ring_mul

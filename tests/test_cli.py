@@ -1,10 +1,13 @@
 """Command-line surface: golden rows, determinism, exit codes, JSON, work caps,
-reuse of the one parser per process and one parse per call."""
+reuse of the one parser per process, one parse per call and the matcher that
+parses well-formed calls from the command table."""
 
+import ast
 import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -513,25 +516,99 @@ class TestOneParse:
         assert _outcome(capsys, main)[0] == ("exit", 2)
 
     def test_command_map_is_built_once(self, child_env):
-        # every call kind: a command, help, an unknown command, surplus arguments
+        # every call kind: a matched command, help, an unknown command, surplus
+        # arguments; only the ones the matcher declines build the parser
         probe = textwrap.dedent("""
             import argparse, contextlib, io
             built = []
             add = argparse.ArgumentParser.add_subparsers
             argparse.ArgumentParser.add_subparsers = lambda *a, **k: built.append(1) or add(*a, **k)
             import limfuse.cli as c
-            maps = []
-            for argv in (['weights', '--category=osp'], ['-h'], ['nope'], ['weights', '--category=osp', 'x']):
+            for argv in (['weights', '--category', 'osp'], ['-h'], ['nope'], ['weights', '--category=osp', 'x']):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     try:
                         c.main(argv)
                     except SystemExit:
                         pass
-                maps.append(c.build_parser().commands)
-            print(len(built), c.build_parser.cache_info().misses, all(m is maps[0] for m in maps))
-            print(' '.join(maps[0]))
+            print(len(built), c.build_parser.cache_info().misses)
         """)
         out = subprocess.run([sys.executable, "-c", probe], env=child_env,
                              capture_output=True, text=True, timeout=120, check=True).stdout
-        assert out == ("1 1 True\nweights fuse monodromy locality induce min-weight frobenius "
-                       "fuse-induced center dirlim-selftest\n")
+        assert out == "1 1\n"
+
+
+_ARABIC_THREE = "٣"  # a Unicode digit: int() reads it as 3
+
+
+def _pairs(argv: list[str]) -> list[int]:
+    """The position of every `--flag value` pair's flag in argv."""
+    return [k for k in range(1, len(argv) - 1)
+            if argv[k].startswith("--") and "=" not in argv[k] and not argv[k + 1].startswith("-")]
+
+
+def _other_value(flag: str, value: str) -> str:
+    """The other format, the next integer, or else `value` itself."""
+    if flag == "--format":
+        return "json" if value == "tsv" else "tsv"
+    return str(int(value) + 1) if value.isdigit() else value
+
+
+def _mutants(rng: random.Random, argv: list[str]):
+    """(kind, argv) for each flag-form and value mutation of one argv; each
+    rewrites one `--flag value` pair chosen by `rng`, or inserts at a
+    position it chooses."""
+    pairs = _pairs(argv)
+    at = rng.randrange(1, len(argv) + 1) if argv else 0
+    yield "-h", [*argv[:at], "-h", *argv[at:]]
+    yield "--", [*argv[:at], "--", *argv[at:]]
+    yield "unknown flag", [*argv[:at], rng.choice(["--x", "--seed", "--truncate", "--category"]), "1", *argv[at:]]
+    if not pairs:
+        return
+    k = rng.choice(pairs)
+    flag, value = argv[k], argv[k + 1]
+    head, tail = argv[:k], argv[k + 2:]
+    yield "--flag=value", [*head, f"{flag}={value}", *tail]
+    if len(flag) > 3:
+        yield "abbreviated flag", [*head, flag[:rng.randrange(3, len(flag))], value, *tail]
+    yield "repeated flag", [*argv, flag, _other_value(flag, value)]
+    yield "dropped value", [*head, flag, *tail]
+    for kind, new in [("negative", f"-{value}"), ("empty", ""), ("leading space", " 3"), ("plus", "+3"),
+                      ("underscore", "3_0"), ("unicode digit", _ARABIC_THREE)]:
+        yield kind, [*head, flag, new, *tail]
+    fmt = argv.index("--format") + 1 if "--format" in argv[:-1] else None
+    yield "bad choice", [*argv[:fmt], "xml", *argv[fmt + 1:]] if fmt else [*argv, "--format", "xml"]
+
+
+class TestCommandTable:
+    def test_golden_calls_take_the_matcher(self):
+        assert all(cli._match(argv) is not None for argv in _golden_matrix())
+
+    def test_mutated_argvs_match_argparse(self, capsys, monkeypatch):
+        """Over a seeded mutation corpus, the matcher either declines an argv
+        or returns the namespace of the full parser, and `main`
+        matches the full-parse reference on exit code, stdout and stderr."""
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = random.Random(19)
+        accepted, declined = set(), set()
+        for argv in _golden_matrix() + _EDGE_ARGVS:
+            for kind, mutant in _mutants(rng, argv):
+                args = cli._match(mutant)
+                if args is None:
+                    declined.add(kind)
+                else:
+                    assert vars(args) == vars(build_parser().parse_args(mutant)), mutant
+                    accepted.add(kind)
+                got = _outcome(capsys, lambda: main(list(mutant)))
+                assert got == _outcome(capsys, lambda: _full_parse_main(list(mutant))), mutant
+        # values that int() or a string flag reads are matched, and each
+        # kind of mutation falls back to argparse somewhere
+        assert accepted >= {"empty", "leading space", "plus", "underscore", "unicode digit"}
+        assert declined >= {"-h", "--", "unknown flag", "--flag=value", "abbreviated flag", "repeated flag",
+                            "dropped value", "negative", "empty", "underscore", "bad choice"}
+
+    def test_cli_reads_no_private_argparse_name(self):
+        # the matcher reads the command table, never argparse's internals
+        private = {"_actions", "_defaults", "_option_string_actions", "_registries"}
+        tree = ast.parse(Path(cli.__file__).read_text())
+        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (
+            node.attr in private or node.attr.startswith("_") and getattr(node.value, "id", None) == "argparse")] == []

@@ -1,7 +1,8 @@
 """Seeded single-step mutations of valid JSON documents: each of the three
 documented loaders, `system_from_json`, `algebra_from_json` and
 `load_category`, either loads a mutated document or refuses it with a
-ValueError, never another exception."""
+ValueError, never another exception.  A loaded algebra or category has a
+string name."""
 
 import copy
 
@@ -74,10 +75,13 @@ def test_every_mutation_loads_or_raises_value_error(loader, doc):
     refused, other = 0, []
     for what, mutated in mutations(doc):
         try:
-            loader(mutated)
+            loaded = loader(mutated)
         except ValueError:
             refused += 1
         except Exception as e:  # noqa: BLE001 - any other type is the failure under test
             other.append(f"{what}: {type(e).__name__}: {e}")
+        else:
+            if loader is not system_from_json and not isinstance(loaded.name, str):
+                other.append(f"{what}: loaded with name {loaded.name!r}")
     assert other == []
     assert refused
