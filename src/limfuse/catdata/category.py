@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from itertools import product, starmap
 
+from limfuse._doc import expect, field, refuse
 from limfuse.catdata.labels import (
     AffineVerma,
     ForeignLabel,
@@ -274,44 +275,35 @@ def category_by_name(name: str) -> CategorySpec:
 
 
 def load_category(doc: dict) -> CategorySpec:
-    """Build a specification from {"name", "base_parameter"?, "families": [...]}.
+    """Build a specification from {"name"?, "base_parameter"?, "families":
+    [...]}, each family a built-in name or {"kind": name, "min_index"?: 1};
+    two families combine as their Deligne product.  A malformed document is
+    refused by the reader in `limfuse._doc`, with the path of the node at
+    fault: `category.families[0].kind: expected a category name, got 5`."""
+    return _load_category(doc, "category")
 
-    Each family entry is a built-in name or {"kind": name}; two families
-    combine as their Deligne product.  A document that is not an object,
-    "families" that is not a list, an entry of any other type or without a
-    string "kind", a non-string "name", and a "min_index" other than 1 (a
-    family's labels and its unit start at index 1) are refused.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"category document must be an object, got {type(doc).__name__}")
-    families = doc.get("families", [])
-    if not isinstance(families, (list, tuple)):
-        raise ValueError(f"'families' must be a list of category names or objects, got {families!r}")
+
+def _load_category(doc: dict, where: str) -> CategorySpec:
+    """`load_category` of the document at `where`, so an algebra document's
+    inline category reports its paths under `algebra.base_category`."""
+    families = field(doc, "families", where, (list, tuple), "a list of category names or objects")
     if not families:
-        raise ValueError("category document needs at least one family")
+        refuse(f"{where}.families", "at least one family", families)
     parts = []
-    for k, fam in enumerate(families, start=1):
-        if isinstance(fam, str):
-            parts.append(category_by_name(fam))
-        elif not isinstance(fam, dict):
-            raise ValueError(f"family {k}: expected a category name or an object with 'kind', got {fam!r}")
-        else:
-            if "kind" not in fam:
-                raise ValueError(f"family {k}: missing key 'kind'")
-            if not isinstance(fam["kind"], str):
-                raise ValueError(f"family {k}: 'kind' must be a category name, got {fam['kind']!r}")
-            if fam.get("min_index", 1) != 1:
-                raise ValueError(f"family {fam['kind']!r}: min_index must be 1, where labels and the unit start")
-            parts.append(category_by_name(fam["kind"]))
+    for k, fam in enumerate(families):
+        if not isinstance(fam, str):
+            at = f"{where}.families[{k}]"
+            kind = field(expect(fam, at, dict, "a category name or an object"), "kind", at, str, "a category name")
+            start = "1, where labels and the unit start"
+            if expect(first := fam.get("min_index", 1), f"{at}.min_index", int, start) != 1:
+                refuse(f"{at}.min_index", start, first)
+            fam = kind
+        parts.append(category_by_name(fam))
     cat = parts[0]
     for nxt in parts[1:]:
         cat = DeligneCategory(cat, nxt)
     declared = doc.get("base_parameter")
     if declared is not None and declared != cat.base_parameter:
-        raise ValueError(
-            f"declared base parameter {declared!r} disagrees with {cat.base_parameter!r}"
-        )
-    if not isinstance(name := doc.get("name", cat.name), str):
-        raise ValueError(f"category document: 'name' must be a string, got {name!r}")
-    cat.name = name
+        refuse(f"{where}.base_parameter", repr(cat.base_parameter), declared)
+    cat.name = expect(doc.get("name", cat.name), f"{where}.name", str, "a string")
     return cat

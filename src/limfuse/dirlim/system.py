@@ -179,9 +179,11 @@ def validate_system(sys: DirectSystem) -> ValidationReport:
 def _validate(sys: DirectSystem) -> ValidationReport:
     poset = sys.poset
     problems = list(poset.violations())
-    for e in poset.elements:
-        if e not in sys.spaces:
-            problems.append(f"missing space for {e}")
+    missing = [e for e in poset.elements if e not in sys.spaces]
+    problems += [f"missing space for {e}" for e in missing]
+    if len(sys.spaces) + len(missing) != len(poset.elements):  # a space names no element
+        known = set(poset.elements)
+        problems += [f"space stored for unknown element {e}" for e in sys.spaces if e not in known]
     if problems:
         return ValidationReport(tuple(problems))
     given = set(sys.maps.given)

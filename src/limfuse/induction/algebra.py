@@ -19,7 +19,7 @@ never reads a memo, although a raw tuple equals the label with the same
 entries: it takes the miss path, which refuses it.
 
 `algebra_from_json` reads a summand rule from a document and checks each
-factor's keys, kind and index count against the label kinds.
+factor's kind and index count against the label kinds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from limfuse.catdata.category import CategorySpec, category_by_name
+from limfuse._doc import expect, field, refuse
+from limfuse.catdata.category import CategorySpec, category_by_name, _load_category
 from limfuse.catdata.labels import (
     AffineVerma,
     OspMod,
@@ -245,25 +246,14 @@ def osp_extension() -> AlgebraObject:
     )
 
 
-def _key(doc: dict, key: str, where: str):
-    """doc[key], or a ValueError that names `where` and the missing key."""
-    if key not in doc:
-        raise ValueError(f"{where}: missing key {key!r}")
-    return doc[key]
-
-
-def _factor(k: int, f: dict) -> FactorTemplate:
-    """Factor k of a JSON summand rule, checked against the label kinds."""
-    where = f"summand factor {k}"
-    if not isinstance(f, dict):
-        raise ValueError(f"{where}: expected an object with 'kind' and 'indices', got {f!r}")
-    kind, indices = _key(f, "kind", where), _key(f, "indices", where)
-    if not isinstance(kind, str) or kind not in _LABEL_KINDS:
-        raise ValueError(f"summand factor {k}: unknown kind {kind!r}; expected one of {', '.join(_LABEL_KINDS)}")
-    if not isinstance(indices, list):
-        raise ValueError(f"summand factor {k} ({kind}): 'indices' must be a list of index expressions, got {indices!r}")
+def _factor(f: dict, where: str) -> FactorTemplate:
+    """The factor at `where` of a JSON summand rule, checked against the label kinds."""
+    kinds = f"one of {', '.join(_LABEL_KINDS)}"
+    if (kind := field(f, "kind", where, str, kinds)) not in _LABEL_KINDS:
+        refuse(f"{where}.kind", kinds, kind)
+    indices = field(f, "indices", where, list, "a list of index expressions")
     if len(indices) != (arity := len(category_by_name(kind).unit.indices)):
-        raise ValueError(f"summand factor {k} ({kind}): {len(indices)} index expressions, expected {arity}")
+        refuse(f"{where}.indices", f"{arity} index expressions for {kind}", indices)
     return FactorTemplate(kind, tuple(parse_affine(e) for e in indices))
 
 
@@ -277,29 +267,19 @@ def algebra_by_name(name: str) -> AlgebraObject:
 
 
 def algebra_from_json(doc: dict) -> AlgebraObject:
-    """Build an algebra from {"name"?, "base_category": name, "summand_rule":
-    [{"kind": ..., "indices": [...]}, {"kind": ..., "indices": [...]}]}.
-
-    A bare builtin name string is also accepted.  A document of any other
-    type, a missing key, a rule not a list of two factors, a factor not an
-    object or of an unknown kind, one whose "indices" is not a list of its
-    kind's number of index expressions, or a "name" that is not a string is
-    refused with a ValueError that names it.
-    """
+    """Build an algebra from a builtin name or from {"name"?, "base_category":
+    name or category document, "summand_rule": [{"kind": ..., "indices":
+    [...]}, {"kind": ..., "indices": [...]}]}.  A malformed document is
+    refused by the reader in `limfuse._doc`, with the path of the node at
+    fault: `algebra.summand_rule[1]: expected an object, got 3`."""
     if isinstance(doc, str):
         return algebra_by_name(doc)
-    if not isinstance(doc, dict):
-        raise ValueError(f"algebra document must be a name or an object, got {doc!r}")
-    rule = _key(doc, "summand_rule", "algebra document")
-    if not isinstance(rule, (list, tuple)) or len(rule) != 2:
-        raise ValueError(f"summand rule must be a list of exactly two tensor factors, got {rule!r}")
-    factors = tuple(_factor(k, f) for k, f in enumerate(rule, start=1))
-    base = _key(doc, "base_category", "algebra document")
-    cat = category_by_name(base) if isinstance(base, str) else None
-    if cat is None:
-        from limfuse.catdata.category import load_category
-
-        cat = load_category(base)
-    if not isinstance(name := doc.get("name", "custom"), str):
-        raise ValueError(f"algebra document: 'name' must be a string, got {name!r}")
+    rule = field(expect(doc, "algebra", dict, "a name or an object"), "summand_rule", "algebra",
+                 (list, tuple), "a list of two factors")
+    if len(rule) != 2:
+        refuse("algebra.summand_rule", "a list of two factors", rule)
+    factors = tuple(_factor(f, f"algebra.summand_rule[{k}]") for k, f in enumerate(rule))
+    base = field(doc, "base_category", "algebra", (str, dict), "a category name or an object")
+    cat = category_by_name(base) if isinstance(base, str) else _load_category(base, "algebra.base_category")
+    name = expect(doc.get("name", "custom"), "algebra.name", str, "a string")
     return AlgebraObject(name, cat, factors)

@@ -19,6 +19,7 @@ PACKAGES = ("exact", "catdata", "fusion", "induction", "dirlim")
 # documented entry points of the library that nothing in src/ calls
 ENTRY_POINTS = {
     "algebra_from_json": "builds an algebra object from a JSON document (README, library use)",
+    "load_category": "builds a category from a JSON document (README, library use)",
     "system_from_json": "reads a direct system from its JSON form (README, library use)",
     "system_to_json": "writes a direct system in its JSON form (README, library use)",
 }

@@ -720,28 +720,34 @@ class TestLoading:
         cat = load_category({"families": [{"kind": "virasoro-t", "min_index": 1}]})
         assert cat.contains(VirasoroT(1, 1)) and cat.contains(cat.unit)
         for k in (0, 2):
-            with pytest.raises(ValueError, match=r"^family 'virasoro-t': min_index must be 1, where labels and the unit start$"):
+            with pytest.raises(ValueError, match=rf"^category\.families\[0\]\.min_index: expected 1, where labels and the unit start, got {k}$"):
                 load_category({"families": [{"kind": "virasoro-t", "min_index": k}]})
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_min_index_not_an_int_rejected(self, value):
+        # True and 1.0 both compare equal to 1, yet neither is an index
+        with pytest.raises(ValueError, match=f"^{re.escape(f'category.families[0].min_index: expected 1, where labels and the unit start, got {value!r}')}$"):
+            load_category({"families": [{"kind": "virasoro-t", "min_index": value}]})
+
     def test_family_of_wrong_type_rejected(self):
-        with pytest.raises(ValueError, match=r"^family 2: expected a category name or an object with 'kind', got 3$"):
+        with pytest.raises(ValueError, match=r"^category\.families\[1\]: expected a category name or an object, got 3$"):
             load_category({"families": ["virasoro-kp2", 3]})
 
     def test_non_object_document_rejected(self):
-        with pytest.raises(ValueError, match=r"^category document must be an object, got list$"):
+        with pytest.raises(ValueError, match=r"^category: expected an object, got \['virasoro-kp2', 'virasoro-t'\]$"):
             load_category(["virasoro-kp2", "virasoro-t"])
 
     def test_families_not_a_list_rejected(self):
         # a string would be read one character at a time
-        with pytest.raises(ValueError, match=r"^'families' must be a list of category names or objects, got 'virasoro-t'$"):
+        with pytest.raises(ValueError, match=r"^category\.families: expected a list of category names or objects, got 'virasoro-t'$"):
             load_category({"families": "virasoro-t"})
 
     def test_family_kind_not_a_name_rejected(self):
-        with pytest.raises(ValueError, match=r"^family 1: 'kind' must be a category name, got 5$"):
+        with pytest.raises(ValueError, match=r"^category\.families\[0\]\.kind: expected a category name, got 5$"):
             load_category({"families": [{"kind": 5}]})
 
     def test_family_without_kind_rejected(self):
-        with pytest.raises(ValueError, match=r"^family 2: missing key 'kind'$"):
+        with pytest.raises(ValueError, match=r"^category\.families\[1\]: missing key 'kind'$"):
             load_category({"families": ["virasoro-kp2", {"min_index": 1}]})
 
     def test_declared_parameter_mismatch(self):

@@ -81,6 +81,15 @@ class TestValidate:
         problems = validate_system(DirectSystem(sys.poset, sys.spaces, maps)).problems
         assert problems == ("missing map for 2 <= 3",)
 
+    def test_space_for_unknown_element_reported(self):
+        sys = inclusion_chain()
+        ghost = DirectSystem(sys.poset, {**sys.spaces, "ghost": Q1}, sys.maps)
+        assert validate_system(ghost).problems == ("space stored for unknown element ghost",)
+        spaces = dict(sys.spaces)
+        spaces["ghost"] = spaces.pop("3")  # as many spaces as elements, one misplaced
+        assert validate_system(DirectSystem(sys.poset, spaces, {})).problems == (
+            "missing space for 3", "space stored for unknown element ghost")
+
     def test_wrong_non_cover_map_on_four_chain(self):
         # every cover map and every composite but f_1^4 is right
         sys = DirectSystem.constant(DirectedPoset.chain(4), Q2)
@@ -631,7 +640,11 @@ class TestSerialization:
             system_from_json(doc)
 
     def test_list_document_is_named(self):
-        with pytest.raises(ValueError, match="^document: expected an object, got list$"):
+        # reprlib prints the value with its dict keys sorted
+        got = ("[{'maps': {'1<=2': [['1', '0'], ['0', '1']]}, 'poset': {'elements': ['1', '2'], "
+               "'leq': [['1', '1'], ['1', '2'], ['2', '2']]}, 'spaces': {'1': [['a', '0'], ['b', '1/2']], "
+               "'2': [['a', '0'], ['b', '1/2']]}}]")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'document: expected an object, got {got}')}$"):
             system_from_json([self.chain_doc()])
 
     def test_basis_entry_not_a_pair_is_named(self):
@@ -689,6 +702,11 @@ class TestSerialization:
         doc["spaces"]["2"][0][0] = ["a"]
         with pytest.raises(ValueError, match=re.escape("spaces.2[0]: expected a string, got ['a']")):
             system_from_json(doc)
+
+    def test_space_for_unknown_element_is_reported(self):
+        doc = self.chain_doc()
+        doc["spaces"]["ghost"] = [["z", "1"]]
+        assert validate_system(system_from_json(doc)).problems == ("space stored for unknown element ghost",)
 
     def test_missing_cover_is_named_not_a_key_error(self):
         sp = GradedSpace.make([("a", 0)])

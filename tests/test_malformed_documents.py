@@ -2,9 +2,13 @@
 documented loaders, `system_from_json`, `algebra_from_json` and
 `load_category`, either loads a mutated document or refuses it with a
 ValueError, never another exception.  A loaded algebra or category has a
-string name."""
+string name.  A deleted required key, or an object or list replaced by a
+scalar, is refused by the one reader in `limfuse._doc` with the path of the
+node at fault."""
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +89,64 @@ def test_every_mutation_loads_or_raises_value_error(loader, doc):
                 other.append(f"{what}: loaded with name {loaded.name!r}")
     assert other == []
     assert refused
+
+
+# the required keys: deleting one is refused as missing at its parent's path
+REQUIRED = {"poset", "spaces", "maps", "elements", "leq", "summand_rule", "base_category", "kind", "indices",
+            "families"}
+ROOTS = {system_from_json: "", algebra_from_json: "algebra", load_category: "category"}
+
+
+def _where(root, path):
+    """The reader's path of the node at `path` below a root named `root`;
+    the empty root of a direct-system document prints as `document`."""
+    out = root
+    for key in path:
+        out = f"{out}[{key}]" if isinstance(key, int) else f"{out}.{key}" if out else key
+    return out or "document"
+
+
+def _refusal(loader, doc):
+    try:
+        loader(doc)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("loader, doc", DOCUMENTS)
+def test_deleted_required_key_is_named_at_its_parent(loader, doc):
+    checked = 0
+    for path in list(_paths(doc))[1:]:
+        if path[-1] in REQUIRED:
+            checked += 1
+            got = _refusal(loader, _changed(doc, path, DELETE))
+            assert got == f"{_where(ROOTS[loader], path[:-1])}: missing key {path[-1]!r}", path
+    assert checked
+
+
+@pytest.mark.parametrize("loader, doc", DOCUMENTS)
+def test_replaced_object_or_list_is_named_at_its_path(loader, doc):
+    for path in _paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if not isinstance(node, (dict, list)):
+            continue
+        for value in (0, None, True, 2.5):
+            got = _refusal(loader, value if path == () else _changed(doc, path, value))
+            assert got is not None and got.startswith(f"{_where(ROOTS[loader], path)}: expected"), (path, value, got)
+
+
+def test_only_the_reader_refuses_a_missing_key():
+    # the helpers of the three old dialects stay gone
+    src = Path(__file__).resolve().parents[1] / "src" / "limfuse"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "_doc.py":
+            continue
+        text = path.read_text()
+        defined = {node.name for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
+        found = sorted(defined & {"_field", "_key", "_list", "_name"}) + ["missing key"] * ("missing key" in text)
+        offenders += [f"{path.relative_to(src)}: {what}" for what in found]
+    assert offenders == []
