@@ -274,6 +274,14 @@ def category_by_name(name: str) -> CategorySpec:
     return _BUILTINS[name]()
 
 
+def named_category(name: str, where: str) -> CategorySpec:
+    """`category_by_name(name)`, refused at `where` when it names no category."""
+    try:
+        return category_by_name(name)
+    except ValueError:
+        refuse(where, "a built-in category name", name)
+
+
 def load_category(doc: dict) -> CategorySpec:
     """Build a specification from {"name"?, "base_parameter"?, "families":
     [...]}, each family a built-in name or {"kind": name, "min_index"?: 1};
@@ -291,14 +299,14 @@ def _load_category(doc: dict, where: str) -> CategorySpec:
         refuse(f"{where}.families", "at least one family", families)
     parts = []
     for k, fam in enumerate(families):
+        at = f"{where}.families[{k}]"
         if not isinstance(fam, str):
-            at = f"{where}.families[{k}]"
             kind = field(expect(fam, at, dict, "a category name or an object"), "kind", at, str, "a category name")
             start = "1, where labels and the unit start"
             if expect(first := fam.get("min_index", 1), f"{at}.min_index", int, start) != 1:
                 refuse(f"{at}.min_index", start, first)
-            fam = kind
-        parts.append(category_by_name(fam))
+            fam, at = kind, f"{at}.kind"
+        parts.append(named_category(fam, at))
     cat = parts[0]
     for nxt in parts[1:]:
         cat = DeligneCategory(cat, nxt)

@@ -34,7 +34,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from limfuse.catdata.category import CategorySpec, category_by_name
-from limfuse.catdata.labels import ForeignLabel, Pair, SimpleLabel
+from limfuse.catdata.labels import ForeignLabel, SimpleLabel
 from limfuse.exact import Poly, format_ratfunc, parse_rat
 from limfuse.exact.ratfunc import RatFunc
 from limfuse.fusion.monodromy import monodromy, mueger_scan
@@ -56,16 +56,10 @@ class ConfigError(ValueError):
     """Bad command-line configuration; maps to exit code 2."""
 
 
-def _category(name: str) -> CategorySpec:
+def _config(make: Callable, *args):
+    """`make(*args)`, its ValueError raised as a ConfigError (exit 2)."""
     try:
-        return category_by_name(name)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _algebra(name: str) -> AlgebraObject:
-    try:
-        return algebra_by_name(name)
+        return make(*args)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -81,39 +75,12 @@ def _pick_label(cat: CategorySpec, first: int | None, second: int | None, what: 
         raise ConfigError(f"missing second index selector for the {what} label")
     if arity == 1 and second is not None:
         raise ConfigError(f"category {cat.name} needs {arity} index selector(s) per label")
-    try:
-        return label_type(*(first, second)[:arity])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _config(label_type, *(first, second)[:arity])
 
 
 def _canonical_base(alg: AlgebraObject, values: list[int | None]) -> SimpleLabel:
-    """Fill the constant index slots of the summand family with the given
-    selector values; growing slots take their first-stage value."""
-    vals = [v for v in values if v is not None]
-    factors = []
-    pos = 0
-    for f in alg.factors:
-        idx = []
-        for e in f.indices:
-            if e.a == 0:
-                if pos >= len(vals):
-                    raise ConfigError(f"algebra {alg.name} needs {_selector_count(alg)} index selector(s)")
-                idx.append(vals[pos])
-                pos += 1
-            else:
-                idx.append(e.at(1))
-        try:
-            factors.append(type(f.label_at(1))(*idx))
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-    if pos != len(vals):
-        raise ConfigError(f"algebra {alg.name} needs {_selector_count(alg)} index selector(s)")
-    return Pair(factors[0], factors[1])
-
-
-def _selector_count(alg: AlgebraObject) -> int:
-    return sum(1 for e in alg.slots if e.a == 0)
+    """`alg.canonical_base` of the selectors given."""
+    return _config(alg.canonical_base, [v for v in values if v is not None])
 
 
 def _emit(fmt: str, command: str, header: list[str], rows: list[list[str]], extra: dict | None = None) -> None:
@@ -156,7 +123,7 @@ def _require_fusion_size(x: SimpleLabel, y: SimpleLabel) -> None:
 
 def cmd_weights(args) -> int:
     _require_positive(args.bound, "--bound")
-    cat = _category(args.category)
+    cat = _config(category_by_name, args.category)
     _require_label_count(cat, args.bound, "--bound")
     rows = [
         [str(x), cat.weight_vec(x).format(cat.base_parameter)]
@@ -167,7 +134,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    cat = _category(args.category)
+    cat = _config(category_by_name, args.category)
     x = _pick_label(cat, args.n, args.m, "first")
     y = _pick_label(cat, args.r, args.s_index, "second")
     _require_fusion_size(x, y)
@@ -178,7 +145,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    cat = _category(args.category)
+    cat = _config(category_by_name, args.category)
     x = _pick_label(cat, args.n, args.m, "first")
     y = _pick_label(cat, args.r, args.s_index, "second")
     _require_fusion_size(x, y)
@@ -193,7 +160,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    alg = _algebra(args.algebra)
+    alg = _config(algebra_by_name, args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     cert = locality(alg, base)
     family = (
@@ -211,7 +178,7 @@ def cmd_locality(args) -> int:
 def cmd_induce(args) -> int:
     _require_positive(args.truncate, "--truncate")
     _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
-    alg = _algebra(args.algebra)
+    alg = _config(algebra_by_name, args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     mod = induce(alg, base)
     rows = [[str(r), str(mod.restriction(r))] for r in range(1, args.truncate + 1)]
@@ -229,7 +196,7 @@ def cmd_min_weight(args) -> int:
         raise ConfigError("--sample must be positive")
     _require_positive(args.truncate, "--truncate")
     _require_at_most(args.truncate, "--truncate", MAX_TRUNCATE)
-    alg = _algebra(args.algebra)
+    alg = _config(algebra_by_name, args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     r_star, weight = min_weight_summand(induce(alg, base), sample=sample, truncate=args.truncate)
     rows = [[str(r_star), format_ratfunc(weight, alg.base_category.base_parameter)]]
@@ -239,7 +206,7 @@ def cmd_min_weight(args) -> int:
 
 
 def cmd_frobenius(args) -> int:
-    alg = _algebra(args.algebra)
+    alg = _config(algebra_by_name, args.algebra)
     base1 = _canonical_base(alg, [args.n, args.m])
     base2 = _canonical_base(alg, [args.r, args.s_index])
     dim = frobenius_dim(alg, base1, base2)
@@ -249,7 +216,7 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_fuse_induced(args) -> int:
-    alg = _algebra(args.algebra)
+    alg = _config(algebra_by_name, args.algebra)
     base1 = _canonical_base(alg, [args.n, args.m])
     base2 = _canonical_base(alg, [args.r, args.s_index])
     _require_fusion_size(base1, base2)
@@ -261,7 +228,7 @@ def cmd_fuse_induced(args) -> int:
 
 
 def cmd_center(args) -> int:
-    cat = _category(args.category)
+    cat = _config(category_by_name, args.category)
     if args.bound < 1 or args.witness_bound < 1:
         raise ConfigError("scan bounds must be >= 1")
     arity = len(cat.unit.indices)

@@ -56,18 +56,28 @@ def _rat(text: Any, where: str):
     refuse(where, 'a rational string like "-3/4"', text)
 
 
+def _matrix(rows: Any, where: str, height: int, width: int) -> tuple:
+    """The matrix at `where`: `height` rows of `width` rational strings."""
+    if len(expect(rows, where, list, "list")) != height:
+        refuse(where, f"a list of {height} rows", rows)
+    for r, row in enumerate(rows):
+        if len(expect(row, f"{where}[{r}]", list, "list")) != width:
+            refuse(f"{where}[{r}]", f"a list of {width} entries", row)
+    return tuple(tuple(_rat(v, f"{where}[{r}]") for v in row) for r, row in enumerate(rows))
+
+
 def system_from_json(doc: dict[str, Any]) -> DirectSystem:
     """Read the schema above.  A malformed document is refused by the reader
     in `limfuse._doc`, with the path of the node at fault:
     `maps.1<=2[0]: expected list, got '10'`."""
     pdoc = field(doc, "poset", "", dict, "an object")
     leq = field(pdoc, "leq", "poset", list, "list")
-    elements = field(pdoc, "elements", "poset", list, "list")
-    poset = DirectedPoset(
-        tuple(expect(e, f"poset.elements[{k}]", str, "a string") for k, e in enumerate(elements)),
-        frozenset(tuple(expect(e, f"poset.leq[{k}]", str, "a string") for e in _two(pair, f"poset.leq[{k}]"))
-                  for k, pair in enumerate(leq)),
-    )
+    elements = tuple(expect(e, f"poset.elements[{k}]", str, "a string")
+                     for k, e in enumerate(field(pdoc, "elements", "poset", list, "list")))
+    for k, pair in enumerate(leq):
+        if not all(expect(e, f"poset.leq[{k}]", str, "a string") in elements for e in _two(pair, f"poset.leq[{k}]")):
+            refuse(f"poset.leq[{k}]", "a pair of poset elements", pair)
+    poset = DirectedPoset(elements, frozenset(map(tuple, leq)))
     spaces = {}
     for e, basis in field(doc, "spaces", "", dict, "an object").items():
         where = f"spaces.{e}"
@@ -80,10 +90,5 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
         if len(pair) != 2 or not all(e in spaces for e in pair):
             refuse("maps", "keys i<=j over elements with spaces", key)
         i, j = pair
-        maps[(i, j)] = GradeMap(
-            spaces[i],
-            spaces[j],
-            tuple(tuple(_rat(v, f"maps.{key}[{r}]") for v in expect(row, f"maps.{key}[{r}]", list, "list"))
-                  for r, row in enumerate(expect(rows, f"maps.{key}", list, "list"))),
-        )
+        maps[(i, j)] = GradeMap(spaces[i], spaces[j], _matrix(rows, f"maps.{key}", spaces[j].dim, spaces[i].dim))
     return DirectSystem(poset, spaces, maps)

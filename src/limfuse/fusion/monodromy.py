@@ -85,11 +85,6 @@ def monodromy(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyRep
     """Per-summand exponents of the double braiding of x with y."""
     if not cat.contains(x) or not cat.contains(y):
         raise CategoryMismatch(f"labels must come from {cat.name}")
-    return monodromy_unchecked(cat, x, y)
-
-
-def monodromy_unchecked(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyReport:
-    """`monodromy` for labels already checked; `fusion_of` still rejects a new foreign one."""
     hxy = cat.weight_vec(x) + cat.weight_vec(y)
     entries = []
     for z, _ in cat.fusion_of(x, y):

@@ -9,6 +9,10 @@ finite: a slot that grows past a fixed bound stays past it, so only the
 summands up to `last_summand(tops)` can keep every slot within `tops`.
 Restriction and Frobenius both read their windows from it.
 
+The slots also give the label dictionary: the canonical base of selectors
+v_1 .. v_k holds them in the constant slots and e(1) in each growing slot e;
+it stands for the induced simple with indices v_1 .. v_k, as S(n,m) <-> Lk(n,1)%Lt(m,1).
+
 An algebra also owns every per-algebra memo of the induction layer, all
 declared in `AlgebraObject.__init__`: summands, both directions of the
 induced-label dictionary, induced fusion, locality certificates, slice
@@ -26,19 +30,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from limfuse._doc import expect, field, refuse
-from limfuse.catdata.category import CategorySpec, category_by_name, _load_category
-from limfuse.catdata.labels import (
-    AffineVerma,
-    OspMod,
-    Pair,
-    SimpleLabel,
-    SuperVir,
-    VirasoroKp2,
-    VirasoroT,
-)
+from limfuse.catdata.category import CategorySpec, category_by_name, named_category, _load_category
+from limfuse.catdata.labels import AffineVerma, Pair, SimpleLabel, VirasoroKp2, VirasoroT
 
 _LABEL_KINDS = {
     "virasoro-t": VirasoroT,
@@ -95,14 +91,11 @@ class FactorTemplate:
     kind: str
     indices: tuple[AffineExpr, ...]
 
-    def label_at(self, r: int) -> SimpleLabel:
-        return _LABEL_KINDS[self.kind](*(e.at(r) for e in self.indices))
-
 
 class AlgebraObject:
     """Commutative-algebra datum: base category, summand rule, and (for the
-    built-ins) the category of its local modules with the label dictionary
-    between canonical bases and induced simples."""
+    built-ins) the category of its local modules, with the label dictionary
+    between canonical bases and induced simples read from the rule's slots."""
 
     def __init__(
         self,
@@ -110,8 +103,6 @@ class AlgebraObject:
         base_category: CategorySpec,
         factors: tuple[FactorTemplate, FactorTemplate],
         induced_category: Optional[CategorySpec] = None,
-        to_induced: Optional[Callable[[SimpleLabel], SimpleLabel]] = None,
-        from_induced: Optional[Callable[[SimpleLabel], SimpleLabel]] = None,
     ):
         self.name = name
         self.base_category = base_category
@@ -119,9 +110,9 @@ class AlgebraObject:
         self.slots = factors[0].indices + factors[1].indices
         # (position, a, b) of each growing slot a*r + b, for `last_summand`
         self._growing = tuple((k, e.a, e.b) for k, e in enumerate(self.slots) if e.a)
+        # positions of the constant slots, which hold a canonical base's selectors
+        self._constant = tuple(k for k, e in enumerate(self.slots) if not e.a)
         self.induced_category = induced_category
-        self._to_induced = to_induced
-        self._from_induced = from_induced
         # the per-algebra memos (see the module docstring)
         self._summands: dict[int, SimpleLabel] = {}
         self._induced_of: dict[SimpleLabel, SimpleLabel] = {}  # to_induced
@@ -136,6 +127,13 @@ class AlgebraObject:
             raise ValueError("summand rule must grow with r")
         if self.summand(1) != base_category.unit:
             raise ValueError(f"summand(1) = {self.summand(1)} is not the unit of {base_category.name}")
+        if induced_category is not None and len(induced_category.unit.indices) != len(self._constant):
+            raise ValueError(f"{induced_category.name} labels do not have one index per constant slot of {name}")
+
+    def _label(self, flat: Sequence[int]) -> Pair:
+        """The pair of the rule's factor kinds with flat indices `flat`."""
+        (left, right), cut = self.factors, len(self.factors[0].indices)
+        return Pair(_LABEL_KINDS[left.kind](*flat[:cut]), _LABEL_KINDS[right.kind](*flat[cut:]))
 
     def summand(self, r: int) -> SimpleLabel:
         """The r-th simple summand of the algebra, r >= 1.
@@ -148,26 +146,40 @@ class AlgebraObject:
             raise ValueError("summand index must be >= 1")
         hit = self._summands.get(r)
         if hit is None:
-            hit = self._summands[r] = Pair(self.factors[0].label_at(r), self.factors[1].label_at(r))
+            hit = self._summands[r] = self._label([e.at(r) for e in self.slots])
         return hit
+
+    def canonical_base(self, values: Sequence[int]) -> Pair:
+        """The base with `values` in the constant slots, in slot order, and each growing slot at e(1)."""
+        if len(values) != len(self._constant):
+            raise ValueError(f"algebra {self.name} needs {len(self._constant)} index selector(s)")
+        given = iter(values)
+        return self._label([e.at(1) if e.a else next(given) for e in self.slots])
 
     def to_induced(self, base: SimpleLabel) -> SimpleLabel:
         """The induced simple of a canonical base, memoized per base."""
         hit = self._induced_of.get(base)
         if hit is None or not isinstance(base, SimpleLabel):
-            if self._to_induced is None:
-                raise ValueError(f"{self.name} has no induced-label dictionary")
-            hit = self._induced_of[base] = self._to_induced(base)
+            label_type = self._induced_type()
+            flat = base.indices if isinstance(base, Pair) else ()
+            if len(flat) != len(self.slots) or self.canonical_base(values := [flat[k] for k in self._constant]) != base:
+                raise ValueError(f"{base} is not a canonical base of {self.name}")
+            hit = self._induced_of[base] = label_type(*values)
         return hit
 
     def from_induced(self, label: SimpleLabel) -> SimpleLabel:
         """The canonical base of an induced simple, memoized per label."""
         hit = self._base_of.get(label)
         if hit is None or not isinstance(label, SimpleLabel):
-            if self._from_induced is None:
-                raise ValueError(f"{self.name} has no induced-label dictionary")
-            hit = self._base_of[label] = self._from_induced(label)
+            if not isinstance(label, self._induced_type()):
+                raise ValueError(f"{label} is not a label of {self.induced_category.name}")
+            hit = self._base_of[label] = self.canonical_base(label.indices)
         return hit
+
+    def _induced_type(self) -> type:
+        if self.induced_category is None:
+            raise ValueError(f"{self.name} has no induced-label dictionary")
+        return self.induced_category.label_type
 
     def last_summand(self, tops: Sequence[int]) -> int:
         """Largest r >= 0 at which every growing slot a*r + b is at most its
@@ -176,42 +188,6 @@ class AlgebraObject:
         if len(tops) != len(self.slots):
             raise ValueError(f"expected {len(self.slots)} slot tops, got {len(tops)}")
         return max(min([(tops[k] - b) // a for k, a, b in self._growing]), 0)
-
-
-def _svir_to_induced(base: SimpleLabel) -> SimpleLabel:
-    if (
-        isinstance(base, Pair)
-        and isinstance(base.left, VirasoroKp2)
-        and isinstance(base.right, VirasoroT)
-        and base.left.s == 1
-        and base.right.s == 1
-    ):
-        return SuperVir(base.left.r, base.right.r)
-    raise ValueError(f"{base} is not a canonical first-row base")
-
-
-def _svir_from_induced(label: SimpleLabel) -> SimpleLabel:
-    if isinstance(label, SuperVir):
-        return Pair(VirasoroKp2(label.n, 1), VirasoroT(label.m, 1))
-    raise ValueError(f"{label} is not a super-Virasoro label")
-
-
-def _osp_to_induced(base: SimpleLabel) -> SimpleLabel:
-    if (
-        isinstance(base, Pair)
-        and isinstance(base.left, AffineVerma)
-        and isinstance(base.right, VirasoroT)
-        and base.left.r == 1
-        and base.right.s == 1
-    ):
-        return OspMod(base.right.r)
-    raise ValueError(f"{base} is not a canonical base of the form (unit, first-row)")
-
-
-def _osp_from_induced(label: SimpleLabel) -> SimpleLabel:
-    if isinstance(label, OspMod):
-        return Pair(AffineVerma(1), VirasoroT(label.n, 1))
-    raise ValueError(f"{label} is not an osp label")
 
 
 def svir_extension() -> AlgebraObject:
@@ -225,8 +201,6 @@ def svir_extension() -> AlgebraObject:
             FactorTemplate("virasoro-t", (AffineExpr(0, 1), AffineExpr(1, 0))),
         ),
         induced_category=category_by_name("supervir"),
-        to_induced=_svir_to_induced,
-        from_induced=_svir_from_induced,
     )
 
 
@@ -241,8 +215,6 @@ def osp_extension() -> AlgebraObject:
             FactorTemplate("virasoro-t", (AffineExpr(0, 1), AffineExpr(1, 0))),
         ),
         induced_category=category_by_name("osp"),
-        to_induced=_osp_to_induced,
-        from_induced=_osp_from_induced,
     )
 
 
@@ -254,7 +226,17 @@ def _factor(f: dict, where: str) -> FactorTemplate:
     indices = field(f, "indices", where, list, "a list of index expressions")
     if len(indices) != (arity := len(category_by_name(kind).unit.indices)):
         refuse(f"{where}.indices", f"{arity} index expressions for {kind}", indices)
-    return FactorTemplate(kind, tuple(parse_affine(e) for e in indices))
+    return FactorTemplate(kind, tuple(_index(e, f"{where}.indices[{j}]") for j, e in enumerate(indices)))
+
+
+def _index(text: object, where: str) -> AffineExpr:
+    """The index expression at `where`, 1 at r = 1 so that summand(1) is the unit."""
+    try:
+        if (e := parse_affine(text)).at(1) == 1:
+            return e
+    except ValueError:  # no string or int of the form a*r+b
+        pass
+    refuse(where, "an index expression a*r+b with value 1 at r = 1", text)
 
 
 _BUILTIN_ALGEBRAS = {"svir-ext": svir_extension, "osp-ext": osp_extension}
@@ -272,7 +254,7 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     [...]}, {"kind": ..., "indices": [...]}]}.  A malformed document is
     refused by the reader in `limfuse._doc`, with the path of the node at
     fault: `algebra.summand_rule[1]: expected an object, got 3`."""
-    if isinstance(doc, str):
+    if isinstance(doc, str) and doc in _BUILTIN_ALGEBRAS:
         return algebra_by_name(doc)
     rule = field(expect(doc, "algebra", dict, "a name or an object"), "summand_rule", "algebra",
                  (list, tuple), "a list of two factors")
@@ -280,6 +262,9 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
         refuse("algebra.summand_rule", "a list of two factors", rule)
     factors = tuple(_factor(f, f"algebra.summand_rule[{k}]") for k, f in enumerate(rule))
     base = field(doc, "base_category", "algebra", (str, dict), "a category name or an object")
-    cat = category_by_name(base) if isinstance(base, str) else _load_category(base, "algebra.base_category")
+    at = "algebra.base_category"
+    cat = named_category(base, at) if isinstance(base, str) else _load_category(base, at)
+    if cat.unit != (unit := Pair(*(category_by_name(f.kind).unit for f in factors))):
+        refuse(at, f"a category with unit {unit}", base)
     name = expect(doc.get("name", "custom"), "algebra.name", str, "a string")
     return AlgebraObject(name, cat, factors)

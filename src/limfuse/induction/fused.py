@@ -41,6 +41,7 @@ from __future__ import annotations
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.fusion.element import FusionElement
 from limfuse.induction.algebra import AlgebraObject
+from limfuse.induction.induced import _check_truncate
 from limfuse.induction.locality import locality
 
 
@@ -65,13 +66,6 @@ def induced_fusion(alg: AlgebraObject, base1: SimpleLabel, base2: SimpleLabel) -
         hit = FusionElement([(alg.to_induced(z), m) for z, m in product])
         alg._induced_fusion_cache[(base1, base2)] = hit
     return hit
-
-
-def _check_truncate(truncate: int) -> None:
-    if isinstance(truncate, bool) or not isinstance(truncate, int):
-        raise ValueError(f"truncate must be an int, got {truncate!r}")
-    if truncate < 1:
-        raise ValueError("truncate must be >= 1")
 
 
 def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:

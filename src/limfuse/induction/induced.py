@@ -96,6 +96,13 @@ def _lowest(d1: Fraction, d2: Fraction) -> tuple[Optional[int], ...]:
     return (0, None)
 
 
+def _check_truncate(truncate: int) -> None:
+    if isinstance(truncate, bool) or not isinstance(truncate, int):
+        raise ValueError(f"truncate must be an int, got {truncate!r}")
+    if truncate < 1:
+        raise ValueError("truncate must be >= 1")
+
+
 def min_weight_summand(
     mod: InducedModule,
     sample: Fraction = Fraction(355, 113),
@@ -113,8 +120,7 @@ def min_weight_summand(
     """
     if sample <= 0:
         raise ValueError("sample point must be positive")
-    if truncate < 1:
-        raise ValueError("truncate must be >= 1")
+    _check_truncate(truncate)
     fam = slice_family(mod.algebra, mod.base)
     cands = {(r, k) for r in range(1, min(fam.r0, truncate + 1)) for k in range(len(mod.restriction(r)))}
     h = truncate - fam.r0

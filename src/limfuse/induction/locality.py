@@ -22,7 +22,7 @@ from typing import Optional
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.exact import Poly
-from limfuse.fusion.monodromy import monodromy_unchecked
+from limfuse.fusion.monodromy import monodromy
 from limfuse.induction.algebra import AlgebraObject
 from limfuse.induction.induced import slice_family
 
@@ -63,7 +63,7 @@ def locality(alg: AlgebraObject, base: SimpleLabel) -> LocalityCertificate:
 
 def _decide(alg: AlgebraObject, base: SimpleLabel) -> LocalityCertificate:
     fam = slice_family(alg, base)
-    reports = (monodromy_unchecked(alg.base_category, alg.summand(r), base) for r in range(1, fam.r0 + 3))
+    reports = (monodromy(alg.base_category, alg.summand(r), base) for r in range(1, fam.r0 + 3))
     if len(fam.steps) == 1:
         # one summand per slice: r0 = 1, and e(1), e(2), e(3) also fix the family
         reports = list(reports)

@@ -13,6 +13,11 @@ needs it.
 - `restriction_sides`: the two routes of `restriction_oracle_check` summed
   as multiplicity maps, route two through `ring_mul`, against which the
   packed sides are checked.
+- `label_at`, the four per-algebra dictionary functions and
+  `cli_canonical_base`: the label of a factor template at summand r, the
+  label dictionaries of svir-ext and osp-ext written out by hand, and the
+  CLI's former base builder, the references for the dictionary and the
+  canonical bases that `AlgebraObject` reads from its summand rule.
 - `space_grades` and `grade_map_parts`: a graded space's grades sorted by
   Fraction comparison, and a dense matrix cut into weight blocks and strays
   with per-grade column scans, the former `GradedSpace.grades` and
@@ -31,10 +36,12 @@ from limfuse.catdata import (
     CategorySpec,
     OspMod,
     Pair,
+    SimpleLabel,
     SuperVir,
     VirasoroKp2,
     VirasoroT,
 )
+from limfuse.cli import ConfigError
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
 from limfuse.fusion import FusionElement
 from limfuse.fusion.ring import _require_element, ring_mul
@@ -218,6 +225,83 @@ def restriction_sides(alg, base1, base2, truncate: int) -> tuple[dict, dict]:
     for z, mult in ring_mul(alg.base_category, FusionElement.of(base1), FusionElement.of(base2)):
         _add_scaled(monoidal_side, restrict_truncated(alg, z, truncate), mult)
     return rule_side, monoidal_side
+
+
+_LABEL_KINDS = {"virasoro-t": VirasoroT, "virasoro-kp2": VirasoroKp2, "kl-sl2": AffineVerma}
+
+
+def label_at(factor, r: int) -> SimpleLabel:
+    """The label of a factor template at summand r: its kind at its slots' values."""
+    return _LABEL_KINDS[factor.kind](*(e.at(r) for e in factor.indices))
+
+
+def svir_to_induced(base: SimpleLabel) -> SimpleLabel:
+    if (
+        isinstance(base, Pair)
+        and isinstance(base.left, VirasoroKp2)
+        and isinstance(base.right, VirasoroT)
+        and base.left.s == 1
+        and base.right.s == 1
+    ):
+        return SuperVir(base.left.r, base.right.r)
+    raise ValueError(f"{base} is not a canonical first-row base")
+
+
+def svir_from_induced(label: SimpleLabel) -> SimpleLabel:
+    if isinstance(label, SuperVir):
+        return Pair(VirasoroKp2(label.n, 1), VirasoroT(label.m, 1))
+    raise ValueError(f"{label} is not a super-Virasoro label")
+
+
+def osp_to_induced(base: SimpleLabel) -> SimpleLabel:
+    if (
+        isinstance(base, Pair)
+        and isinstance(base.left, AffineVerma)
+        and isinstance(base.right, VirasoroT)
+        and base.left.r == 1
+        and base.right.s == 1
+    ):
+        return OspMod(base.right.r)
+    raise ValueError(f"{base} is not a canonical base of the form (unit, first-row)")
+
+
+def osp_from_induced(label: SimpleLabel) -> SimpleLabel:
+    if isinstance(label, OspMod):
+        return Pair(AffineVerma(1), VirasoroT(label.n, 1))
+    raise ValueError(f"{label} is not an osp label")
+
+
+# algebra name -> (to_induced, from_induced)
+DICTIONARIES = {"svir-ext": (svir_to_induced, svir_from_induced), "osp-ext": (osp_to_induced, osp_from_induced)}
+
+
+def cli_canonical_base(alg, values: list[int | None]) -> SimpleLabel:
+    """Fill the constant index slots of the summand family with the given
+    selector values; growing slots take their first-stage value."""
+    vals = [v for v in values if v is not None]
+    factors = []
+    pos = 0
+    for f in alg.factors:
+        idx = []
+        for e in f.indices:
+            if e.a == 0:
+                if pos >= len(vals):
+                    raise ConfigError(f"algebra {alg.name} needs {_selector_count(alg)} index selector(s)")
+                idx.append(vals[pos])
+                pos += 1
+            else:
+                idx.append(e.at(1))
+        try:
+            factors.append(type(label_at(f, 1))(*idx))
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+    if pos != len(vals):
+        raise ConfigError(f"algebra {alg.name} needs {_selector_count(alg)} index selector(s)")
+    return Pair(factors[0], factors[1])
+
+
+def _selector_count(alg) -> int:
+    return sum(1 for e in alg.slots if e.a == 0)
 
 
 def space_grades(space) -> dict[tuple[int, int], tuple[int, ...]]:

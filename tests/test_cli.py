@@ -612,3 +612,16 @@ class TestCommandTable:
         tree = ast.parse(Path(cli.__file__).read_text())
         assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (
             node.attr in private or node.attr.startswith("_") and getattr(node.value, "id", None) == "argparse")] == []
+
+
+def test_bases_come_from_the_summand_rule():
+    # the CLI builds every algebra base through `AlgebraObject.canonical_base`,
+    # and the label dictionary is read from the summand rule, not written
+    # out per algebra in `induction/algebra.py`
+    src = Path(cli.__file__).parent
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    algebra = ast.parse((src / "induction" / "algebra.py").read_text())
+    dictionaries = [node.name for node in algebra.body if isinstance(node, ast.FunctionDef) and "induced" in node.name]
+    assert (sorted(names & {"slots", "factors", "label_at"}), dictionaries) == ([], [])

@@ -4,9 +4,11 @@ import random
 import re
 from fractions import Fraction as F
 from functools import partial
+from itertools import product
 
 import pytest
 
+from limfuse import cli
 from limfuse.catdata import (
     AffineVerma,
     OspMod,
@@ -49,7 +51,16 @@ from limfuse.induction import (
 )
 from limfuse.induction import fused as fused_mod
 from limfuse.induction.induced import slice_family
-from oracles import first_non_integer_positive, hom_dim, interpolate, restriction_sides
+from oracles import (
+    DICTIONARIES,
+    cli_canonical_base,
+    first_non_integer_positive,
+    hom_dim,
+    interpolate,
+    label_at,
+    restriction_sides,
+    svir_to_induced,
+)
 
 SVX = svir_extension()
 OSPX = osp_extension()
@@ -382,6 +393,17 @@ class TestMinWeight:
         with pytest.raises(ValueError):
             min_weight_summand(induce(SVX, sbase(2, 2)), sample=F(-1))
 
+    def test_truncate_not_an_int_is_refused(self):
+        # as in restrict_truncated: 2.5 would read as a bound and True as 1
+        mod = induce(svir_extension(), sbase(2, 2))
+        for truncate in (2.5, True, False, 3.0, "3", None):
+            with pytest.raises(ValueError, match=f"^truncate must be an int, got {re.escape(repr(truncate))}$"):
+                min_weight_summand(mod, truncate=truncate)
+        for truncate in (0, -4):
+            with pytest.raises(ValueError, match="^truncate must be >= 1$"):
+                min_weight_summand(mod, truncate=truncate)
+        assert min_weight_summand(mod, truncate=3)[0] == 2
+
     def test_symbolic_minimum_identity(self):
         # weight of the half-sum slice equals the displayed minimum formula,
         # as an exact rational-function identity in the aligned parameter
@@ -570,6 +592,74 @@ class TestInducedFusion:
                 assert out == direct
 
 
+class TestDictionaryAgainstReference:
+    """The label dictionary and the canonical bases that `AlgebraObject`
+    reads from its summand rule, against the per-algebra functions and the
+    CLI base builder they replace (`oracles`)."""
+
+    @pytest.mark.parametrize("make", [svir_extension, osp_extension])
+    def test_every_base_label(self, make):
+        alg = make()
+        to_ref, from_ref = DICTIONARIES[alg.name]
+        mapped = 0
+        for _ in range(2):
+            for base in alg.base_category.labels_up_to(6):
+                want, got = _outcome(to_ref, base), _outcome(alg.to_induced, base)
+                assert got == want, base
+                if want != ValueError:
+                    mapped += 1
+                    assert alg.from_induced(got) == from_ref(got) == base
+        assert mapped == 2 * {"svir-ext": 18, "osp-ext": 3}[alg.name]
+
+    @pytest.mark.parametrize("make", [svir_extension, osp_extension])
+    def test_every_induced_label(self, make):
+        # the algebra's own induced labels map back, the other algebra's are refused
+        alg = make()
+        from_ref = DICTIONARIES[alg.name][1]
+        for own in (svir_extension, osp_extension):
+            for label in own().induced_category.labels_up_to(15):
+                want, got = _outcome(from_ref, label), _outcome(alg.from_induced, label)
+                assert got == want, label
+                assert (want == ValueError) is (own is not make)
+                if own is make:
+                    assert alg.to_induced(got) == label
+
+    @pytest.mark.parametrize("make", [svir_extension, osp_extension])
+    def test_canonical_base_matches_the_cli_builder(self, make):
+        # a selector count other than the rule's is refused with the count
+        # before any index is read; the former builder read the first
+        # factor's indices first
+        alg = make()
+        count = len([e for e in alg.slots if not e.a])
+        need = f"algebra {alg.name} needs {count} index selector(s)"
+        for size in range(4):
+            for values in product((None, *range(9)), repeat=size):
+                want = _outcome(cli_canonical_base, alg, list(values))
+                got = _outcome(cli._canonical_base, alg, list(values))
+                if len([v for v in values if v is not None]) == count:
+                    assert got == want, values
+                else:
+                    assert want[0] is cli.ConfigError and got == (cli.ConfigError, need), values
+
+    def test_sabotaged_rules_keep_the_dictionary_and_are_caught(self):
+        for rule in SABOTAGED_RULES:
+            alg = sabotaged(rule)
+            for n, m in product(range(1, 7), repeat=2):
+                assert _outcome(alg.to_induced, sbase(n, m)) == _outcome(svir_to_induced, sbase(n, m))
+            assert not restriction_oracle_check(alg, sbase(2, 2), sbase(2, 2), truncate=10), rule
+
+
+def _outcome(call, *args):
+    """What `call(*args)` returns, ValueError for any ValueError from a
+    label or a dictionary, or (type, message) for a CLI refusal."""
+    try:
+        return call(*args)
+    except cli.ConfigError as e:
+        return type(e), str(e)
+    except ValueError:
+        return ValueError
+
+
 class TestRestrictionOracle:
     def test_small_grid(self):
         bases = [sbase(n, m) for n in range(1, 5) for m in range(1, 5) if (n + m) % 2 == 0]
@@ -734,8 +824,6 @@ def sabotaged(rule):
         base_category=SVX.base_category,
         factors=SVX.factors,
         induced_category=BrokenSV(),
-        to_induced=SVX._to_induced,
-        from_induced=SVX._from_induced,
     )
 
 
@@ -763,7 +851,7 @@ def reference_restriction(alg, base, truncate):
     reach = truncate + max(*base.left.indices, *base.right.indices) - min(b_min, 0)
     acc = {}
     for r in range(1, reach + 1):
-        left, right = f0.label_at(r), f1.label_at(r)
+        left, right = label_at(f0, r), label_at(f1, r)
         for zl, ml in fresh.left._fusion_raw(left, base.left):
             for zr, mr in fresh.right._fusion_raw(right, base.right):
                 if max(*zl.indices, *zr.indices) <= truncate:
@@ -891,7 +979,7 @@ class TestRestrictionMemo:
             f0, f1 = alg.factors
             for r in range(1, 51):
                 label = alg.summand(r)
-                assert label == Pair(f0.label_at(r), f1.label_at(r))
+                assert label == Pair(label_at(f0, r), label_at(f1, r))
                 assert alg.summand(r) is label
 
     def test_summand_below_one_raises_before_the_memo(self):

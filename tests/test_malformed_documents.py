@@ -2,12 +2,13 @@
 documented loaders, `system_from_json`, `algebra_from_json` and
 `load_category`, either loads a mutated document or refuses it with a
 ValueError, never another exception.  A loaded algebra or category has a
-string name.  A deleted required key, or an object or list replaced by a
-scalar, is refused by the one reader in `limfuse._doc` with the path of the
-node at fault."""
+string name.  Every refusal, of a deleted key or list entry, of a replaced
+object or list and of a replaced leaf alike, is the one reader's in
+`limfuse._doc` and names a node of the mutated document."""
 
 import ast
 import copy
+import re
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,27 @@ def test_replaced_object_or_list_is_named_at_its_path(loader, doc):
         for value in (0, None, True, 2.5):
             got = _refusal(loader, value if path == () else _changed(doc, path, value))
             assert got is not None and got.startswith(f"{_where(ROOTS[loader], path)}: expected"), (path, value, got)
+
+
+# the reader's two forms, `<path>: expected <what>, got <value>` and
+# `<path>: missing key '<key>'`
+READER_FORM = re.compile(r"(?P<where>[^:]*): (expected .+, got .+|missing key '.+')", re.S)
+
+
+@pytest.mark.parametrize("loader, doc", DOCUMENTS)
+def test_every_refusal_names_a_node_of_the_mutated_document(loader, doc):
+    # a leaf the loaders cannot use (an index expression, a category name, a
+    # relation's element, a matrix of the wrong shape) is refused where it sits
+    wrong, refused = [], 0
+    for what, mutated in mutations(doc):
+        if (got := _refusal(loader, mutated)) is None:
+            continue
+        refused += 1
+        nodes = {_where(ROOTS[loader], path) for path in _paths(mutated)}
+        if not ((m := READER_FORM.fullmatch(got)) and m["where"] in nodes):
+            wrong.append(f"{what}: {got}")
+    assert wrong == []
+    assert refused
 
 
 def test_only_the_reader_refuses_a_missing_key():
