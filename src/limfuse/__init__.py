@@ -8,7 +8,7 @@ rational sample point only orders weights that no parameter-free
 coefficient orders already.
 """
 
-from limfuse.exact import Rat, RatFunc, Poly, Phase
+from limfuse.exact import Rat, RatFunc, Poly
 
-__all__ = ["Rat", "RatFunc", "Poly", "Phase"]
+__all__ = ["Rat", "RatFunc", "Poly"]
 __version__ = "0.1.0"

@@ -47,6 +47,13 @@ def _two(entry: Any, where: str) -> tuple:
     return tuple(entry)
 
 
+def _unique(names: tuple, where: str, what: str) -> None:
+    """Refuse the first name listed twice, at `where[k]`."""
+    if len(set(names)) != len(names):
+        k = next(k for k, name in enumerate(names) if name in names[:k])
+        refuse(f"{where}[{k}]", what, names[k])
+
+
 def _rat(text: Any, where: str):
     try:
         if isinstance(text, str):
@@ -74,6 +81,7 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
     leq = field(pdoc, "leq", "poset", list, "list")
     elements = tuple(expect(e, f"poset.elements[{k}]", str, "a string")
                      for k, e in enumerate(field(pdoc, "elements", "poset", list, "list")))
+    _unique(elements, "poset.elements", "an element not listed before")
     for k, pair in enumerate(leq):
         if not all(expect(e, f"poset.leq[{k}]", str, "a string") in elements for e in _two(pair, f"poset.leq[{k}]")):
             refuse(f"poset.leq[{k}]", "a pair of poset elements", pair)
@@ -82,8 +90,9 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
     for e, basis in field(doc, "spaces", "", dict, "an object").items():
         where = f"spaces.{e}"
         entries = [_two(entry, f"{where}[{k}]") for k, entry in enumerate(expect(basis, where, list, "list"))]
-        spaces[e] = GradedSpace(tuple((expect(bid, f"{where}[{k}]", str, "a string"), _rat(w, f"{where}[{k}]"))
-                                      for k, (bid, w) in enumerate(entries)))
+        _unique(tuple(expect(bid, f"{where}[{k}]", str, "a string") for k, (bid, _) in enumerate(entries)),
+                where, "a basis id not used before")
+        spaces[e] = GradedSpace(tuple((bid, _rat(w, f"{where}[{k}]")) for k, (bid, w) in enumerate(entries)))
     maps = {}
     for key, rows in field(doc, "maps", "", dict, "an object").items():
         pair = key.split("<=")

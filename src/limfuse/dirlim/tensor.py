@@ -13,9 +13,11 @@ element of the other, each given one Kronecker map between the spaces
 `GradedSpace.tensor` shares, and every square of covers commutes, both ways
 round being f (x) g.  So `tensor_system` keeps an empty validation report on
 the product of two valid factors, and leaves the product of an invalid factor
-to the full check; `fubini_compare` does the same for a valid system tensored
-with a fixed space.  Product posets and product spaces are shared per pair of
-factors, so products over the same shapes read the same derived data.
+to the full check.  `fubini_compare` goes through `tensor_system` for its
+iterated system too: the outer factor times the constant system of the
+inner limit space on the one-stage chain.  Product posets and product
+spaces are shared per pair of factors, so products over the same shapes
+read the same derived data.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from limfuse.dirlim.graded import GradeMap, Weight
+from limfuse.dirlim.poset import DirectedPoset
 from limfuse.dirlim.system import (DirectSystem, Limit, Target, ValidationReport, direct_limit, universal_map,
                                    validate_system)
 
@@ -76,21 +79,14 @@ def fubini_compare(a: DirectSystem, b: DirectSystem, c: DirectSystem) -> FubiniR
     lim_multi = direct_limit(multi)
     lim_inner = direct_limit(bc)
 
-    inner_space = lim_inner.space
-    spaces = {i: a.space(i).tensor(inner_space) for i in a.poset.elements}
-    ident = GradeMap.identity(inner_space)
-    maps = {(i, j): a.map(i, j).tensor(ident) for i, j in a.poset.covers()}
-    iterated_sys = DirectSystem(a.poset, spaces, maps)
-    if validate_system(a).ok:  # a's cover maps (x) id commute as a's do
-        iterated_sys.__dict__["_validation"] = ValidationReport(())
-    lim_iter = direct_limit(iterated_sys)
+    lim_iter = direct_limit(tensor_system(a, DirectSystem.constant(DirectedPoset.chain(1), lim_inner.space)))
 
     psis: dict[str, GradeMap] = {}
     for i in a.poset.elements:
         id_i = GradeMap.identity(a.space(i))
         for jk in bc.poset.elements:
             stage = id_i.tensor(lim_inner.legs[jk])
-            psis[f"({i},{jk})"] = lim_iter.legs[i] @ stage
+            psis[f"({i},{jk})"] = lim_iter.legs[f"({i},1)"] @ stage
     comparison = universal_map(lim_multi, Target(lim_iter.space, psis))
 
     mdims = lim_multi.space.graded_dims()

@@ -1,5 +1,5 @@
-"""Exact rational, polynomial, and rational-function arithmetic, the text
-form of rationals and rational functions, and phases in Q/Z."""
+"""Exact rational, polynomial, and rational-function arithmetic, and the text
+form of rationals and rational functions."""
 
 from limfuse.exact.poly import Poly, Rat
 from limfuse.exact.ratfunc import (
@@ -10,13 +10,11 @@ from limfuse.exact.ratfunc import (
     format_ratfunc,
     parse_rat,
 )
-from limfuse.exact.phase import Phase
 
 __all__ = [
     "Rat",
     "Poly",
     "RatFunc",
-    "Phase",
     "DivisionByZero",
     "DegenerateSubstitution",
     "format_rat",

@@ -13,12 +13,13 @@ generic, so a parameter-dependent exponent cannot be an integer).  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.catdata.params import WeightVec
-from limfuse.exact import Phase, RatFunc
+from limfuse.exact import RatFunc
 from limfuse.fusion.ring import CategoryMismatch
 
 if TYPE_CHECKING:
@@ -47,9 +48,10 @@ class MonodromyEntry:
         return self.exponent_vec.to_ratfunc()
 
     @property
-    def phase(self) -> Optional[Phase]:
+    def phase(self) -> Optional[Fraction]:
+        """The exponent mod 1, in [0, 1), when it is constant."""
         c = self.exponent_vec.as_constant()
-        return Phase(c) if c is not None else None
+        return c % 1 if c is not None else None
 
     @property
     def trivial(self) -> bool:
@@ -94,17 +96,11 @@ def monodromy(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyRep
 
 
 @dataclass(frozen=True)
-class TransparencyCertificate:
-    """Evidence of non-transparency: one summand with non-trivial monodromy."""
+class TransparencyCertificate(MonodromyEntry):
+    """Evidence of non-transparency: the entry with non-trivial monodromy
+    against `witness`."""
 
     witness: SimpleLabel
-    summand: SimpleLabel
-    exponent_vec: WeightVec
-    status: str
-
-    @cached_property
-    def exponent(self) -> RatFunc:
-        return self.exponent_vec.to_ratfunc()
 
 
 def is_transparent(
@@ -116,7 +112,7 @@ def is_transparent(
         report = monodromy(cat, x, w)
         for e in report.entries:
             if not e.trivial:
-                return False, TransparencyCertificate(w, e.summand, e.exponent_vec, e.status)
+                return False, TransparencyCertificate(e.summand, e.exponent_vec, e.status, witness=w)
     return True, None
 
 

@@ -16,9 +16,10 @@ it stands for the induced simple with indices v_1 .. v_k, as S(n,m) <-> Lk(n,1)%
 An algebra also owns every per-algebra memo of the induction layer, all
 declared in `AlgebraObject.__init__`: summands, both directions of the
 induced-label dictionary, induced fusion, locality certificates, slice
-families, truncated restrictions and their packed forms.  Each caches a pure
-function of its key and stores only a successful answer, so a refused
-argument raises on every call.  A key argument that is not a `SimpleLabel`
+families and truncated restrictions, each restriction held once with its
+packed form, packed when it is computed.  Each memo caches a pure function
+of its key and stores only a successful answer, so a refused argument
+raises on every call.  A key argument that is not a `SimpleLabel`
 never reads a memo, although a raw tuple equals the label with the same
 entries: it takes the miss path, which refuses it.
 
@@ -120,9 +121,8 @@ class AlgebraObject:
         self._induced_fusion_cache: dict = {}  # fused.induced_fusion, per (base1, base2)
         self._locality_cache: dict = {}  # locality.locality, per base
         self._slice_cache: dict = {}  # induced.slice_family, per base
-        self._restrict_cache: dict = {}  # fused.restrict_truncated, per (base, truncate)
-        self._packed_cache: dict = {}  # fused._pack, per (base, truncate)
-        self._label_slots: dict[SimpleLabel, int] = {}  # fused._pack's slot of each label
+        self._restrict_cache: dict = {}  # fused.restrict_truncated, (element, packed, total) per (base, truncate)
+        self._label_slots: dict[SimpleLabel, int] = {}  # the packing slot of each label
         if not self._growing:
             raise ValueError("summand rule must grow with r")
         if self.summand(1) != base_category.unit:
@@ -261,6 +261,8 @@ def algebra_from_json(doc: dict) -> AlgebraObject:
     if len(rule) != 2:
         refuse("algebra.summand_rule", "a list of two factors", rule)
     factors = tuple(_factor(f, f"algebra.summand_rule[{k}]") for k, f in enumerate(rule))
+    if not any(e.a for f in factors for e in f.indices):
+        refuse("algebra.summand_rule", "a rule with an index that grows with r", rule)
     base = field(doc, "base_category", "algebra", (str, dict), "a category name or an object")
     at = "algebra.base_category"
     cat = named_category(base, at) if isinstance(base, str) else _load_category(base, at)

@@ -23,10 +23,11 @@ its key, computed from the base fusion, while the routes still differ in
 which bases they ask for and with which multiplicities, the induced-category
 rule on one side and the base fusion on the other.
 
-The oracle compares packed integers, not multiplicity maps.  Each memoized
-restriction is packed once into one int holding the multiplicity of label z
-at bit offset _WIDTH * slot(z), slots numbered per algebra on first sight,
-next to its total multiplicity; a side is then sum(mult * packed).  Every
+The oracle compares packed integers, not multiplicity maps.  Each
+restriction is packed when it is computed, into one int holding the
+multiplicity of label z at bit offset _WIDTH * slot(z), slots numbered per
+algebra on first sight, and the one memo keeps it next to the element and
+its total multiplicity; a side is then sum(mult * packed).  Every
 slot of a side holds at most the side's total, so while both totals are
 below 2**_WIDTH no slot carries into the next, each side is the base-2**_WIDTH
 expansion of its multiplicities, and one int comparison decides equality.
@@ -82,10 +83,16 @@ def restrict_truncated(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> 
     hit = alg._restrict_cache.get((base, truncate))
     if hit is None or not isinstance(base, SimpleLabel):
         hit = alg._restrict_cache[(base, truncate)] = _restrict(alg, base, truncate)
-    return hit
+    return hit[0]
 
 
-def _restrict(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionElement:
+# bits per label slot of a packed restriction
+_WIDTH = 32
+
+
+def _restrict(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> tuple[FusionElement, int, int]:
+    """The restriction as an element, the same packed at the algebra's label
+    slots, and its total multiplicity."""
     cat = alg.base_category
     cat._require(base)
     acc: dict[SimpleLabel, int] = {}
@@ -93,36 +100,24 @@ def _restrict(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> FusionEle
         for z, m in cat.fusion_of(alg.summand(r), base):
             if max(z.indices) <= truncate:
                 acc[z] = acc.get(z, 0) + m
-    return FusionElement(acc)
-
-
-# bits per label slot of a packed restriction
-_WIDTH = 32
-
-
-def _pack(alg: AlgebraObject, base: SimpleLabel, truncate: int) -> tuple[int, int]:
-    """`restrict_truncated(alg, base, truncate)` packed at the algebra's label
-    slots, with its total multiplicity."""
     slots = alg._label_slots
-    packed = total = 0
-    for z, m in restrict_truncated(alg, base, truncate):
-        packed += m << _WIDTH * slots.setdefault(z, len(slots))
-        total += m
-    return packed, total
+    packed = sum(m << _WIDTH * slots.setdefault(z, len(slots)) for z, m in acc.items())
+    return FusionElement(acc), packed, sum(acc.values())
 
 
 def _packed_side(alg: AlgebraObject, terms, truncate: int) -> int:
     """sum(mult * packed restriction of base) over the (base, mult) terms,
-    each packed restriction memoized per (base, truncate); ValueError when
-    the side's total multiplicity reaches 2**_WIDTH."""
-    cache = alg._packed_cache
+    read from the memo of `restrict_truncated`; ValueError when the side's
+    total multiplicity reaches 2**_WIDTH."""
+    cache = alg._restrict_cache
     packed = total = 0
     for base, mult in terms:
         hit = cache.get((base, truncate))
         if hit is None:
-            hit = cache[(base, truncate)] = _pack(alg, base, truncate)
-        packed += mult * hit[0]
-        total += mult * hit[1]
+            restrict_truncated(alg, base, truncate)
+            hit = cache[(base, truncate)]
+        packed += mult * hit[1]
+        total += mult * hit[2]
     if total >> _WIDTH:
         raise ValueError(f"restriction total {total} does not fit {_WIDTH}-bit label slots")
     return packed

@@ -1,4 +1,4 @@
-"""Exact arithmetic: rational functions, phases, integer-valued polynomials."""
+"""Exact arithmetic: rational functions, integer-valued polynomials."""
 
 import random
 from fractions import Fraction as F
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from limfuse.exact import (
     DegenerateSubstitution,
     DivisionByZero,
-    Phase,
     Poly,
     RatFunc,
     format_rat,
@@ -199,16 +198,6 @@ class TestFieldLaws:
         except DegenerateSubstitution:
             return
         assert lhs == rhs
-
-
-class TestPhase:
-    def test_reduction_into_unit_interval(self):
-        assert Phase(F(-3, 2)).value == F(1, 2)
-        assert Phase(F(5, 4)).value == F(1, 4)
-        assert Phase(7).value == 0
-
-    def test_integer_is_trivial(self):
-        assert Phase(F(12, 4)) == 0 == Phase(-5)
 
 
 class TestTextForm:

@@ -18,16 +18,20 @@ from limfuse.catdata import (
     Pair,
     DeligneCategory,
     VirasoroKp2Category,
+    WeightVec,
+    category_by_name,
     param_chain,
     parse_label,
 )
-from limfuse.exact import RatFunc
+from limfuse.exact import RatFunc, format_rat
 from limfuse.fusion import (
     INTEGER,
     NON_INTEGER_CONSTANT,
     PARAMETER_DEPENDENT,
     CategoryMismatch,
     FusionElement,
+    MonodromyEntry,
+    exponent_status,
     is_transparent,
     monodromy,
     mueger_scan,
@@ -118,7 +122,8 @@ class TestMonodromy:
         rep = monodromy(VT, VirasoroT(2, 1), VirasoroT(1, 2))
         e = rep.entries[0]
         assert e.status == NON_INTEGER_CONSTANT
-        assert e.phase.value == F(1, 2)
+        assert e.exponent.as_constant() == F(-1, 2)
+        assert e.phase == F(1, 2)
         rep2 = monodromy(VT, VirasoroT(3, 1), VirasoroT(1, 3))
         assert rep2.entries[0].status == INTEGER  # (3+3-9-1)/2 = -2
         assert rep2.entries[0].phase == 0
@@ -200,7 +205,61 @@ class TestMonodromy:
         assert rep2.to_json()[0]["phase"] == "1/2"
 
 
+# the five built-in categories and one Deligne product, labels <= 5
+PHASE_CATEGORIES = [*map(category_by_name, ("virasoro-t", "virasoro-kp2", "kl-sl2", "supervir", "osp")),
+                    category_by_name("deligne(osp,virasoro-t)")]
+
+
+class TestPhases:
+    """A phase is the exponent mod 1, a `Fraction` in [0, 1), or None when the
+    exponent depends on the parameter."""
+
+    def test_every_entry_up_to_five(self):
+        statuses, negative = set(), 0
+        for cat in PHASE_CATEGORIES:
+            labels = cat.labels_up_to(5)
+            for x in labels:
+                for y in labels:
+                    rep = monodromy(cat, x, y)
+                    for e, row in zip(rep.entries, rep.to_json(), strict=True):
+                        c = e.exponent.as_constant()
+                        statuses.add(e.status)
+                        if c is None:
+                            assert e.phase is None and row["phase"] is None, (cat.name, x, y)
+                            continue
+                        assert type(e.phase) is F and e.phase == c % 1 and 0 <= e.phase < 1, (cat.name, x, y)
+                        assert row["phase"] == format_rat(e.phase), (cat.name, x, y)
+                        negative += c < 0 and c.denominator > 1
+        assert statuses == {INTEGER, NON_INTEGER_CONSTANT, PARAMETER_DEPENDENT} and negative
+
+    def test_reduction_into_unit_interval(self):
+        # the built-in constant exponents are all integers or halves
+        for c, phase in [(F(-3, 2), F(1, 2)), (F(-1, 4), F(3, 4)), (F(5, 4), F(1, 4)), (F(12, 4), 0), (7, 0), (-5, 0), (0, 0)]:
+            e = MonodromyEntry(VT.unit, WeightVec(b=c), exponent_status(WeightVec(b=c)))
+            assert e.phase == phase and type(e.phase) is F, c
+            assert e.trivial == (phase == 0), c
+        assert MonodromyEntry(VT.unit, WeightVec(a=1), PARAMETER_DEPENDENT).phase is None
+
+
 class TestTransparency:
+    def test_certificate_is_the_first_non_trivial_entry(self):
+        found = 0
+        for cat in PHASE_CATEGORIES:
+            witnesses = cat.labels_up_to(3)
+            for x in cat.labels_up_to(5):
+                ok, cert = is_transparent(cat, x, witnesses)
+                first = next(((w, e) for w in witnesses for e in monodromy(cat, x, w).entries if not e.trivial), None)
+                assert ok == (first is None) == (cert is None), (cat.name, x)
+                if first is None:
+                    continue
+                found += 1
+                w, e = first
+                assert isinstance(cert, MonodromyEntry)
+                assert (cert.summand, cert.exponent_vec, cert.status, cert.witness) == (
+                    e.summand, e.exponent_vec, e.status, w)
+                assert cert.exponent == e.exponent and cert.phase == e.phase and not cert.trivial
+        assert found
+
     def test_unit_always_transparent(self):
         ok, cert = is_transparent(SV, SV.unit, SV.labels_up_to(6))
         assert ok and cert is None

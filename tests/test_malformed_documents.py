@@ -9,6 +9,7 @@ object or list and of a replaced leaf alike, is the one reader's in
 import ast
 import copy
 import re
+import reprlib
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,28 @@ def test_every_refusal_names_a_node_of_the_mutated_document(loader, doc):
             wrong.append(f"{what}: {got}")
     assert wrong == []
     assert refused
+
+
+def test_repeated_poset_element_is_named():
+    doc = system_to_json(random_system(SYSTEM_SEEDS[0]))
+    elements = doc["poset"]["elements"]
+    elements[2] = elements[0]
+    assert _refusal(system_from_json, doc) == (
+        f"poset.elements[2]: expected an element not listed before, got {elements[0]!r}")
+
+
+@pytest.mark.parametrize("element", ["a", "S3"])
+def test_repeated_basis_id_is_named(element):
+    doc = system_to_json(random_system(SYSTEM_SEEDS[0]))
+    doc["spaces"][element] = [["x", "0"], ["y", "1/2"], ["x", "1"]]
+    assert _refusal(system_from_json, doc) == f"spaces.{element}[2]: expected a basis id not used before, got 'x'"
+
+
+def test_summand_rule_without_a_growing_index_is_named():
+    rule = [{"kind": "virasoro-kp2", "indices": ["1", "1"]}, {"kind": "virasoro-t", "indices": ["1", "1"]}]
+    doc = {"base_category": "deligne(virasoro-kp2,virasoro-t)", "summand_rule": rule}
+    assert _refusal(algebra_from_json, doc) == (
+        f"algebra.summand_rule: expected a rule with an index that grows with r, got {reprlib.repr(rule)}")
 
 
 def test_only_the_reader_refuses_a_missing_key():

@@ -1,0 +1,40 @@
+"""Each value, memo and product has one copy in `src/`.
+
+A phase is the `Fraction` exponent mod 1, with no class of its own; a
+truncated restriction is memoized once, in `_restrict_cache`, packed when it
+is computed, so no second packed-restriction memo or packing pass comes back.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "limfuse"
+GONE = {"class Phase", "def _pack", "_packed_cache"}
+
+
+def second_copies(text: str) -> set[str]:
+    """The names of GONE that one module's source defines or reads."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef):
+            found.add(f"class {node.name}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(f"def {node.name}")
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            found.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return found & GONE
+
+
+def test_guard_sees_each_copy():
+    text = "class Phase:\n    pass\ndef _pack(alg):\n    return alg._packed_cache\ndef _packed_side(): pass\n"
+    assert second_copies(text) == GONE
+    assert second_copies("def _packed_side(alg):\n    return alg._restrict_cache\n") == set()
+
+
+def test_no_second_copy_in_src():
+    hits = {
+        str(path.relative_to(SRC)): sorted(found)
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := second_copies(path.read_text()))
+    }
+    assert hits == {}
