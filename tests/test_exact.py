@@ -1,4 +1,5 @@
-"""Exact arithmetic: rational functions, integer-valued polynomials."""
+"""Exact arithmetic: rational functions, integer-valued polynomials, and the
+phase of a constant monodromy exponent (the exponent mod 1)."""
 
 import random
 from fractions import Fraction as F
@@ -15,6 +16,8 @@ from limfuse.exact import (
     format_ratfunc,
     parse_rat,
 )
+from limfuse.catdata import VirasoroTCategory, WeightVec
+from limfuse.fusion import PARAMETER_DEPENDENT, MonodromyEntry, exponent_status
 from oracles import first_non_integer_positive, interpolate, parse_ratfunc
 
 T = RatFunc.var()
@@ -198,6 +201,31 @@ class TestFieldLaws:
         except DegenerateSubstitution:
             return
         assert lhs == rhs
+
+
+class TestPhase:
+    """`MonodromyEntry.phase` is the constant exponent mod 1, a `Fraction` in
+    [0, 1), or None when the exponent depends on the parameter."""
+
+    @staticmethod
+    def phase_of(c):
+        w = WeightVec(b=c)
+        return MonodromyEntry(VirasoroTCategory().unit, w, exponent_status(w))
+
+    def test_reduction_into_unit_interval(self):
+        # the built-in constant exponents are all integers or halves
+        for c, phase in [(F(-3, 2), F(1, 2)), (F(-1, 4), F(3, 4)), (F(5, 4), F(1, 4)), (7, 0)]:
+            e = self.phase_of(c)
+            assert e.phase == phase and type(e.phase) is F, c
+            assert e.trivial == (phase == 0), c
+        w = WeightVec(a=1)
+        assert MonodromyEntry(VirasoroTCategory().unit, w, PARAMETER_DEPENDENT).phase is None
+
+    def test_integer_is_trivial(self):
+        for c in (F(12, 4), -5, 0):
+            e = self.phase_of(c)
+            assert e.phase == 0 and type(e.phase) is F and e.trivial, c
+        assert not self.phase_of(F(1, 2)).trivial
 
 
 class TestTextForm:

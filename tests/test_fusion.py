@@ -18,7 +18,6 @@ from limfuse.catdata import (
     Pair,
     DeligneCategory,
     VirasoroKp2Category,
-    WeightVec,
     category_by_name,
     param_chain,
     parse_label,
@@ -31,7 +30,6 @@ from limfuse.fusion import (
     CategoryMismatch,
     FusionElement,
     MonodromyEntry,
-    exponent_status,
     is_transparent,
     monodromy,
     mueger_scan,
@@ -231,14 +229,6 @@ class TestPhases:
                         assert row["phase"] == format_rat(e.phase), (cat.name, x, y)
                         negative += c < 0 and c.denominator > 1
         assert statuses == {INTEGER, NON_INTEGER_CONSTANT, PARAMETER_DEPENDENT} and negative
-
-    def test_reduction_into_unit_interval(self):
-        # the built-in constant exponents are all integers or halves
-        for c, phase in [(F(-3, 2), F(1, 2)), (F(-1, 4), F(3, 4)), (F(5, 4), F(1, 4)), (F(12, 4), 0), (7, 0), (-5, 0), (0, 0)]:
-            e = MonodromyEntry(VT.unit, WeightVec(b=c), exponent_status(WeightVec(b=c)))
-            assert e.phase == phase and type(e.phase) is F, c
-            assert e.trivial == (phase == 0), c
-        assert MonodromyEntry(VT.unit, WeightVec(a=1), PARAMETER_DEPENDENT).phase is None
 
 
 class TestTransparency:
