@@ -7,12 +7,12 @@ holds, per weight of both spaces, one block of integers over the least
 common denominator, keyed by the weight's (numerator, denominator), which
 hashes far faster than a Fraction.  Composition, equality, rank, kernel,
 image, tensor products and factoring act block by block; `.matrix` is the
-dense Fraction view, derived on demand.  Entries of a dense input that join
-distinct weights are kept as strays, seen by `.matrix`, equality and
-`grade_violations` so that validation can report them; every operation that
-computes refuses such a map with ValueError.  A dense input is read into its
-blocks in one pass; an all-int input needs no common denominator, and it is
-searched for strays only when it has nonzero entries outside its blocks.
+dense Fraction view, derived on demand.  Every GradeMap preserves the
+grading: a dense input with a nonzero entry that joins distinct weights is
+refused with ValueError.  A dense input is read into its blocks in one pass,
+counting the nonzero entries it reads; an all-int input needs no common
+denominator, and the input is searched for the joining entry only when it
+has more nonzero entries than its blocks.
 
 Kernels skip exact elimination on blocks of full column rank modulo the prime
 2^61 - 1: a maximal minor nonzero mod the prime is a nonzero integer, so such
@@ -163,7 +163,7 @@ class GradeMap:
     """Linear map from a dense matrix, rows over the target basis and columns
     over the source basis, held as integer weight blocks."""
 
-    __slots__ = ("source", "target", "_blocks", "_stray", "_matrix", "_memo")
+    __slots__ = ("source", "target", "_blocks", "_matrix", "_memo")
 
     def __init__(self, source: GradedSpace, target: GradedSpace, matrix: Sequence[Sequence[Fraction]]):
         if len(matrix) != target.dim:
@@ -187,29 +187,27 @@ class GradeMap:
                 else:
                     get = itemgetter(*cols)
                     values = [get(matrix[r]) for r in rows]
-                if ints:
-                    blocks[key] = tuple(values), 1
-                    inside += sum([len(v) - v.count(0) for v in values])
-                else:
-                    blocks[key] = _block_of(values)
-        stray = ()
-        # an int matrix has strays only if it has nonzero entries outside its blocks
-        if not ints or inside != sum([len(row) - row.count(0) for row in matrix]):
+                blocks[key] = (tuple(values), 1) if ints else _block_of(values)
+                inside += sum([len(v) - v.count(0) for v in values])
+        # a nonzero entry outside the blocks joins distinct weights
+        if inside != sum([len(row) - row.count(0) for row in matrix]):
             keys = [key for key, _ in source.positions]
-            stray = tuple(((r, c), Fraction(v)) for r, (key, _) in enumerate(target.positions)
-                          for c, v in enumerate(matrix[r]) if keys[c] != key and v)
-        self._fill(source, target, blocks, stray, {})
+            r, c = next((r, c) for r, (key, _) in enumerate(target.positions)
+                        for c, v in enumerate(matrix[r]) if v and keys[c] != key)
+            raise ValueError(f"entry ({r}, {c}) joins source weight {source.weight(c)} "
+                             f"to target weight {target.weight(r)}")
+        self._fill(source, target, blocks, {})
 
-    def _fill(self, source, target, blocks, stray, memo) -> None:
+    def _fill(self, source, target, blocks, memo) -> None:
         self.source, self.target = source, target
-        self._blocks, self._stray = blocks, stray
+        self._blocks = blocks
         self._matrix = None
         self._memo = memo  # derived data that depends on the source and blocks only
 
     @classmethod
     def _of(cls, source: GradedSpace, target: GradedSpace, blocks: dict[GradeKey, Block], memo=None) -> "GradeMap":
         out = object.__new__(cls)
-        out._fill(source, target, blocks, (), {} if memo is None else memo)
+        out._fill(source, target, blocks, {} if memo is None else memo)
         return out
 
     @staticmethod
@@ -234,12 +232,7 @@ class GradeMap:
     def with_target(self, target: GradedSpace) -> "GradeMap":
         """The same blocks into `target`, a reordering of self.target by weight
         (say); the two maps share their kernel."""
-        self._require_graded()
         return GradeMap._of(self.source, target, self._blocks, self._memo)
-
-    def _require_graded(self, other: Optional["GradeMap"] = None) -> None:
-        if self._stray or other is not None and other._stray:
-            raise ValueError("map does not preserve the grading")
 
     @property
     def matrix(self) -> Rows:
@@ -251,16 +244,14 @@ class GradeMap:
                     for c, v in zip(self.source.grades[key], brow):
                         if v:
                             dense[r][c] = Fraction(v, den)
-            for (r, c), v in self._stray:
-                dense[r][c] = v
             self._matrix = tuple(map(tuple, dense))
         return self._matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradeMap):
             return NotImplemented
-        return self is other or ((self._blocks, self._stray, self.source, self.target)
-                                 == (other._blocks, other._stray, other.source, other.target))
+        return self is other or ((self._blocks, self.source, self.target)
+                                 == (other._blocks, other.source, other.target))
 
     def __hash__(self) -> int:
         return hash((self.source, self.target))
@@ -272,7 +263,6 @@ class GradeMap:
         """Composition self o other, block by block."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
-        self._require_graded(other)
         blocks: dict[GradeKey, Block] = {}
         for key, cols in other.source.grades.items():
             rows = self.target.grades.get(key)
@@ -282,13 +272,6 @@ class GradeMap:
                                else _lowest_terms(linalg.matmul(a[0], b[0], len(cols)), a[1] * b[1]))
         return GradeMap._of(other.source, self.target, blocks)
 
-    def grade_violations(self) -> list[tuple[int, int]]:
-        """(row, col) positions connecting distinct weights with a nonzero entry."""
-        return [pos for pos, _ in self._stray]
-
-    def is_grade_preserving(self) -> bool:
-        return not self._stray
-
     def rank(self) -> int:
         return self.source.dim - len(self.kernel())
 
@@ -297,7 +280,6 @@ class GradeMap:
         the block kernels side by side, ordered by pivot; computed once.
         Only the blocks `linalg.injective_mod_p` does not certify are
         reduced exactly."""
-        self._require_graded()
         kernel = self._memo.get("kernel")
         if kernel is None:
             found = []
@@ -310,7 +292,6 @@ class GradeMap:
 
     def image(self) -> Rows:
         """Canonical basis of the image, as vectors in target coordinates."""
-        self._require_graded()
         found = []
         for key, (block, _) in self._blocks.items():
             rows = self.target.grades[key]
@@ -324,7 +305,6 @@ class GradeMap:
         Entry ((r1, r2), (c1, c2)) is a[r1][c1] * b[r2][c2], nonzero only when
         r1, c1 share a weight block of `self` and r2, c2 one of `other`, so
         each product block is filled from those pairs of factor blocks."""
-        self._require_graded(other)
         src, tgt = self.source.tensor(other.source), self.target.tensor(other.target)
         a, da = _common_den(self._blocks)
         b, db = _common_den(other._blocks)
@@ -360,7 +340,6 @@ class GradeMap:
         F_w A_w = B_w, and an identity block A_w gives F_w = B_w at once."""
         if other.source != self.source:
             raise ValueError("factoring needs a common source")
-        self._require_graded(other)
         blocks: dict[GradeKey, Block] = {}
         for key, mid in other.target.grades.items():
             rows = self.target.grades.get(key)

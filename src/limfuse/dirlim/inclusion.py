@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from limfuse.dirlim import linalg
-from limfuse.dirlim.graded import GradedSpace, GradeMap, Weight
+from limfuse.dirlim.graded import GradedSpace, GradeMap
 from limfuse.dirlim.linalg import Rows, Vec
 from limfuse.dirlim.poset import DirectedPoset
 from limfuse.dirlim.system import DirectSystem, Limit, Target, direct_limit, universal_map
@@ -96,14 +96,10 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
                 covers.append((na, nb))
     poset = DirectedPoset.from_covers(names, covers)
 
-    def row_weight(row: Vec) -> Weight:
-        for c, v in enumerate(row):
-            if v != 0:
-                return ambient.weight(c)
-        raise NotASubspace("zero basis row")
-
+    # every basis row is a nonzero canonical row, of the weight of its first nonzero entry
     spaces = {
-        name: GradedSpace(tuple((f"v{k}", row_weight(row)) for k, row in enumerate(rows)))
+        name: GradedSpace(tuple((f"v{k}", ambient.weight(next(c for c, v in enumerate(row) if v)))
+                                for k, row in enumerate(rows)))
         for name, rows in by_name.items()
     }
 

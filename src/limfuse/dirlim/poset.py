@@ -32,8 +32,9 @@ class DirectedPoset:
     """A finite set with a binary relation, intended to be a directed order.
 
     The constructor does not force validity; :meth:`violations` reports every
-    failure of reflexivity, transitivity, and directedness so that defective
-    inputs can be diagnosed rather than rejected opaquely.
+    failure of reflexivity, transitivity, and directedness, and an empty
+    poset, so that defective inputs can be diagnosed rather than rejected
+    opaquely.  A poset without violations has a greatest element.
     """
 
     elements: tuple[str, ...]
@@ -125,6 +126,8 @@ class DirectedPoset:
 
     @_once
     def violations(self) -> tuple[str, ...]:
+        if not self.elements:
+            return ("empty poset",)
         up = self._up()
         out = [f"not reflexive at {e}" for e in self.elements if e not in up[e]]
         for i, j in self.leq:

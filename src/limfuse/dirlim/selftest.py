@@ -8,8 +8,8 @@ the kernel identity ker(phi_i) = sum of ker(f_i^j) over j >= i (the sum from
 `kernel_union`, phi_i from the quotient construction), existence and
 uniqueness of the universal map to a concrete target, and injectivity of the
 canonical map for inclusion systems.  Uniqueness perturbs one entry of the
-universal map at a time; the perturbed matrix may join distinct weights,
-which no GradeMap computes with, so it meets the legs in dense products.
+universal map at a time; a perturbed matrix that joins distinct weights is
+not a GradeMap, so it meets the legs as dense products.
 Each comparison case checks that the iterated and multiple limits of a
 random triple are isomorphic.
 """
@@ -59,25 +59,21 @@ def check_system(sys: DirectSystem, seed: int, perturb_entries: int | None = 8) 
         if lim.legs[j] @ sys.map(i, j) != lim.legs[i]:
             problems.append(f"leg compatibility fails at {i} <= {j}")
 
-    top = sys.poset.greatest()
-    if top is None:
-        problems.append("finite directed poset has no greatest element")
-    else:
-        if lim.legs[top].rank() != lim.space.dim:
-            problems.append("top leg does not cover the limit")
+    top = sys.poset.greatest()  # a valid poset has one
+    if lim.legs[top].rank() != lim.space.dim:
+        problems.append("top leg does not cover the limit")
 
     for i in sys.poset.elements:
         if kernel_of_leg(oracle, i) != kernel_union(sys, i):
             problems.append(f"kernel identity fails at {i}")
 
-    if top is not None:
-        psis = {i: sys.map(i, top) for i in sys.poset.elements}
-        tgt = Target(sys.space(top), psis)
-        f = universal_map(lim, tgt)
-        for i in sys.poset.elements:
-            if f @ lim.legs[i] != psis[i]:
-                problems.append(f"universal map misses psi_{i}")
-        problems.extend(_uniqueness_by_perturbation(seed, lim, tgt, f, perturb_entries))
+    psis = {i: sys.map(i, top) for i in sys.poset.elements}
+    tgt = Target(sys.space(top), psis)
+    f = universal_map(lim, tgt)
+    for i in sys.poset.elements:
+        if f @ lim.legs[i] != psis[i]:
+            problems.append(f"universal map misses psi_{i}")
+    problems.extend(_uniqueness_by_perturbation(seed, lim, tgt, f, perturb_entries))
     return problems
 
 

@@ -9,7 +9,8 @@ Schema::
 Weights and matrix entries are canonical rational strings like "-3/4";
 reflexive identity maps are omitted.  `system_to_json` writes the map of
 every strict pair; `system_from_json` needs the cover maps and takes any
-other map as a claim that validation checks.
+other map as a claim that validation checks.  A map whose matrix joins
+distinct weights is no GradeMap: the reader refuses it at its key.
 """
 
 from __future__ import annotations
@@ -99,5 +100,9 @@ def system_from_json(doc: dict[str, Any]) -> DirectSystem:
         if len(pair) != 2 or not all(e in spaces for e in pair):
             refuse("maps", "keys i<=j over elements with spaces", key)
         i, j = pair
-        maps[(i, j)] = GradeMap(spaces[i], spaces[j], _matrix(rows, f"maps.{key}", spaces[j].dim, spaces[i].dim))
+        matrix = _matrix(rows, f"maps.{key}", spaces[j].dim, spaces[i].dim)
+        try:
+            maps[(i, j)] = GradeMap(spaces[i], spaces[j], matrix)
+        except ValueError:  # an entry joins distinct weights, named in the context
+            refuse(f"maps.{key}", "a matrix that preserves the grading", rows)
     return DirectSystem(poset, spaces, maps)

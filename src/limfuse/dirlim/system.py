@@ -8,9 +8,10 @@ below k (its route), keeping every composite.  A given non-cover map is a
 claim: validation checks it against f_c^k o f_i^c on its route triple, so by
 induction on the route length every given map equals its cover composite.
 
-A finite directed poset has a greatest element top, so the limit of a system
-over it is V_top itself, with legs f_i^top: every stage maps into V_top, and
-what the limit identifies is already identified there.  `direct_limit`
+A nonempty finite directed poset has a greatest element top (validation
+reports an empty one), so the limit of a system over it is V_top itself,
+with legs f_i^top: every stage maps into V_top, and what the limit
+identifies is already identified there.  `direct_limit`
 returns that space, its basis sorted stably by weight, with legs that reuse
 the weight blocks of f_i^top.  `quotient_limit` keeps the explicit
 construction, the quotient of the direct sum of all stage spaces by the span
@@ -197,8 +198,6 @@ def _validate(sys: DirectSystem) -> ValidationReport:
                 problems.append(f"reflexive map at {i} is not the identity")
         elif f.source != sys.spaces[i] or f.target != sys.spaces[j]:
             problems.append(f"map for {i} <= {j} has wrong source or target")
-        elif not f.is_grade_preserving():
-            problems.append(f"map for {i} <= {j} does not preserve the grading")
     if problems:
         return ValidationReport(tuple(problems))
     # each given non-cover map on its route triple, then every triple whose
@@ -299,9 +298,9 @@ def quotient_limit(sys: DirectSystem) -> Limit:
 def universal_map(lim: Limit, tgt: Target) -> GradeMap:
     """The unique map F with F o phi_i = psi_i for every stage i.
 
-    Every psi_i must preserve the grading.  The cocone is checked along
-    covers, and F is solved from the top stage alone: phi_top is onto, and
-    phi_i = phi_top o f_i^top for every i."""
+    Each psi_i is a GradeMap, so it preserves the grading, and so does F.
+    The cocone is checked along covers, and F is solved from the top stage
+    alone: phi_top is onto, and phi_i = phi_top o f_i^top for every i."""
     sys = lim.system
     for i in sys.poset.elements:
         psi = tgt.psis.get(i)
@@ -309,8 +308,6 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
             raise IncompatibleTarget(f"missing target map for {i}")
         if psi.source != sys.spaces[i] or psi.target != tgt.space:
             raise IncompatibleTarget(f"target map for {i} has wrong source or target")
-        if not psi.is_grade_preserving():
-            raise IncompatibleTarget(f"target map for {i} does not preserve the grading")
     for i, c in sys.poset.covers():
         if tgt.psis[c] @ sys.map(i, c) != tgt.psis[i]:
             raise IncompatibleTarget(f"psi_{c} o f_{i}^{c} != psi_{i}")

@@ -19,9 +19,11 @@ needs it.
   CLI's former base builder, the references for the dictionary and the
   canonical bases that `AlgebraObject` reads from its summand rule.
 - `space_grades` and `grade_map_parts`: a graded space's grades sorted by
-  Fraction comparison, and a dense matrix cut into weight blocks and strays
-  with per-grade column scans, the former `GradedSpace.grades` and
-  `GradeMap.__init__`, against which the one-pass construction is checked.
+  Fraction comparison, and a dense matrix cut into weight blocks with
+  per-grade column scans, beside its first entry that joins distinct
+  weights, found by comparing the weights of every entry: the former
+  `GradedSpace.grades` and `GradeMap.__init__`, against which the one-pass
+  construction and its refusal are checked.
 """
 
 from __future__ import annotations
@@ -313,18 +315,18 @@ def space_grades(space) -> dict[tuple[int, int], tuple[int, ...]]:
     return {key: tuple(ix) for key, (_, ix) in sorted(out.items(), key=lambda item: item[1][0])}
 
 
-def grade_map_parts(source, target, matrix) -> tuple[dict, tuple]:
+def grade_map_parts(source, target, matrix) -> tuple[dict, tuple | None]:
     """The weight blocks (integer rows over the least common denominator)
-    and the sorted ((row, col), Fraction) strays of a dense matrix, one
-    target grade at a time, strays found by scanning the columns outside
-    the grade."""
-    sgrades, blocks, stray = space_grades(source), {}, []
+    of a dense matrix, one target grade at a time, and its first nonzero
+    entry (row, col) in row-major order that joins distinct weights, or
+    None, found by comparing the weights of every entry."""
+    sgrades, blocks = space_grades(source), {}
     for key, rows in space_grades(target).items():
         cols = sgrades.get(key, ())
         if cols:
             values = [[matrix[r][c] for c in cols] for r in rows]
             den = lcm(1, *(v.denominator for row in values for v in row))
             blocks[key] = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in values), den
-        others = [c for c in range(source.dim) if c not in cols]
-        stray += [((r, c), Fraction(matrix[r][c])) for r in rows for c in others if matrix[r][c]]
-    return blocks, tuple(sorted(stray, key=lambda entry: entry[0]))
+    joining = next(((r, c) for r in range(target.dim) for c in range(source.dim)
+                    if matrix[r][c] and target.weight(r) != source.weight(c)), None)
+    return blocks, joining

@@ -68,11 +68,26 @@ class TestValidate:
         assert any("upper bound" in p for p in problems)
 
     def test_grade_violation_reported(self):
+        # a map that joins weights is refused when it is built, so no system
+        # holds one; its graded part makes a valid system
         mixed = GradedSpace.make([("e1", 0), ("e2", 1)])
-        bad = GradeMap.make(mixed, mixed, [[0, 1], [0, 0]])
-        sys = DirectSystem.on_chain([mixed, mixed], [bad])
-        problems = validate_system(sys).problems
-        assert any("preserve the grading" in p for p in problems)
+        with pytest.raises(ValueError, match=r"^entry \(0, 1\) joins source weight 1 to target weight 0$"):
+            GradeMap.make(mixed, mixed, [[0, 1], [0, 0]])
+        graded = GradeMap.make(mixed, mixed, [[0, 0], [0, 1]])
+        assert validate_system(DirectSystem.on_chain([mixed, mixed], [graded])).ok
+
+    def test_empty_poset_reported(self):
+        # every valid poset has a greatest element, the limit's stage
+        empty = DirectSystem(DirectedPoset.chain(0), {}, {})
+        loaded = system_from_json({"poset": {"elements": [], "leq": []}, "spaces": {}, "maps": {}})
+        for sys in (empty, loaded):
+            assert validate_system(sys).problems == ("empty poset",)
+            for construct in (direct_limit, quotient_limit):
+                with pytest.raises(InvalidSystem, match="^empty poset$"):
+                    construct(sys)
+        stray_space = DirectSystem(DirectedPoset.chain(0), {"a": Q1}, {})
+        with pytest.raises(InvalidSystem, match="^empty poset; space stored for unknown element a$"):
+            kernel_union(stray_space, "a")
 
     def test_missing_map_reported(self):
         sys = inclusion_chain()
@@ -372,15 +387,17 @@ class TestUniversalMap:
             universal_map(lim, Target(Q3, psis))
 
     def test_target_map_mixing_weights_rejected(self):
-        # psi sends a weight-0 vector to a weight-1 one: the cocone holds,
-        # but no grade-preserving F has F o phi_i = psi_i
+        # a psi that sends a weight-0 vector to a weight-1 one is no GradeMap,
+        # so no target holds it; its graded part factors through the limit
         a = GradedSpace.make([("a", 0)])
         sys = DirectSystem.on_chain([a, a], [GradeMap.identity(a)])
         lim = direct_limit(sys)
         tgt = GradedSpace.make([("x", 0), ("y", 1)])
-        psi = GradeMap.make(a, tgt, [[1], [5]])
-        with pytest.raises(IncompatibleTarget, match="target map for 1 does not preserve the grading"):
-            universal_map(lim, Target(tgt, {"1": psi, "2": psi}))
+        for rows in ([[1], [5]], [[1], [F(5)]]):
+            with pytest.raises(ValueError, match=r"^entry \(1, 0\) joins source weight 0 to target weight 1$"):
+                GradeMap.make(a, tgt, rows)
+        psi = GradeMap.make(a, tgt, [[1], [0]])
+        assert universal_map(lim, Target(tgt, {"1": psi, "2": psi})).matrix == ((F(1),), (F(0),))
 
     def test_incompatible_target_rejected(self):
         sys = inclusion_chain()
@@ -949,25 +966,33 @@ class TestGradeMapAgainstDense:
                 for c in range(u.dim):
                     rows = [list(row) for row in f.matrix]
                     rows[r][c] += F(1, 3)
-                    bumped = GradeMap(u, v, rows)
-                    assert bumped != f
-                    assert bumped.is_grade_preserving() == (u.weight(c) == v.weight(r))
+                    if u.weight(c) == v.weight(r):
+                        assert GradeMap(u, v, rows) != f
+                    else:  # the bumped entry is the only one that joins weights
+                        with pytest.raises(ValueError, match=rf"^entry \({r}, {c}\) joins "):
+                            GradeMap(u, v, rows)
 
     def test_stray_entries_are_refused_by_block_operations(self):
-        # a stray entry stays visible to the dense view, equality and
-        # grade_violations, so validation can report it; no operation
-        # computes with it
+        # no GradeMap holds an entry that joins weights, so no block
+        # operation meets one: the first such entry, in row-major order, is
+        # refused when the map is built, int and Fraction input alike
         mixed = GradedSpace.make([("a", 0), ("b", 1)])
-        stray = GradeMap.make(mixed, mixed, [[1, 2], [0, 3]])
-        assert stray.grade_violations() == [(0, 1)]
-        assert stray.matrix == ((F(1), F(2)), (F(0), F(3)))
-        assert stray == GradeMap.make(mixed, mixed, [[1, 2], [0, 3]])
-        assert stray != GradeMap.make(mixed, mixed, [[1, 0], [0, 3]])
-        ident = GradeMap.identity(mixed)
-        for op in (lambda: stray @ ident, lambda: ident @ stray, stray.kernel, stray.image, stray.rank,
-                   lambda: stray.tensor(stray), lambda: stray.with_target(mixed)):
-            with pytest.raises(ValueError, match="does not preserve the grading"):
-                op()
+        half = GradedSpace.make([("h", F(1, 2))])
+        cases = [(mixed, mixed, [[1, 2], [5, 3]], "entry (0, 1) joins source weight 1 to target weight 0"),
+                 (mixed, mixed, [[1, 0], [5, 3]], "entry (1, 0) joins source weight 0 to target weight 1"),
+                 (mixed, mixed, [[F(1), F(0)], [F(-1, 2), F(3)]],
+                  "entry (1, 0) joins source weight 0 to target weight 1"),
+                 (half, mixed, [[0], [F(2, 3)]], "entry (1, 0) joins source weight 1/2 to target weight 1"),
+                 (mixed, half, [[0, 4]], "entry (0, 1) joins source weight 1 to target weight 1/2")]
+        for source, target, rows, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                GradeMap.make(source, target, rows)
+        graded = GradeMap.make(mixed, mixed, [[1, 0], [0, 3]])
+        assert graded.matrix == ((F(1), F(0)), (F(0), F(3)))
+        assert graded != GradeMap.make(mixed, mixed, [[1, 0], [0, 4]])
+        assert (graded @ graded).matrix == ((F(1), F(0)), (F(0), F(9)))
+        assert graded.kernel() == () and graded.rank() == 2
+        assert GradeMap.make(half, mixed, [[0], [0]]).kernel() == ((F(1),),)
 
 
 def _old_covers(poset):

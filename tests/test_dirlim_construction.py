@@ -1,11 +1,13 @@
 """Construction of direct systems: shared chain and product posets, grades
-computed at construction, one-pass grade maps, and products whose report is
-taken from their factors (fubini's iterated system from its outer factor),
-each against a reference built from scratch."""
+computed at construction, one-pass grade maps that refuse an entry joining
+distinct weights, and products whose report is taken from their factors
+(fubini's iterated system from its outer factor), each against a reference
+built from scratch."""
 
 from fractions import Fraction as F
 
 import random
+import re
 
 import pytest
 
@@ -38,12 +40,23 @@ def _matrix(rng, source, target, entries, graded):
              for c in range(source.dim)] for r in range(target.dim)]
 
 
-def _assert_matches_reference(g, source, target, matrix):
-    blocks, stray = grade_map_parts(source, target, matrix)
-    assert g._blocks == blocks and g._stray == stray
+def _assert_matches_reference(source, target, matrix):
+    """GradeMap(source, target, matrix), holding the reference blocks, or None
+    when it refuses the reference's first joining entry by (row, col) and
+    weights."""
+    blocks, joining = grade_map_parts(source, target, matrix)
+    if joining is not None:
+        r, c = joining
+        message = f"entry ({r}, {c}) joins source weight {source.weight(c)} to target weight {target.weight(r)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradeMap(source, target, matrix)
+        return None
+    g = GradeMap(source, target, matrix)
+    assert g._blocks == blocks
     assert all(type(v) is int for rows, den in g._blocks.values() for row in rows for v in row)
     assert all(type(rows) is tuple and all(type(row) is tuple for row in rows) for rows, _ in g._blocks.values())
     assert g.matrix == tuple(tuple(F(v) for v in row) for row in matrix)
+    return g
 
 
 class TestGradedSpace:
@@ -72,24 +85,34 @@ class TestGradeMapAgainstReference:
         for _ in range(200):
             source, target = random_space(rng, prefix="s"), random_space(rng, prefix="t")
             g = random_grade_map(rng, source, target)
-            _assert_matches_reference(g, source, target, g.matrix)
+            assert _assert_matches_reference(source, target, g.matrix) == g
 
     def test_int_and_fraction_entries_with_and_without_strays(self):
+        # an entry joining distinct weights (a former stray) is refused, int
+        # and Fraction input alike; every other matrix gives its blocks
         rng = random.Random(7)
         ints, fractions = [-2, -1, 0, 0, 0, 1, 2, 3], [F(0), F(0), F(1), F(-1, 2), F(7, 4), 2, -3]
+        seen = set()
         for _ in range(400):
             source, target = _space(rng, WEIGHTS[:4], 6, "s"), _space(rng, WEIGHTS[:4], 6, "t")
-            matrix = _matrix(rng, source, target, rng.choice([ints, fractions]), graded=rng.random() < 0.5)
-            _assert_matches_reference(GradeMap(source, target, matrix), source, target, matrix)
+            entries = rng.choice([ints, fractions])
+            matrix = _matrix(rng, source, target, entries, graded=rng.random() < 0.5)
+            built = _assert_matches_reference(source, target, matrix)
+            seen.add((entries is ints, built is None))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_weights_on_one_side_only(self):
         rng = random.Random(11)
+        refused = 0
         for _ in range(300):
             source = _space(rng, [F(0), F(1, 2), F(1)], 5, "s")
             target = _space(rng, [F(1, 2), F(2), F(-1, 3)], 5, "t")
             for graded in (True, False):
                 matrix = _matrix(rng, source, target, [0, 1, -1, F(1, 3)], graded)
-                _assert_matches_reference(GradeMap(source, target, matrix), source, target, matrix)
+                if _assert_matches_reference(source, target, matrix) is None:
+                    assert not graded
+                    refused += 1
+        assert refused
 
     def test_make_converts_only_what_is_not_exact(self):
         s = GradedSpace.make([("a", 0), ("b", 0), ("c", 1)])
@@ -97,7 +120,7 @@ class TestGradeMapAgainstReference:
         g = GradeMap.make(s, s, rows)
         dense = [[F(1), F(1, 2), F(0)], [F(1, 3), F(1, 2), F(0)], [F(0), F(0), F(3)]]
         assert g == GradeMap(s, s, dense)
-        _assert_matches_reference(g, s, s, dense)
+        assert _assert_matches_reference(s, s, dense) == g
         assert GradeMap.make(s, s, (iter(row) for row in dense)) == g
         with pytest.raises(ValueError, match="expected 3 columns"):
             GradeMap.make(s, s, [[1, 0], [0, 1, 0], [0, 0, 1]])

@@ -176,6 +176,16 @@ def test_repeated_basis_id_is_named(element):
     assert _refusal(system_from_json, doc) == f"spaces.{element}[2]: expected a basis id not used before, got 'x'"
 
 
+@pytest.mark.parametrize("entry", ["5", "-3/4"])
+def test_map_joining_weights_is_named(entry):
+    # S1 has weight 2, S3 weights 1 and 2: entry (0, 0) would send weight 2 to weight 1
+    doc = system_to_json(random_system(SYSTEM_SEEDS[0]))
+    assert doc["maps"]["S1<=S3"] == [["0"], ["1"]]
+    doc["maps"]["S1<=S3"][0][0] = entry
+    assert _refusal(system_from_json, doc) == (
+        f"maps.S1<=S3: expected a matrix that preserves the grading, got [['{entry}'], ['1']]")
+
+
 def test_summand_rule_without_a_growing_index_is_named():
     rule = [{"kind": "virasoro-kp2", "indices": ["1", "1"]}, {"kind": "virasoro-t", "indices": ["1", "1"]}]
     doc = {"base_category": "deligne(virasoro-kp2,virasoro-t)", "summand_rule": rule}

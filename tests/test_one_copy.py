@@ -3,13 +3,18 @@
 A phase is the `Fraction` exponent mod 1, with no class of its own; a
 truncated restriction is memoized once, in `_restrict_cache`, packed when it
 is computed, so no second packed-restriction memo or packing pass comes back.
+A GradeMap preserves the grading by construction, so no second state of
+entries that join weights (`_stray`), no guard that refuses it
+(`_require_graded`) and no query for it (`grade_violations`,
+`is_grade_preserving`) comes back.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "limfuse"
-GONE = {"class Phase", "def _pack", "_packed_cache"}
+GONE = {"class Phase", "def _pack", "_packed_cache",
+        "_stray", "def _require_graded", "def grade_violations", "def is_grade_preserving"}
 
 
 def second_copies(text: str) -> set[str]:
@@ -26,7 +31,8 @@ def second_copies(text: str) -> set[str]:
 
 
 def test_guard_sees_each_copy():
-    text = "class Phase:\n    pass\ndef _pack(alg):\n    return alg._packed_cache\ndef _packed_side(): pass\n"
+    text = ("class Phase:\n    pass\ndef _pack(alg):\n    return alg._packed_cache\ndef _packed_side(): pass\n"
+            "def _require_graded(f):\n    return f._stray\ndef grade_violations(): pass\ndef is_grade_preserving(): pass\n")
     assert second_copies(text) == GONE
     assert second_copies("def _packed_side(alg):\n    return alg._restrict_cache\n") == set()
 
