@@ -97,12 +97,8 @@ class GradedSpace:
     def weight(self, idx: int) -> Weight:
         return self.basis[idx][1]
 
-    def blocks(self) -> dict[Weight, tuple[int, ...]]:
-        """`grades` keyed by the weights themselves."""
-        return {Fraction(*key): ix for key, ix in self.grades.items()}
-
     def graded_dims(self) -> dict[Weight, int]:
-        return {w: len(ix) for w, ix in self.blocks().items()}
+        return {Fraction(*key): len(ix) for key, ix in self.grades.items()}
 
     def tensor(self, other: "GradedSpace") -> "GradedSpace":
         """Tensor product: basis pairs, weights add.  Kept per factor, so the

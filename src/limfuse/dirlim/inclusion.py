@@ -2,7 +2,10 @@
 
 The input list is closed under pairwise sums (sums are adjoined when absent),
 which makes the inclusion order directed; an empty input yields the
-one-element system on the zero subspace.  The canonical map from the limit
+one-element system on the zero subspace.  The order is containment, already
+reflexive and transitive: one rank test against each strictly larger subspace
+(whose canonical rows are independent) decides it, as distinct subspaces of
+one dimension never contain each other.  The canonical map from the limit
 back into the ambient space is injective always and surjective exactly when
 the subspaces cover.
 """
@@ -86,15 +89,10 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
     names = [f"S{k}" for k in range(len(canon))]
     by_name = dict(zip(names, canon))
 
-    def contains(outer: Rows, inner: Rows) -> bool:  # the rows of outer are independent
-        return linalg.rank(outer + inner, ambient.dim) == len(outer)
-
-    covers = []
-    for a, na in enumerate(names):
-        for b, nb in enumerate(names):
-            if a != b and contains(canon[b], canon[a]) and not contains(canon[a], canon[b]):
-                covers.append((na, nb))
-    poset = DirectedPoset.from_covers(names, covers)
+    leq = frozenset((na, nb) for a, na in enumerate(names) for b, nb in enumerate(names)
+                    if a == b or (len(canon[a]) < len(canon[b])
+                                  and linalg.rank(canon[b] + canon[a], ambient.dim) == len(canon[b])))
+    poset = DirectedPoset(tuple(names), leq)
 
     # every basis row is a nonzero canonical row, of the weight of its first nonzero entry
     spaces = {
@@ -109,10 +107,7 @@ def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence
         # coordinates of each small basis row in the big basis (unique)
         bt = tuple(tuple(row[c] for row in big) for c in range(ambient.dim))
         vt = tuple(tuple(row[c] for row in small) for c in range(ambient.dim))
-        x = linalg.solve_matrix(bt, vt, len(big), len(small))
-        if x is None:
-            raise NotASubspace(f"{i} is not contained in {j}")
-        maps[(i, j)] = GradeMap(spaces[i], spaces[j], x)
+        maps[(i, j)] = GradeMap(spaces[i], spaces[j], linalg.solve_matrix(bt, vt, len(big), len(small)))
     return InclusionSystem(DirectSystem(poset, spaces, maps), ambient, by_name)
 
 

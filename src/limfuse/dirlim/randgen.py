@@ -71,15 +71,15 @@ def random_product_system(rng: random.Random) -> DirectSystem:
 def random_inclusion_case(rng: random.Random, max_dim: int = 5, max_subspaces: int = 5) -> InclusionSystem:
     ambient = random_space(rng, max_dim, prefix="amb")
     subspaces = []
-    blocks = ambient.blocks()
+    grades = ambient.grades
     for _ in range(rng.randint(0, max_subspaces)):
         rows = []
         for _ in range(rng.randint(1, 2)):
-            if not blocks:
+            if not grades:
                 break
-            w = rng.choice(list(blocks))
+            key = rng.choice(list(grades))
             row = [Fraction(0)] * ambient.dim
-            for c in blocks[w]:
+            for c in grades[key]:
                 row[c] = Fraction(rng.choice([-1, 0, 1, 2]))
             rows.append(tuple(row))
         if rows:

@@ -299,9 +299,11 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
     """The unique map F with F o phi_i = psi_i for every stage i.
 
     Each psi_i is a GradeMap, so it preserves the grading, and so does F.
-    The cocone is checked along covers, and F is solved from the top stage
-    alone: phi_top is onto, and phi_i = phi_top o f_i^top for every i."""
+    The limit's system must be valid (InvalidSystem otherwise; its report
+    is memoized).  The cocone is checked along covers, and F is solved from
+    the top stage alone: phi_top is onto, and phi_i = phi_top o f_i^top."""
     sys = lim.system
+    _require_valid(sys)
     for i in sys.poset.elements:
         psi = tgt.psis.get(i)
         if psi is None:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from limfuse.dirlim.graded import GradeMap, Weight
 from limfuse.dirlim.poset import DirectedPoset
-from limfuse.dirlim.system import (DirectSystem, Limit, Target, ValidationReport, direct_limit, universal_map,
-                                   validate_system)
+from limfuse.dirlim.system import DirectSystem, Limit, ValidationReport, direct_limit, validate_system
 
 
 def tensor_system(a: DirectSystem, b: DirectSystem) -> DirectSystem:
@@ -80,14 +79,9 @@ def fubini_compare(a: DirectSystem, b: DirectSystem, c: DirectSystem) -> FubiniR
     lim_inner = direct_limit(bc)
 
     lim_iter = direct_limit(tensor_system(a, DirectSystem.constant(DirectedPoset.chain(1), lim_inner.space)))
-
-    psis: dict[str, GradeMap] = {}
-    for i in a.poset.elements:
-        id_i = GradeMap.identity(a.space(i))
-        for jk in bc.poset.elements:
-            stage = id_i.tensor(lim_inner.legs[jk])
-            psis[f"({i},{jk})"] = lim_iter.legs[f"({i},1)"] @ stage
-    comparison = universal_map(lim_multi, Target(lim_iter.space, psis))
+    top_a, top_bc = a.poset.greatest(), bc.poset.greatest()
+    psi_top = lim_iter.legs[f"({top_a},1)"] @ GradeMap.identity(a.space(top_a)).tensor(lim_inner.legs[top_bc])
+    comparison = psi_top.factor_through(lim_multi.legs[f"({top_a},{top_bc})"])
 
     mdims = lim_multi.space.graded_dims()
     idims = lim_iter.space.graded_dims()

@@ -24,6 +24,11 @@ needs it.
   weights, found by comparing the weights of every entry: the former
   `GradedSpace.grades` and `GradeMap.__init__`, against which the one-pass
   construction and its refusal are checked.
+- `fubini_by_stages`: the former route of `fubini_compare`, the target map
+  phi_(i,1) o (id (x) phi_jk) built at every stage (i, jk) and the
+  comparison taken through `universal_map`, which checks their cocone.
+- `inclusion_order`: the former inclusion order, the closure of the strict
+  containments, each found by rank tests in both directions over all pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from limfuse.catdata import (
     VirasoroT,
 )
 from limfuse.cli import ConfigError
+from limfuse.dirlim import (DirectedPoset, DirectSystem, GradeMap, Limit, Target, direct_limit, linalg, tensor_system,
+                            universal_map)
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
 from limfuse.fusion import FusionElement
 from limfuse.fusion.ring import _require_element, ring_mul
@@ -330,3 +337,25 @@ def grade_map_parts(source, target, matrix) -> tuple[dict, tuple | None]:
     joining = next(((r, c) for r in range(target.dim) for c in range(source.dim)
                     if matrix[r][c] and target.weight(r) != source.weight(c)), None)
     return blocks, joining
+
+
+def fubini_by_stages(a, b, c) -> tuple[GradeMap, Limit, Limit]:
+    """The comparison map, the multiple limit and the iterated limit of the
+    triple, the comparison solved from a target map at every stage."""
+    bc = tensor_system(b, c)
+    lim_multi, lim_inner = direct_limit(tensor_system(a, bc)), direct_limit(bc)
+    lim_iter = direct_limit(tensor_system(a, DirectSystem.constant(DirectedPoset.chain(1), lim_inner.space)))
+    psis = {f"({i},{jk})": lim_iter.legs[f"({i},1)"] @ GradeMap.identity(a.space(i)).tensor(lim_inner.legs[jk])
+            for i in a.poset.elements for jk in bc.poset.elements}
+    return universal_map(lim_multi, Target(lim_iter.space, psis)), lim_multi, lim_iter
+
+
+def inclusion_order(ambient, subspace_rows) -> DirectedPoset:
+    """The poset of named canonical subspaces under inclusion, closed from
+    the strict containments."""
+    def contains(outer, inner) -> bool:
+        return linalg.rank(outer + inner, ambient.dim) == linalg.rank(outer, ambient.dim)
+
+    strict = [(i, j) for i, si in subspace_rows.items() for j, sj in subspace_rows.items()
+              if i != j and contains(sj, si) and not contains(si, sj)]
+    return DirectedPoset.from_covers(list(subspace_rows), strict)

@@ -5,6 +5,8 @@ A name in the `__all__` of an engine package must be read somewhere in
 that only the tests need lives under `tests/` (see `tests/oracles.py`).
 Exempt are the names the acceptance gate imports, the names the benchmark
 tracer wraps, and the few documented library entry points listed below.
+Within each module, outside the package `__init__.py` files that re-export,
+every imported name is read.
 """
 
 import ast
@@ -62,3 +64,26 @@ def test_every_export_is_read_in_src():
     assert set(ENTRY_POINTS) <= {name for _, name in exports}
     exempt = _acceptance_imports() | _traced_names() | set(ENTRY_POINTS) | _reads()
     assert sorted(f"limfuse.{pkg}.{name}" for pkg, name in exports if name not in exempt) == []
+
+
+def _unread_imports(text: str) -> list[str]:
+    """Names a module's imports bind (the first part of a dotted `import`)
+    that no expression in it reads; `__future__` imports bind nothing."""
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+             for alias in node.names}
+    return sorted(bound - read)
+
+
+def test_every_import_is_read():
+    assert _unread_imports("from __future__ import annotations\nimport os.path\nfrom a import b as c, d\nd()\n") \
+        == ["c", "os"]
+    unread = {
+        str(path.relative_to(SRC)): names
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py" and (names := _unread_imports(path.read_text()))
+    }
+    assert unread == {}

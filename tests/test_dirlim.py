@@ -17,6 +17,7 @@ from limfuse.dirlim import (
     GradeMap,
     IncompatibleTarget,
     InvalidSystem,
+    Limit,
     NotASubspace,
     Target,
     UnknownElement,
@@ -398,6 +399,18 @@ class TestUniversalMap:
                 GradeMap.make(a, tgt, rows)
         psi = GradeMap.make(a, tgt, [[1], [0]])
         assert universal_map(lim, Target(tgt, {"1": psi, "2": psi})).matrix == ((F(1),), (F(0),))
+
+    def test_invalid_system_rejected(self):
+        # the limit's system is validated first, so a hand-built limit over
+        # an invalid system is refused by name, not by a missing key
+        empty = Limit(GradedSpace.zero(), {}, DirectSystem(DirectedPoset.chain(0), {}, {}))
+        with pytest.raises(InvalidSystem, match="^empty poset$"):
+            universal_map(empty, Target(GradedSpace.zero(), {}))
+        s = GradedSpace.std(1)
+        ident = GradeMap.identity(s)
+        unmapped = Limit(s, {"1": ident, "2": ident}, DirectSystem(DirectedPoset.chain(2), {"1": s, "2": s}, {}))
+        with pytest.raises(InvalidSystem, match="^missing map for 1 <= 2$"):
+            universal_map(unmapped, Target(s, {"1": ident, "2": ident}))
 
     def test_incompatible_target_rejected(self):
         sys = inclusion_chain()

@@ -1,8 +1,9 @@
 """Construction of direct systems: shared chain and product posets, grades
 computed at construction, one-pass grade maps that refuse an entry joining
-distinct weights, and products whose report is taken from their factors
-(fubini's iterated system from its outer factor), each against a reference
-built from scratch."""
+distinct weights, products whose report is taken from their factors
+(fubini's iterated system from its outer factor), fubini's comparison solved
+at the top stage, and the inclusion order read from containment, each
+against a reference built from scratch."""
 
 from fractions import Fraction as F
 
@@ -16,15 +17,17 @@ from limfuse.dirlim import (
     DirectSystem,
     GradedSpace,
     GradeMap,
+    inclusion_system,
     tensor_system,
     validate_system,
 )
 from limfuse.dirlim import system as dirlim_system
-from limfuse.dirlim.randgen import random_chain_system, random_fubini_triple, random_grade_map, random_space
+from limfuse.dirlim.randgen import (random_chain_system, random_fubini_triple, random_grade_map, random_inclusion_case,
+                                    random_space)
 from limfuse.dirlim.system import _validate
 from limfuse.dirlim.tensor import fubini_compare
 
-from oracles import grade_map_parts, space_grades
+from oracles import fubini_by_stages, grade_map_parts, inclusion_order, space_grades
 
 WEIGHTS = [F(0), F(1, 2), F(1), F(2), F(-1, 3), F(5, 6)]
 
@@ -233,3 +236,47 @@ class TestProductReport:
             assert all(s is not iterated for s in full) == _validate(a).ok
             assert validate_system(iterated) == _validate(iterated)
             assert report.is_isomorphism
+
+
+def _uneven_triples():
+    """Chains whose stages differ in dimension: injective, collapsing and
+    mixed-weight steps."""
+    q1, q2, q3 = GradedSpace.std(1), GradedSpace.std(2), GradedSpace.std(3)
+    mixed1, mixed3 = GradedSpace.make([("u", F(1, 2))]), GradedSpace.make([("u", F(1, 2)), ("v", 0), ("w", 1)])
+    grow = DirectSystem.on_chain([q1, q2, q3], [GradeMap.make(q1, q2, [[1], [2]]),
+                                                GradeMap.make(q2, q3, [[1, 0], [0, 1], [1, 1]])], "a")
+    shrink = DirectSystem.on_chain([q3, q2, q1], [GradeMap.make(q3, q2, [[1, 0, 1], [0, 1, 1]]),
+                                                  GradeMap.make(q2, q1, [[1, -1]])], "b")
+    widen = DirectSystem.on_chain([mixed1, mixed3], [GradeMap.make(mixed1, mixed3, [[3], [0], [0]])], "c")
+    kill = DirectSystem.on_chain([mixed3, mixed1], [GradeMap.zero(mixed3, mixed1)], "d")
+    return [(grow, shrink, widen), (widen, grow, kill), (kill, widen, shrink), (shrink, kill, grow)]
+
+
+class TestFubiniTopStage:
+    def test_comparison_matches_the_solve_over_every_stage(self):
+        rng = random.Random(7)
+        triples = [random_fubini_triple(seed) for seed in range(200)] + _uneven_triples()
+        triples += [tuple(_chain(rng, n, p, min_dim=1) for n, p in zip(rng.sample([3, 2, 2], 3), "abc"))
+                    for _ in range(20)]
+        for a, b, c in triples:
+            report = fubini_compare(a, b, c)
+            comparison, multiple, iterated = fubini_by_stages(a, b, c)
+            assert report.comparison == comparison
+            assert report.multiple_dims == multiple.space.graded_dims()
+            assert report.iterated_dims == iterated.space.graded_dims()
+            assert report.is_isomorphism == (comparison.rank() == multiple.space.dim == iterated.space.dim)
+            assert report.is_isomorphism
+
+
+class TestInclusionOrder:
+    def test_order_is_the_closure_of_strict_containments(self):
+        q3 = GradedSpace.std(3)
+        cases = [random_inclusion_case(random.Random(seed)) for seed in range(250)]
+        cases += [inclusion_system(q3, []), inclusion_system(GradedSpace.zero(), []),
+                  inclusion_system(q3, [[(F(1), F(1), F(0))]])]
+        for incsys in cases:
+            poset, reference = incsys.system.poset, inclusion_order(incsys.ambient, incsys.subspace_rows)
+            assert poset.elements == reference.elements
+            assert poset.leq == reference.leq
+            assert poset.covers() == reference.covers()
+            assert poset.violations() == ()
