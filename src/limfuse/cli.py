@@ -4,6 +4,8 @@ Commands: weights, fuse, monodromy, locality, induce, min-weight, frobenius,
 center, dirlim-selftest.  Output ordering is fixed by the canonical label
 order and the given seed, so identical invocations are byte-identical.
 Exit codes: 0 success, 1 computation error, 2 configuration error.
+`dirlim-selftest` loads dirlim on first use, and JSON output loads `json`,
+so a process that runs only the other commands in TSV imports neither.
 
 Every command's options are declared once, in COMMANDS.  `_match` reads a
 call made of a command and `--flag value` pairs the table accepts exactly,
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -44,7 +45,6 @@ from limfuse.induction.fused import NotLocal, induced_fusion
 from limfuse.induction.induced import TruncationTooSmall, induce, min_weight_summand
 from limfuse.induction.frobenius import frobenius_dim
 from limfuse.induction.locality import locality
-from limfuse.dirlim.selftest import run_selftest
 
 
 MAX_LABELS = 100_000
@@ -88,6 +88,8 @@ def _emit(fmt: str, command: str, header: list[str], rows: list[list[str]], extr
         for row in rows:
             print("\t".join(row))
         return
+    import json
+
     doc = {"command": command, "rows": [dict(zip(header, row)) for row in rows]}
     if extra:
         doc.update(extra)
@@ -151,6 +153,8 @@ def cmd_monodromy(args) -> int:
     _require_fusion_size(x, y)
     report = monodromy(cat, x, y)
     if args.format == "json":
+        import json
+
         print(json.dumps({"command": "monodromy", "category": cat.name, "x": str(x),
                           "y": str(y), "rows": report.to_json()}, indent=2, sort_keys=True))
     else:
@@ -241,6 +245,14 @@ def cmd_center(args) -> int:
     _emit(args.format, "center", ["label"], rows,
           {"category": cat.name, "bound": args.bound, "witness_bound": args.witness_bound})
     return 0
+
+
+def run_selftest(seed: int, cases: int):
+    """`limfuse.dirlim.selftest.run_selftest`, imported on the first call, so
+    only a `dirlim-selftest` process loads dirlim."""
+    from limfuse.dirlim.selftest import run_selftest
+
+    return run_selftest(seed=seed, cases=cases)
 
 
 def cmd_dirlim_selftest(args) -> int:

@@ -1,4 +1,11 @@
-"""Direct systems of graded vector spaces, their limits, and tensor products."""
+"""Direct systems of graded vector spaces, their limits, and tensor products.
+
+The JSON form and the self-test (`system_to_json`, `system_from_json`,
+`run_selftest`, `SelftestResult`) are imported on first access, so a process
+that only builds systems loads neither them nor the exact layer.
+"""
+
+import importlib
 
 from limfuse.dirlim.poset import DirectedPoset
 from limfuse.dirlim.graded import GradedSpace, GradeMap
@@ -25,8 +32,13 @@ from limfuse.dirlim.inclusion import (
     q_map,
 )
 from limfuse.dirlim.tensor import FubiniReport, fubini_compare, tensor_system
-from limfuse.dirlim.serialize import system_from_json, system_to_json
-from limfuse.dirlim.selftest import SelftestResult, run_selftest
+
+_LAZY = {
+    "system_to_json": "serialize",
+    "system_from_json": "serialize",
+    "SelftestResult": "selftest",
+    "run_selftest": "selftest",
+}
 
 __all__ = [
     "DirectedPoset",
@@ -58,3 +70,11 @@ __all__ = [
     "system_from_json",
     "run_selftest",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value

@@ -148,9 +148,14 @@ class DirectSystem:
 
     @staticmethod
     def constant(poset: DirectedPoset, space: GradedSpace) -> "DirectSystem":
+        """`space` at every element, the identity on every cover.  Every space
+        and cover map is given and every composite is an identity, so the
+        report is the poset's violations from the start."""
         ident = GradeMap.identity(space)
         maps = {c: ident for c in poset.covers()}
-        return DirectSystem(poset, {e: space for e in poset.elements}, maps)
+        system = DirectSystem(poset, {e: space for e in poset.elements}, maps)
+        system.__dict__["_validation"] = ValidationReport(tuple(poset.violations()))
+        return system
 
     @staticmethod
     def on_chain(spaces: Sequence[GradedSpace], step_maps: Sequence[GradeMap], prefix: str = "") -> "DirectSystem":

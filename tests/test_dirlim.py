@@ -934,6 +934,13 @@ class TestGradeMapAgainstDense:
             for part in (f.kernel(), f.image(), (g @ f).matrix, f.tensor(g).matrix):
                 assert all(type(x) is F for row in part for x in row)
 
+    def test_composition_of_mismatched_spaces_is_refused(self):
+        f = GradeMap.make(Q1, Q2, [[1], [2]])
+        assert (GradeMap.identity(GradedSpace.std(2)) @ f).matrix == f.matrix  # equal, not identical
+        for other in (Q3, GradedSpace.std(2, 1), GradedSpace.std(2, prefix="u"), Q1):
+            with pytest.raises(ValueError, match="^composition mismatch$"):
+                GradeMap.identity(other) @ f
+
     def test_wide_and_unitriangular_blocks_match_dense_kernel(self):
         # the block shapes of the long and wide chains, injective or not
         rng = random.Random(13)

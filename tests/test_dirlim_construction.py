@@ -1,9 +1,9 @@
 """Construction of direct systems: shared chain and product posets, grades
 computed at construction, one-pass grade maps that refuse an entry joining
-distinct weights, products whose report is taken from their factors
-(fubini's iterated system from its outer factor), fubini's comparison solved
-at the top stage, and the inclusion order read from containment, each
-against a reference built from scratch."""
+distinct weights, constant systems and products whose report is taken from
+the poset and the factors (fubini's iterated system from its outer factor),
+fubini's comparison solved at the top stage, and the inclusion order read
+from containment, each against a reference built from scratch."""
 
 from fractions import Fraction as F
 
@@ -189,6 +189,20 @@ def _assert_report_is_the_full_check(a, b):
     assert seeded == (_validate(a).ok and _validate(b).ok)
     assert validate_system(product) == _validate(product)
     return product
+
+
+class TestConstantReport:
+    def test_seeded_report_is_the_full_check(self):
+        chain = DirectedPoset.chain(3, "c")
+        cycle = DirectedPoset(("x", "y"), frozenset({("x", "x"), ("y", "y"), ("x", "y"), ("y", "x")}))
+        posets = [(chain, True), (chain.product(DirectedPoset.chain(2, "d")), True), (DirectedPoset.chain(1), True),
+                  (DirectedPoset.chain(0), False), (_non_directed("p").poset, False), (cycle, False)]
+        for poset, valid in posets:
+            for space in (GradedSpace.zero(), GradedSpace.std(2), GradedSpace.make([("u", F(1, 2)), ("v", 0)])):
+                system = DirectSystem.constant(poset, space)
+                seeded = system.__dict__["_validation"]
+                assert seeded == _validate(system)
+                assert seeded.ok == valid
 
 
 class TestProductReport:

@@ -390,8 +390,9 @@ class TestMinWeight:
             min_weight_summand(induce(SVX, sbase(4, 4)), truncate=4)
 
     def test_bad_sample(self):
-        with pytest.raises(ValueError):
-            min_weight_summand(induce(SVX, sbase(2, 2)), sample=F(-1))
+        for sample in (F(-1), F(0)):  # zero is the boundary
+            with pytest.raises(ValueError, match="^sample point must be positive$"):
+                min_weight_summand(induce(SVX, sbase(2, 2)), sample=sample)
 
     def test_truncate_not_an_int_is_refused(self):
         # as in restrict_truncated: 2.5 would read as a bound and True as 1
