@@ -11,9 +11,9 @@ Every command's options are declared once, in COMMANDS.  `_match` reads a
 call made of a command and `--flag value` pairs the table accepts exactly,
 without argparse.  Any other call goes to the argparse parser built from the
 same table, so help, errors and exit codes are argparse's own.  The parser
-is built once per process, on the first call the matcher declines, and
-reused: each parse returns a fresh namespace, and argparse reads sys.stdout,
-sys.stderr and the terminal width only when it prints.
+is built, argparse imported, once per process, on the first call the matcher
+declines, and reused: each parse returns a fresh namespace, and argparse
+reads sys.stdout, sys.stderr and the terminal width only when it prints.
 
 Work is capped up front, and a request over a cap exits 2 before anything
 is built:
@@ -28,10 +28,10 @@ Bounds, truncations and case counts below 1 exit 2 as well.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
+import types
 from typing import Callable, NamedTuple
 
 from limfuse.catdata.category import CategorySpec, category_by_name
@@ -315,8 +315,9 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The one parser of this process, built from COMMANDS on first use."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="limfuse",
         description="Exact tables for direct limits and generic fusion-category data.",
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _match(argv: list[str]) -> argparse.Namespace | None:
+def _match(argv: list[str]) -> types.SimpleNamespace | None:
     """The namespace argparse would make of `argv`, when it is a command and
     `--flag value` pairs that its options accept exactly; None otherwise."""
     entry = COMMANDS.get(argv[0]) if len(argv) % 2 else None
@@ -351,8 +352,8 @@ def _match(argv: list[str]) -> argparse.Namespace | None:
             return None
     if any(o.required and flag not in given for flag, o in options.items()):
         return None
-    return argparse.Namespace(func=func, command=argv[0],
-                              **{o.dest: given.get(flag, o.default) for flag, o in options.items()})
+    return types.SimpleNamespace(func=func, command=argv[0],
+                                 **{o.dest: given.get(flag, o.default) for flag, o in options.items()})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -159,7 +159,7 @@ class GradeMap:
     """Linear map from a dense matrix, rows over the target basis and columns
     over the source basis, held as integer weight blocks."""
 
-    __slots__ = ("source", "target", "_blocks", "_matrix", "_memo")
+    __slots__ = ("source", "target", "_blocks", "_matrix", "_kernel")
 
     def __init__(self, source: GradedSpace, target: GradedSpace, matrix: Sequence[Sequence[Fraction]]):
         if len(matrix) != target.dim:
@@ -192,18 +192,17 @@ class GradeMap:
                         for c, v in enumerate(matrix[r]) if v and keys[c] != key)
             raise ValueError(f"entry ({r}, {c}) joins source weight {source.weight(c)} "
                              f"to target weight {target.weight(r)}")
-        self._fill(source, target, blocks, {})
+        self._fill(source, target, blocks)
 
-    def _fill(self, source, target, blocks, memo) -> None:
+    def _fill(self, source, target, blocks) -> None:
         self.source, self.target = source, target
         self._blocks = blocks
-        self._matrix = None
-        self._memo = memo  # derived data that depends on the source and blocks only
+        self._matrix = self._kernel = None
 
     @classmethod
-    def _of(cls, source: GradedSpace, target: GradedSpace, blocks: dict[GradeKey, Block], memo=None) -> "GradeMap":
+    def _of(cls, source: GradedSpace, target: GradedSpace, blocks: dict[GradeKey, Block]) -> "GradeMap":
         out = object.__new__(cls)
-        out._fill(source, target, blocks, {} if memo is None else memo)
+        out._fill(source, target, blocks)
         return out
 
     @staticmethod
@@ -224,11 +223,6 @@ class GradeMap:
         src = source.grades
         blocks = {k: _zero_block(len(ix), len(src[k])) for k, ix in target.grades.items() if k in src}
         return GradeMap._of(source, target, blocks)
-
-    def with_target(self, target: GradedSpace) -> "GradeMap":
-        """The same blocks into `target`, a reordering of self.target by weight
-        (say); the two maps share their kernel."""
-        return GradeMap._of(self.source, target, self._blocks, self._memo)
 
     @property
     def matrix(self) -> Rows:
@@ -276,15 +270,14 @@ class GradeMap:
         the block kernels side by side, ordered by pivot; computed once.
         Only the blocks `linalg.injective_mod_p` does not certify are
         reduced exactly."""
-        kernel = self._memo.get("kernel")
-        if kernel is None:
+        if self._kernel is None:
             found = []
             for key, cols in self.source.grades.items():
                 block = self._blocks.get(key, ((), 1))  # no target vectors of this weight: all of it
                 if block != _identity_block(len(cols)) and not linalg.injective_mod_p(block[0], len(cols)):
                     found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
-            kernel = self._memo.setdefault("kernel", _spread(found, self.source.dim))
-        return kernel
+            self._kernel = _spread(found, self.source.dim)
+        return self._kernel
 
     def image(self) -> Rows:
         """Canonical basis of the image, as vectors in target coordinates."""

@@ -6,8 +6,8 @@ one-element system on the zero subspace.  The order is containment, already
 reflexive and transitive: one rank test against each strictly larger subspace
 (whose canonical rows are independent) decides it, as distinct subspaces of
 one dimension never contain each other.  The canonical map from the limit
-back into the ambient space is injective always and surjective exactly when
-the subspaces cover.
+(the greatest subspace) into the ambient space is its embedding, injective
+always and surjective exactly when the subspaces cover.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from limfuse.dirlim import linalg
 from limfuse.dirlim.graded import GradedSpace, GradeMap
 from limfuse.dirlim.linalg import Rows, Vec
 from limfuse.dirlim.poset import DirectedPoset
-from limfuse.dirlim.system import DirectSystem, Limit, Target, direct_limit, universal_map
+from limfuse.dirlim.system import DirectSystem, Limit, direct_limit
 
 
 class NotASubspace(ValueError):
@@ -121,12 +121,12 @@ class QMapResult:
 
 def q_map(ambient: GradedSpace, incsys: InclusionSystem) -> QMapResult:
     """Canonical map from the limit of an inclusion system into the ambient
-    space, with its injectivity (always expected) and surjectivity (covering
-    test) verdicts."""
+    space, the top stage's embedding (the stage maps make the embeddings a
+    cocone), with its injectivity (always expected) and surjectivity
+    (covering test) verdicts."""
     if incsys.ambient != ambient:
         raise ValueError("ambient space does not match the inclusion system")
     lim = direct_limit(incsys.system)
-    psis = {e: incsys.embedding(e) for e in incsys.system.poset.elements}
-    q = universal_map(lim, Target(ambient, psis))
+    q = incsys.embedding(incsys.system.poset.greatest())
     r = q.rank()
     return QMapResult(q, r == lim.space.dim, r == ambient.dim, lim)

@@ -11,9 +11,9 @@ induction on the route length every given map equals its cover composite.
 A nonempty finite directed poset has a greatest element top (validation
 reports an empty one), so the limit of a system over it is V_top itself,
 with legs f_i^top: every stage maps into V_top, and what the limit
-identifies is already identified there.  `direct_limit`
-returns that space, its basis sorted stably by weight, with legs that reuse
-the weight blocks of f_i^top.  `quotient_limit` keeps the explicit
+identifies is already identified there.  `direct_limit` returns V_top itself
+with legs f_i^top, so a universal map out of it is read at the top stage,
+whose leg is the identity.  `quotient_limit` keeps the explicit
 construction, the quotient of the direct sum of all stage spaces by the span
 of the vectors q_i(w) - q_j(f_i^j(w)) over cover pairs, computed grade by
 grade with exact row reduction; the property suite uses it as the oracle.
@@ -28,7 +28,7 @@ along saturated chains lets universal maps check their cocone along covers
 only.  A system's report is computed once and kept on the system, whose
 spaces and maps are read-only.  On a valid system the sum over j >= i of
 ker f_i^j is ker f_i^top, as top is one of the j, so `kernel_union` is one
-kernel, shared with the leg of `direct_limit`.
+kernel, that of the leg f_i^top of `direct_limit`.
 """
 
 from __future__ import annotations
@@ -248,17 +248,11 @@ class Limit:
 
 
 def direct_limit(sys: DirectSystem) -> Limit:
-    """The limit as the greatest stage V_top, basis ids `top:bid` sorted stably
-    by weight, with legs f_i^top: sorting by weight keeps every block, so each
-    leg holds the blocks of f_i^top.  Equal to `quotient_limit` whenever top is
-    listed last among the poset's elements, isomorphic to it always."""
+    """The limit as the greatest stage V_top itself, with legs f_i^top (the top
+    one the identity); isomorphic to `quotient_limit` by the canonical map."""
     _require_valid(sys)
     top = sys.poset.greatest()
-    basis = sys.spaces[top].basis
-    order = [k for ix in sys.spaces[top].grades.values() for k in ix]
-    space = GradedSpace(tuple((f"{top}:{basis[k][0]}", basis[k][1]) for k in order))
-    legs = {e: sys.map(e, top).with_target(space) for e in sys.poset.elements}
-    return Limit(space, legs, sys)
+    return Limit(sys.spaces[top], {e: sys.map(e, top) for e in sys.poset.elements}, sys)
 
 
 def quotient_limit(sys: DirectSystem) -> Limit:

@@ -5,7 +5,9 @@ process, so each module an entry point leaves out is start-up time saved on
 every CLI call.  The names that load lazily (`limfuse.Rat`, `RatFunc`,
 `Poly`; `limfuse.dirlim.run_selftest`, `SelftestResult`, `system_to_json`,
 `system_from_json`; `limfuse.cli.run_selftest`) still resolve to the objects
-they name.  Every check runs in a fresh interpreter, as a CLI call does.
+they name.  A CLI call the command table matches leaves argparse out; help
+and errors load it.  Every check runs in a fresh interpreter, as a CLI call
+does.
 """
 
 import os
@@ -47,6 +49,26 @@ def test_dirlim_leaves_exact_serialize_selftest_and_randgen_out():
 def test_dirlim_selftest_loads_dirlim_on_first_use():
     loaded = _loaded_after("import limfuse.cli as cli; cli.main(['dirlim-selftest', '--cases', '1'])")
     assert {"limfuse.dirlim.selftest", "limfuse.dirlim.randgen"} <= loaded
+
+
+def _argparse_loaded_after(argv: list[str]) -> bool:
+    """Whether `main(argv)`, its output swallowed, leaves argparse in sys.modules."""
+    out = _run(f"""
+        import contextlib, io, sys
+        import limfuse.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            cli.main({argv!r})
+        print('argparse' in sys.modules)
+        """)
+    return out == "True\n"
+
+
+def test_matched_call_leaves_argparse_out():
+    assert not _argparse_loaded_after(["weights", "--category", "virasoro-kp2", "--bound", "2"])
+
+
+def test_help_loads_argparse():
+    assert _argparse_loaded_after(["-h"])
 
 
 def test_lazy_names_resolve_to_their_modules_objects():

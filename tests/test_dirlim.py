@@ -323,24 +323,27 @@ class TestDirectLimit:
         for i, j in sys.poset.strict_pairs():
             assert lim.legs[j] @ sys.map(i, j) == lim.legs[i]
 
-    def test_greatest_stage_sorted_by_weight(self):
+    def test_limit_is_the_greatest_stage(self):
+        # V_top itself, in its own basis order, with the maps f_i^top as legs
         sp = GradedSpace.make([("x", 1), ("y", 0), ("z", 1), ("u", 0)])
         f = GradeMap.make(sp, sp, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        sys = DirectSystem.on_chain([sp, sp], [f])
-        lim = direct_limit(sys)
-        assert lim.space.ids == ("2:y", "2:u", "2:x", "2:z")
-        assert lim.legs["1"].matrix == tuple(f.matrix[k] for k in (1, 3, 0, 2))
-        assert lim == quotient_limit(sys)
+        for sys in (DirectSystem.on_chain([sp, sp, sp], [f, f]), inclusion_chain(), *map(random_system, range(20))):
+            top = sys.poset.greatest()
+            lim = direct_limit(sys)
+            assert lim.space is sys.spaces[top]
+            assert all(lim.legs[e] == sys.map(e, top) for e in sys.poset.elements)
+            assert lim.legs[top] == GradeMap.identity(lim.space)
+            assert all(kernel_of_leg(lim, e) == kernel_union(sys, e) for e in sys.poset.elements)
 
     def test_top_not_last_is_isomorphic_to_quotient(self):
         sys = inclusion_chain()
         poset = DirectedPoset(("3", "1", "2"), sys.poset.leq)
         shuffled = DirectSystem(poset, sys.spaces, sys.maps)
         lim, oracle = direct_limit(shuffled), quotient_limit(shuffled)
-        assert lim.space.ids == ("3:e1", "3:e2", "3:e3")
-        assert oracle.space.ids == ("3:e3", "2:e1", "2:e2")
         comparison = universal_map(oracle, Target(lim.space, lim.legs))
         assert comparison.rank() == 3
+        for e in shuffled.poset.elements:
+            assert comparison @ oracle.legs[e] == lim.legs[e]
 
     def test_graded_quotient(self):
         # two grades, the map kills grade 0 and keeps grade 1
@@ -521,6 +524,23 @@ class TestInclusionSystems:
     def test_wrong_length_rejected(self):
         with pytest.raises(NotASubspace):
             inclusion_system(Q2, [[(F(1),)]])
+
+    def test_q_map_is_the_universal_map(self):
+        # the embeddings form a cocone by construction, so the map out of the
+        # limit is the top stage's embedding, and it carries each leg onto
+        # that stage's embedding
+        hand = [(Q2, [[(F(1), F(0))], [(F(1), F(0)), (F(0), F(1))]]),
+                (Q2, [[(F(1), F(0))], [(F(0), F(1))]]),
+                (Q3, []),
+                (Q3, [[(F(1), F(0), F(0))], [(F(1), F(1), F(0))]]),
+                (GradedSpace.zero(), [])]
+        cases = [inclusion_system(ambient, subspaces) for ambient, subspaces in hand]
+        cases += [randgen.random_inclusion_case(random.Random(seed)) for seed in range(200)]
+        for incsys in cases:
+            res = q_map(incsys.ambient, incsys)
+            elements = incsys.system.poset.elements
+            assert all(res.map @ res.limit.legs[e] == incsys.embedding(e) for e in elements)
+            assert res.map == incsys.embedding(incsys.system.poset.greatest())
 
     def test_sum_closure_against_rounds(self, monkeypatch):
         # the closed list against the round-based closure on 300 seeded
