@@ -16,8 +16,11 @@ reads a memo and is refused on the miss path, warm or cold.
 
 Inside the engine a weight is a `WeightVec`, integer numerators over
 (x, 1, 1/x, 1/(x+1)) in the category's formal variable x and one
-denominator; `weight_vec` computes and caches it, and `WeightVec.format`
-prints it.  `weight_of` returns the same weight as a `RatFunc`, converted
+denominator.  Each category has one weight formula over a label's flat
+`indices`, `_weight_ints`, reduced once (a Deligne product adds its factors'
+integers, aligned by the integer form of `via_t_of_s`); `weight_vec` reads
+it on a memo miss, the induction layer on index tuples.  `WeightVec.format`
+prints a weight.  `weight_of` returns the same weight as a `RatFunc`, converted
 once per label and cached, for callers outside the engine.
 """
 
@@ -38,6 +41,8 @@ from limfuse.catdata.labels import (
 )
 from limfuse.catdata.params import (
     WeightVec,
+    _ints,
+    _vec,
     osp_vec,
     super_vec,
     verma_vec,
@@ -72,7 +77,9 @@ class CategorySpec:
     def contains(self, x: SimpleLabel) -> bool:
         raise NotImplementedError
 
-    def _weight_raw(self, x: SimpleLabel) -> WeightVec:
+    def _weight_ints(self, indices: tuple[int, ...], vec=_ints):
+        """The category's one weight formula at flat `indices`: its five
+        integers (a, b, c, d, den) handed to `vec`, by default as they are."""
         raise NotImplementedError
 
     def _fusion_raw(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
@@ -91,7 +98,7 @@ class CategorySpec:
         hit = cache.get(x)
         if hit is None or not isinstance(x, SimpleLabel):
             self._require(x)
-            hit = cache[x] = self._weight_raw(x)
+            hit = cache[x] = self._weight_ints(x.indices, _vec)
         return hit
 
     def weight_of(self, x: SimpleLabel) -> RatFunc:
@@ -144,8 +151,8 @@ class VirasoroTCategory(_IndexedCategory):
     unit = VirasoroT(1, 1)
     label_type = VirasoroT
 
-    def _weight_raw(self, x: VirasoroT) -> WeightVec:
-        return virasoro_vec(x.r, x.s)
+    def _weight_ints(self, indices, vec=_ints):
+        return virasoro_vec(*indices, vec)
 
 
 class VirasoroKp2Category(_IndexedCategory):
@@ -157,8 +164,8 @@ class VirasoroKp2Category(_IndexedCategory):
     unit = VirasoroKp2(1, 1)
     label_type = VirasoroKp2
 
-    def _weight_raw(self, x: VirasoroKp2) -> WeightVec:
-        return via_kp2_of_s(virasoro_vec(x.r, x.s))
+    def _weight_ints(self, indices, vec=_ints):
+        return via_kp2_of_s(virasoro_vec(*indices, _ints), vec)
 
 
 class SuperVirCategory(_IndexedCategory):
@@ -169,8 +176,8 @@ class SuperVirCategory(_IndexedCategory):
     unit = SuperVir(1, 1)
     label_type = SuperVir
 
-    def _weight_raw(self, x: SuperVir) -> WeightVec:
-        return super_vec(x.n, x.m)
+    def _weight_ints(self, indices, vec=_ints):
+        return super_vec(*indices, vec)
 
 
 class KLCategory(_IndexedCategory):
@@ -182,8 +189,8 @@ class KLCategory(_IndexedCategory):
     unit = AffineVerma(1)
     label_type = AffineVerma
 
-    def _weight_raw(self, x: AffineVerma) -> WeightVec:
-        return verma_vec(x.r)
+    def _weight_ints(self, indices, vec=_ints):
+        return verma_vec(*indices, vec)
 
 
 class OspCategory(_IndexedCategory):
@@ -194,8 +201,8 @@ class OspCategory(_IndexedCategory):
     unit = OspMod(1)
     label_type = OspMod
 
-    def _weight_raw(self, x: OspMod) -> WeightVec:
-        return osp_vec(x.n)
+    def _weight_ints(self, indices, vec=_ints):
+        return osp_vec(*indices, vec)
 
 
 class DeligneCategory(CategorySpec):
@@ -221,18 +228,21 @@ class DeligneCategory(CategorySpec):
         else:
             raise ValueError(f"cannot align parameters {params}")
         self.unit = Pair(left.unit, right.unit)
+        self._cut = len(left.unit.indices)  # the left factor's share of the flat indices
 
     def contains(self, x: SimpleLabel) -> bool:
         return isinstance(x, Pair) and self.left.contains(x.left) and self.right.contains(x.right)
 
-    def _aligned(self, factor: CategorySpec, w: WeightVec) -> WeightVec:
+    def _aligned(self, factor: CategorySpec, indices: tuple[int, ...]) -> tuple[int, ...]:
+        w = factor._weight_ints(indices)
         conv = self._convert.get(factor.base_parameter)
-        return conv(w) if conv is not None else w
+        return conv(w, _ints) if conv is not None else w
 
-    def _weight_raw(self, x: Pair) -> WeightVec:
-        return self._aligned(self.left, self.left.weight_vec(x.left)) + self._aligned(
-            self.right, self.right.weight_vec(x.right)
-        )
+    def _weight_ints(self, indices, vec=_ints):
+        cut = self._cut
+        a, b, c, d, n = self._aligned(self.left, indices[:cut])
+        e, f, g, h, m = self._aligned(self.right, indices[cut:])
+        return vec(a * m + e * n, b * m + f * n, c * m + g * n, d * m + h * n, n * m)
 
     def _fusion_raw(self, x: Pair, y: Pair) -> FusionElement:
         lf = self.left.fusion_of(x.left, y.left)

@@ -12,6 +12,7 @@ denominators dividing 8.  The engine computes with `WeightVec`, a weight's
 integer numerators in that basis over one denominator; the builders and the
 two reparametrizations are integer formulas, and `Fraction` and `RatFunc`
 appear only when a value leaves the engine (`format` prints the integers).
+Builders and maps send their five integers to `vec`, `_vec` or the hooks' `_ints`.
 The `RatFunc` formulas below are the independent reference.
 """
 
@@ -123,22 +124,27 @@ def _vec(a: int, b: int, c: int, d: int, den: int) -> WeightVec:
     return v
 
 
-def via_t_of_s(v: WeightVec) -> WeightVec:
+def _ints(*ints: int) -> tuple[int, ...]:
+    """The five integers unreduced: the `vec` of a category's weight hook."""
+    return ints
+
+
+def via_t_of_s(v, vec=_vec):
     """The t-parameter weight v pushed through t = (s+1)/(2s):
-    (a, b, c, 0)/den -> (0, a + 2b + 4c, a, -4c)/(2 den)."""
-    a, b, c, d, n = v.ints
+    (a, b, c, 0)/den -> (0, a + 2b + 4c, a, -4c)/(2 den); v a WeightVec or its integers."""
+    a, b, c, d, n = v.ints if isinstance(v, WeightVec) else v
     if d:
         raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/(2s) leaves the basis")
-    return _vec(0, a + 2 * b + 4 * c, a, -4 * c, 2 * n)
+    return vec(0, a + 2 * b + 4 * c, a, -4 * c, 2 * n)
 
 
-def via_kp2_of_s(v: WeightVec) -> WeightVec:
+def via_kp2_of_s(v, vec=_vec):
     """The t-parameter weight v pushed through t = k+2 = (s+1)/2:
-    (a, b, c, 0)/den -> (a, a + 2b, 0, 4c)/(2 den)."""
-    a, b, c, d, n = v.ints
+    (a, b, c, 0)/den -> (a, a + 2b, 0, 4c)/(2 den), read like `via_t_of_s`."""
+    a, b, c, d, n = v.ints if isinstance(v, WeightVec) else v
     if d:
         raise ValueError(f"{v!r} has a 1/(t+1) term; t = (s+1)/2 leaves the basis")
-    return _vec(a, a + 2 * b, 0, 4 * c, 2 * n)
+    return vec(a, a + 2 * b, 0, 4 * c, 2 * n)
 
 
 @dataclass(frozen=True)
@@ -198,21 +204,21 @@ def osp_weight(n: int) -> RatFunc:
     return _F(n * n - 1, 8) / s
 
 
-def virasoro_vec(r: int, s_idx: int) -> WeightVec:
-    """`virasoro_weight(r, s_idx)` as a basis vector in t."""
-    return _vec(r * r - 1, 2 * (1 - r * s_idx), s_idx * s_idx - 1, 0, 4)
+def virasoro_vec(r: int, s_idx: int, vec=_vec) -> WeightVec:
+    """`virasoro_weight(r, s_idx)` as a basis vector in t, its integers sent to `vec`."""
+    return vec(r * r - 1, 2 * (1 - r * s_idx), s_idx * s_idx - 1, 0, 4)
 
 
-def super_vec(n: int, m: int) -> WeightVec:
-    """`super_weight(n, m)` as a basis vector in s."""
-    return _vec(n * n - 1, 2 * (1 - m * n), m * m - 1, 0, 8)
+def super_vec(n: int, m: int, vec=_vec) -> WeightVec:
+    """`super_weight(n, m)` as a basis vector in s, read like `virasoro_vec`."""
+    return vec(n * n - 1, 2 * (1 - m * n), m * m - 1, 0, 8)
 
 
-def verma_vec(r: int) -> WeightVec:
-    """`verma_weight(r)` as a basis vector in s."""
-    return _vec(0, 0, 0, r * r - 1, 2)
+def verma_vec(r: int, vec=_vec) -> WeightVec:
+    """`verma_weight(r)` as a basis vector in s, read like `virasoro_vec`."""
+    return vec(0, 0, 0, r * r - 1, 2)
 
 
-def osp_vec(n: int) -> WeightVec:
-    """`osp_weight(n)` as a basis vector in s."""
-    return _vec(0, 0, n * n - 1, 0, 8)
+def osp_vec(n: int, vec=_vec) -> WeightVec:
+    """`osp_weight(n)` as a basis vector in s, read like `virasoro_vec`."""
+    return vec(0, 0, n * n - 1, 0, 8)

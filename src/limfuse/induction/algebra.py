@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from limfuse._doc import expect, field, refuse
-from limfuse.catdata.category import CategorySpec, category_by_name, named_category, _load_category
+from limfuse.catdata.category import CategorySpec, category_by_name, named_category, parity_range, _load_category
 from limfuse.catdata.labels import AffineVerma, Pair, SimpleLabel, VirasoroKp2, VirasoroT
 
 _LABEL_KINDS = {
@@ -109,6 +110,7 @@ class AlgebraObject:
         self.base_category = base_category
         self.factors = factors
         self.slots = factors[0].indices + factors[1].indices
+        self._affine = tuple((e.a, e.b) for e in self.slots)  # (a, b) of each slot a*r + b
         # (position, a, b) of each growing slot a*r + b, for `last_summand`
         self._growing = tuple((k, e.a, e.b) for k, e in enumerate(self.slots) if e.a)
         # positions of the constant slots, which hold a canonical base's selectors
@@ -139,8 +141,8 @@ class AlgebraObject:
         """The r-th simple summand of the algebra, r >= 1.
 
         Memoized per r on the algebra, so each summand label is built and
-        validated once; restriction, induction, Frobenius and locality all
-        read the memo.
+        validated once; restriction, induction and Frobenius read the memo,
+        while locality and slice families read the slots.
         """
         if r < 1:
             raise ValueError("summand index must be >= 1")
@@ -180,6 +182,15 @@ class AlgebraObject:
         if self.induced_category is None:
             raise ValueError(f"{self.name} has no induced-label dictionary")
         return self.induced_category.label_type
+
+    def r0(self, indices: Sequence[int]) -> int:
+        """The first r >= 1 at which each growing slot a*r + b reaches its base index x."""
+        return max(1, *(-((b - indices[k]) // a) for k, a, b in self._growing))
+
+    def slice_indices(self, r: int, indices: Sequence[int]) -> list[tuple[int, ...]]:
+        """The flat indices of slice r, summand(r) fused with the base of flat
+        `indices`, in canonical label order: `fusion_of`'s parity range per slot."""
+        return list(product(*[parity_range(a * r + b, x) for (a, b), x in zip(self._affine, indices)]))
 
     def last_summand(self, tops: Sequence[int]) -> int:
         """Largest r >= 0 at which every growing slot a*r + b is at most its

@@ -4,12 +4,15 @@ index, and the minimum-weight slice.
 Slice r of the module induced from a base is summand(r) fused with the base.
 A growing slot e(r) = a*r + b of `AlgebraObject.slots` fuses with the base
 index x at the same position of `indices` to e(r)-x+1 .. e(r)+x-1 once
-e(r) >= x.  So from r0, the first r at which every growing slot reaches its
-base index, each slice has the same size, the k-th summand (in
-canonical order) has indices affine in r, and its weight, every built-in
-weight being quadratic in the indices, is quadratic in r:
+e(r) >= x.  So from r0 (`AlgebraObject.r0`), the first r at which every
+growing slot reaches its base index, each slice has the same size, the k-th
+summand (in canonical order) has indices affine in r, and its weight, every
+built-in weight being quadratic in the indices, is quadratic in r:
 w(r0 + u) = w(r0) + u*d1 + u(u-1)/2 * d2, with `WeightVec` steps d1, d2 fixed
 by the slices r0, r0+1, r0+2.  The slices below r0 are read directly.
+The family and the min-weight candidates weigh flat index tuples
+(`AlgebraObject.slice_indices`) by the weight hook `_weight_ints`; only the
+winner's label is read, from its memoized slice, for its `weight_of`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from limfuse.catdata.labels import SimpleLabel
-from limfuse.catdata.params import WeightVec
+from limfuse.catdata.params import WeightVec, _vec
 from limfuse.exact import RatFunc
 from limfuse.fusion.element import FusionElement
 from limfuse.induction.algebra import AlgebraObject
@@ -69,9 +72,8 @@ def slice_family(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
 def _derive(alg: AlgebraObject, base: SimpleLabel) -> SliceFamily:
     cat = alg.base_category
     cat._require(base)
-    # a growing slot a*r + b reaches x from r = ceil((x - b) / a) on
-    r0 = max(1, *(-((e.b - x) // e.a) for e, x in zip(alg.slots, base.indices) if e.a))
-    top = [[cat.weight_vec(z) for z, _ in cat.fusion_of(alg.summand(r), base)] for r in range(r0, r0 + 3)]
+    r0 = alg.r0(x := base.indices)
+    top = [[cat._weight_ints(z, _vec) for z in alg.slice_indices(r, x)] for r in range(r0, r0 + 3)]
     steps = []
     for w0, w1, w2 in zip(*top):
         d1, d2 = w1 - w0, w2 - w1 - w1 + w0
@@ -121,25 +123,25 @@ def min_weight_summand(
     if sample <= 0:
         raise ValueError("sample point must be positive")
     _check_truncate(truncate)
-    fam = slice_family(mod.algebra, mod.base)
-    cands = {(r, k) for r in range(1, min(fam.r0, truncate + 1)) for k in range(len(mod.restriction(r)))}
+    alg, base = mod.algebra, mod.base
+    fam = slice_family(alg, base)
+    below = range(1, min(fam.r0, truncate + 1))
+    cands = {(r, k) for r in below for k in range(len(alg.slice_indices(r, base.indices)))}
     h = truncate - fam.r0
     if h >= 0:
         for k, (d1, d2, lowest) in enumerate(fam.steps):
             points = lowest or _lowest(d1.eval(sample), d2.eval(sample))
             cands.update((fam.r0 + (h if u is None else min(u, h)), k) for u in points)
 
-    cat = mod.algebra.base_category
-
-    def label(r: int, k: int) -> SimpleLabel:
-        return mod.restriction(r).terms()[k][0]
-
+    cat = alg.base_category
     if len(cands) == 1:
         (r_star, k_star), = cands
     else:
-        r_star, k_star = min(cands, key=lambda c: (cat.weight_vec(label(*c)).eval(sample), *c))
+        x = base.indices
+        r_star, k_star = min(cands, key=lambda c: (
+            cat._weight_ints(alg.slice_indices(c[0], x)[c[1]], _vec).eval(sample), *c))
     if r_star == truncate:
         raise TruncationTooSmall(
             f"minimum at the truncation edge r={truncate}; increase truncate"
         )
-    return r_star, cat.weight_of(label(r_star, k_star))
+    return r_star, cat.weight_of(mod.restriction(r_star).terms()[k_star][0])

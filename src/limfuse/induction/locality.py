@@ -9,6 +9,8 @@ e(r0 + u) = e0 + u*e1 + u(u-1)/2 * e2, an integer for every u >= 0 exactly
 when e0, e1, e2 are integer constants, that is, when the exponents at u = 0,
 1, 2 are.  So the slices r <= r0+2 decide every r, and the first of them
 with an exponent that is not an integer constant is the smallest witness.
+Each exponent is one integer difference of the weight hook `_weight_ints` on
+flat index tuples: no label, fusion element, monodromy report or slice family.
 
 Certificates are memoized per base in the algebra's `_locality_cache`; every
 induction entry point that needs local modules (induced fusion, the
@@ -18,13 +20,12 @@ restriction oracle) reads its verdicts from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.exact import Poly
-from limfuse.fusion.monodromy import monodromy
 from limfuse.induction.algebra import AlgebraObject
-from limfuse.induction.induced import slice_family
 
 LOCAL = "local"
 NON_LOCAL = "non-local"
@@ -62,17 +63,27 @@ def locality(alg: AlgebraObject, base: SimpleLabel) -> LocalityCertificate:
 
 
 def _decide(alg: AlgebraObject, base: SimpleLabel) -> LocalityCertificate:
-    fam = slice_family(alg, base)
-    reports = (monodromy(alg.base_category, alg.summand(r), base) for r in range(1, fam.r0 + 3))
-    if len(fam.steps) == 1:
-        # one summand per slice: r0 = 1, and e(1), e(2), e(3) also fix the family
-        reports = list(reports)
-    witness = next((r for r, rep in enumerate(reports, start=1) if not rep.is_trivial()), None)
+    cat, x = alg.base_category, base.indices
+    r0, (e, f, g, h, m) = alg.r0(x), cat._weight_ints(x)
+    witness, constants = None, []
+    for r in range(1, r0 + 3):
+        # h(summand(r)) + h(base) = (A, B, C, D)/M, so h(z) minus it is (a*M - A*n, ...)/(n*M)
+        a, b, c, d, n = cat._weight_ints([slot.at(r) for slot in alg.slots])
+        A, B, C, D, M = a * m + e * n, b * m + f * n, c * m + g * n, d * m + h * n, n * m
+        for a, b, c, d, n in map(cat._weight_ints, alg.slice_indices(r, x)):
+            ez = (b * M - B * n, n * M) if a * M == A * n and c * M == C * n and d * M == D * n else None
+            constants.append(ez)
+            if witness is None and (ez is None or ez[0] % ez[1]):
+                witness = r
+        if witness and r0 > 1:
+            break
     family = None
-    if len(fam.steps) == 1:
-        e0, e1, e2 = (rep.entries[0].exponent_vec.as_constant() for rep in reports)
-        if None not in (e0, e1, e2):
-            d1, d2 = e1 - e0, e2 - 2 * e1 + e0
-            # e0 + (r-1)*d1 + (r-1)(r-2)/2 * d2 in monomials
-            family = Poly((e0 - d1 + d2, d1 - 3 * d2 / 2, d2 / 2))
+    # every slot is 1 at r = 1 (summand(1) is the unit), so each slice has one
+    # summand exactly when r0 = 1, and then e(1), e(2), e(3) fix the family
+    if r0 == 1 and None not in constants:
+        # e1 + (r-1)*d1 + (r-1)(r-2)/2 * d2, d1 = e2 - e1, d2 = e3 - 2*e2 + e1, over one q
+        (p1, q1), (p2, q2), (p3, q3) = constants
+        q, e1, e2, e3 = q1 * q2 * q3, p1 * q2 * q3, p2 * q1 * q3, p3 * q1 * q2
+        family = Poly((Fraction(3 * e1 - 3 * e2 + e3, q), Fraction(8 * e2 - 5 * e1 - 3 * e3, 2 * q),
+                       Fraction(e1 - 2 * e2 + e3, 2 * q)))
     return LocalityCertificate(base, NON_LOCAL if witness else LOCAL, witness, family)

@@ -590,6 +590,46 @@ class TestIntegerVectorsAgainstFractions:
         assert WeightVec() != (0, 0, 0, 0)
 
 
+class TestWeightHook:
+    """Each category's one weight formula over flat indices, `_weight_ints`,
+    reduced once, against the RatFunc formulas."""
+
+    PRODUCTS = [*PRODUCTS, category_by_name("deligne(deligne(kl-sl2,virasoro-t),osp)")]
+
+    @staticmethod
+    def hook(cat, indices):
+        return params._vec(*cat._weight_ints(indices))
+
+    def test_products_match_formulas_up_to_6(self):
+        rng = random.Random(59)
+        for cat in self.PRODUCTS:
+            for x in product_labels(cat, 6, rng):
+                w = self.hook(cat, x.indices)
+                assert w.to_ratfunc() == formula_weight(x, cat.base_parameter), (cat.name, x)
+                assert cat.weight_vec(x) == w
+
+    def test_coset_slices_give_the_super_and_osp_weights(self):
+        svir, osp = (category_by_name(f"deligne({k},virasoro-t)") for k in ("virasoro-kp2", "kl-sl2"))
+        for n in range(1, 7):
+            for m in range(1, 7):
+                if (n + m) % 2 == 0:
+                    r = (n + m) // 2
+                    assert self.hook(svir, (n, r, m, r)).to_ratfunc() == super_weight(n, m), (n, m)
+            if n % 2:
+                # Lt(n, r) with 2r = n + 1 or n - 1 cancels V(r)'s pole at s = -1
+                for r in {(n + 1) // 2, max((n - 1) // 2, 1)}:
+                    assert self.hook(osp, (r, n, r)).to_ratfunc() == osp_weight(n), (n, r)
+
+    def test_a_t_factor_with_a_shifted_pole_is_refused(self):
+        class PoleT(VirasoroTCategory):
+            def _weight_ints(self, indices, vec=params._ints):
+                return vec(0, 0, 0, 1, 1)
+
+        for cat in (DeligneCategory(PoleT(), KL), DeligneCategory(SV, PoleT())):
+            with pytest.raises(ValueError, match="1/\\(t\\+1\\) term"):
+                cat.weight_vec(cat.unit)
+
+
 class TestFusion:
     def test_row_column_product(self):
         assert VT.fusion_of(VirasoroT(2, 1), VirasoroT(1, 2)) == FusionElement.of(VirasoroT(2, 2))

@@ -255,7 +255,7 @@ def stub_workers(monkeypatch):
         for method in ("labels_up_to", "fusion_of"):
             if method in vars(klass):
                 monkeypatch.setattr(klass, method, reached)
-    for name in ("mueger_scan", "induce", "locality", "run_selftest"):
+    for name in ("mueger_scan", "induce", "locality", "induced_fusion", "run_selftest"):
         monkeypatch.setattr(cli, name, reached)
 
 

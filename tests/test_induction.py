@@ -25,6 +25,7 @@ from limfuse.catdata import (
     osp_weight,
     super_weight,
 )
+from limfuse.catdata.params import _ints
 from limfuse.exact import Poly, RatFunc
 from limfuse.fusion import FusionElement
 from limfuse.fusion.monodromy import INTEGER, exponent_status
@@ -356,8 +357,8 @@ class TestLocality:
         for _ in range(3):
             induced_fusion(alg, b1, b2)
             assert restriction_oracle_check(alg, b1, b2, 4)
-        # one slice family per base, shared by locality and min-weight
-        assert derived == [b1, b2]
+        # locality derives no slice family; min-weight derives one per base
+        assert derived == [b1]
         assert locality(svir_extension(), b1) is not cert
 
 
@@ -1069,6 +1070,28 @@ def seeded_algebras(seed, count):
     return out
 
 
+class TestSliceIndices:
+    """The index tuples the induction layer computes on, against the labels
+    of `fusion_of`: the k of a slice family's steps and of a min-weight
+    candidate indexes this order."""
+
+    def test_slices_in_fusion_order(self):
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP, *seeded_algebras(17, 6)):
+            cat = alg.base_category
+            for base in cat.labels_up_to(4):
+                r0 = alg.r0(base.indices)
+                for r in range(1, r0 + 4):
+                    want = [z.indices for z, _ in cat.fusion_of(alg.summand(r), base)]
+                    assert alg.slice_indices(r, base.indices) == want, (alg.name, base, r)
+
+    def test_r0_is_the_first_r_with_every_growing_slot_at_its_base_index(self):
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP, *seeded_algebras(17, 6)):
+            for base in alg.base_category.labels_up_to(4):
+                x = base.indices
+                first = next(r for r in range(1, 20) if all(e.at(r) >= v for e, v in zip(alg.slots, x) if e.a))
+                assert alg.r0(x) == first, (alg.name, base)
+
+
 class TestDerivedAgainstOracles:
     """The derived slice family against the former fit, fallback and scan."""
 
@@ -1163,8 +1186,9 @@ class TestDerivedAgainstOracles:
         # a weight 10r - r^2 falls off after r = 5: the argmin is r = 1 while
         # the truncation keeps the fall short, and the edge once it does not
         class Concave(KLCategory):
-            def _weight_raw(self, x):
-                return WeightVec(0, x.r * (10 - x.r))
+            def _weight_ints(self, indices, vec=_ints):
+                (r,) = indices
+                return vec(0, r * (10 - r), 0, 0, 1)
 
         cat = DeligneCategory(Concave(), category_by_name("virasoro-t"))
         factors = (

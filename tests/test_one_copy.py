@@ -7,6 +7,9 @@ A GradeMap preserves the grading by construction, so no second state of
 entries that join weights (`_stray`), no guard that refuses it
 (`_require_graded`) and no query for it (`grade_violations`,
 `is_grade_preserving`) comes back.
+A weight is one integer formula over a label's flat indices per category,
+`_weight_ints`, so no second, label-based weight path (`_weight_raw`) comes
+back.
 """
 
 import ast
@@ -14,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "limfuse"
 GONE = {"class Phase", "def _pack", "_packed_cache",
-        "_stray", "def _require_graded", "def grade_violations", "def is_grade_preserving"}
+        "_stray", "def _require_graded", "def grade_violations", "def is_grade_preserving", "def _weight_raw"}
 
 
 def second_copies(text: str) -> set[str]:
@@ -32,7 +35,8 @@ def second_copies(text: str) -> set[str]:
 
 def test_guard_sees_each_copy():
     text = ("class Phase:\n    pass\ndef _pack(alg):\n    return alg._packed_cache\ndef _packed_side(): pass\n"
-            "def _require_graded(f):\n    return f._stray\ndef grade_violations(): pass\ndef is_grade_preserving(): pass\n")
+            "def _require_graded(f):\n    return f._stray\ndef grade_violations(): pass\ndef is_grade_preserving(): pass\n"
+            "class C:\n    def _weight_raw(self, x): pass\n")
     assert second_copies(text) == GONE
     assert second_copies("def _packed_side(alg):\n    return alg._restrict_cache\n") == set()
 
