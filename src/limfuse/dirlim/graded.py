@@ -90,10 +90,6 @@ class GradedSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(b for b, _ in self.basis)
-
     def weight(self, idx: int) -> Weight:
         return self.basis[idx][1]
 

@@ -7,9 +7,11 @@ compatibility, that the top leg's image is everything (union of images),
 the kernel identity ker(phi_i) = sum of ker(f_i^j) over j >= i (the sum from
 `kernel_union`, phi_i from the quotient construction), existence and
 uniqueness of the universal map to a concrete target, and injectivity of the
-canonical map for inclusion systems.  Uniqueness perturbs one entry of the
-universal map at a time; a perturbed matrix that joins distinct weights is
-not a GradeMap, so it meets the legs as dense products.
+canonical map for inclusion systems.  Uniqueness is certified by the top
+leg's rank: every leg phi_i factors through phi_top, so a map F out of the
+limit is fixed by F o phi_top, and is unique exactly when phi_top is onto.
+A universal map that does not exist (`IncompatibleTarget`) is reported as a
+failure, not raised.
 Each comparison case checks that the iterated and multiple limits of a
 random triple are isomorphic.
 """
@@ -20,7 +22,6 @@ import random
 from dataclasses import dataclass
 
 from limfuse.dirlim import linalg
-from limfuse.dirlim.graded import GradeMap
 from limfuse.dirlim.inclusion import q_map
 from limfuse.dirlim.randgen import (
     random_fubini_triple,
@@ -29,6 +30,7 @@ from limfuse.dirlim.randgen import (
 )
 from limfuse.dirlim.system import (
     DirectSystem,
+    IncompatibleTarget,
     Target,
     direct_limit,
     kernel_of_leg,
@@ -40,13 +42,13 @@ from limfuse.dirlim.system import (
 from limfuse.dirlim.tensor import fubini_compare
 
 
-def check_system_case(seed: int, perturb_entries: int | None = 8) -> list[str]:
+def check_system_case(seed: int) -> list[str]:
     """Run every system property for one seed; returns the failures."""
-    return check_system(random_system(seed), seed, perturb_entries)
+    return check_system(random_system(seed))
 
 
-def check_system(sys: DirectSystem, seed: int, perturb_entries: int | None = 8) -> list[str]:
-    """Run every system property on `sys`; `seed` picks the perturbed entries."""
+def check_system(sys: DirectSystem) -> list[str]:
+    """Run every system property on `sys`; returns the failures."""
     problems: list[str] = []
     report = validate_system(sys)
     if not report.ok:
@@ -60,7 +62,7 @@ def check_system(sys: DirectSystem, seed: int, perturb_entries: int | None = 8) 
             problems.append(f"leg compatibility fails at {i} <= {j}")
 
     top = sys.poset.greatest()  # a valid poset has one
-    if lim.legs[top].rank() != lim.space.dim:
+    if lim.legs[top].rank() != lim.space.dim:  # the uniqueness certificate
         problems.append("top leg does not cover the limit")
 
     for i in sys.poset.elements:
@@ -68,39 +70,27 @@ def check_system(sys: DirectSystem, seed: int, perturb_entries: int | None = 8) 
             problems.append(f"kernel identity fails at {i}")
 
     psis = {i: sys.map(i, top) for i in sys.poset.elements}
-    tgt = Target(sys.space(top), psis)
-    f = universal_map(lim, tgt)
+    try:
+        f = universal_map(lim, Target(sys.space(top), psis))
+    except IncompatibleTarget as e:
+        return problems + [f"no universal map: {e}"]
     for i in sys.poset.elements:
         if f @ lim.legs[i] != psis[i]:
             problems.append(f"universal map misses psi_{i}")
-    problems.extend(_uniqueness_by_perturbation(seed, lim, tgt, f, perturb_entries))
     return problems
 
 
 def _against_quotient(sys: DirectSystem, lim, oracle) -> list[str]:
     if oracle.space.graded_dims() != lim.space.graded_dims():
         return ["graded dimensions differ from the quotient construction"]
-    comparison = universal_map(oracle, Target(lim.space, lim.legs))
+    try:
+        comparison = universal_map(oracle, Target(lim.space, lim.legs))
+    except IncompatibleTarget as e:
+        return [f"no map from the quotient construction: {e}"]
     if comparison.rank() != lim.space.dim:
         return ["map from the quotient construction is not invertible"]
     return [f"map from the quotient construction misses the leg at {e}"
             for e in sys.poset.elements if comparison @ oracle.legs[e] != lim.legs[e]]
-
-
-def _uniqueness_by_perturbation(seed, lim, tgt, f: GradeMap, limit_entries) -> list[str]:
-    entries = [
-        (r, c) for r in range(tgt.space.dim) for c in range(lim.space.dim)
-    ]
-    if limit_entries is not None and len(entries) > limit_entries:
-        entries = random.Random(seed ^ 0x5EED).sample(entries, limit_entries)
-    out = []
-    for r, c in entries:
-        bumped = [list(row) for row in f.matrix]
-        bumped[r][c] += 1
-        if all(linalg.matmul(bumped, leg.matrix, leg.source.dim) == tgt.psis[i].matrix
-               for i, leg in lim.legs.items()):
-            out.append(f"perturbed map at ({r},{c}) still satisfies the cocone")
-    return out
 
 
 def check_inclusion_case(seed: int) -> list[str]:
@@ -112,11 +102,7 @@ def check_inclusion_case(seed: int) -> list[str]:
     if not res.injective:
         problems.append("canonical map into the ambient space is not injective")
     all_rows = [row for rows in incsys.subspace_rows.values() for row in rows]
-    covers = (
-        linalg.rank(all_rows, incsys.ambient.dim) == incsys.ambient.dim
-        if incsys.ambient.dim
-        else True
-    )
+    covers = linalg.rank(all_rows, incsys.ambient.dim) == incsys.ambient.dim
     if res.surjective != covers:
         problems.append("surjectivity verdict disagrees with the covering test")
     return problems

@@ -163,10 +163,10 @@ class AlgebraObject:
         hit = self._induced_of.get(base)
         if hit is None or not isinstance(base, SimpleLabel):
             label_type = self._induced_type()
-            flat = base.indices if isinstance(base, Pair) else ()
-            if len(flat) != len(self.slots) or self.canonical_base(values := [flat[k] for k in self._constant]) != base:
+            flat = base.indices if self.base_category.contains(base) else None
+            if flat is None or any(flat[k] != a + b for k, a, b in self._growing):
                 raise ValueError(f"{base} is not a canonical base of {self.name}")
-            hit = self._induced_of[base] = label_type(*values)
+            hit = self._induced_of[base] = label_type(*[flat[k] for k in self._constant])
         return hit
 
     def from_induced(self, label: SimpleLabel) -> SimpleLabel:

@@ -18,6 +18,9 @@ needs it.
   label dictionaries of svir-ext and osp-ext written out by hand, and the
   CLI's former base builder, the references for the dictionary and the
   canonical bases that `AlgebraObject` reads from its summand rule.
+- `to_induced_by_rebuild`: the former `AlgebraObject.to_induced`, which
+  rebuilt the canonical base from a base's constant slots and compared the
+  two, against which the check on the flat indices is compared.
 - `space_grades` and `grade_map_parts`: a graded space's grades sorted by
   Fraction comparison, and a dense matrix cut into weight blocks with
   per-grade column scans, beside its first entry that joins distinct
@@ -282,6 +285,17 @@ def osp_from_induced(label: SimpleLabel) -> SimpleLabel:
 
 # algebra name -> (to_induced, from_induced)
 DICTIONARIES = {"svir-ext": (svir_to_induced, svir_from_induced), "osp-ext": (osp_to_induced, osp_from_induced)}
+
+
+def to_induced_by_rebuild(alg, base) -> SimpleLabel:
+    """The induced simple of `base`, unmemoized: the canonical base with the
+    base's constant slots as selectors is rebuilt and must equal it."""
+    label_type = alg.induced_category.label_type
+    flat = base.indices if isinstance(base, Pair) else ()
+    values = [flat[k] for k, e in enumerate(alg.slots) if not e.a] if len(flat) == len(alg.slots) else None
+    if values is None or alg.canonical_base(values) != base:
+        raise ValueError(f"{base} is not a canonical base of {alg.name}")
+    return label_type(*values)
 
 
 def cli_canonical_base(alg, values: list[int | None]) -> SimpleLabel:

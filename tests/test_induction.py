@@ -61,6 +61,7 @@ from oracles import (
     label_at,
     restriction_sides,
     svir_to_induced,
+    to_induced_by_rebuild,
 )
 
 SVX = svir_extension()
@@ -643,12 +644,42 @@ class TestDictionaryAgainstReference:
                 else:
                     assert want[0] is cli.ConfigError and got == (cli.ConfigError, need), values
 
+    def test_to_induced_matches_the_rebuild_check(self):
+        # reading a base's flat indices maps and refuses what rebuilding its
+        # canonical base did, with the same message, on a fresh algebra and
+        # once its memo holds every canonical base: non-canonical bases,
+        # foreign labels, raw tuples equal to memoized bases and selectors
+        # the induced label refuses (svir n+m odd, osp n even)
+        foreign = [OspMod(3), SuperVir(2, 2), VirasoroT(1, 1), Pair(VirasoroT(1, 1), VirasoroKp2(1, 1)),
+                   Pair(AffineVerma(1), VirasoroT(3, 1)), sbase(3, 1)]
+        for make in (svir_extension, osp_extension):
+            alg = make()
+            bases = alg.base_category.labels_up_to(4)
+            cases = bases + foreign + [raw(b) for b in bases]
+            outcomes = []
+            for x in cases + cases:
+                want = _answer_or_message(to_induced_by_rebuild, alg, x)
+                assert _answer_or_message(alg.to_induced, x) == want, (alg.name, x)
+                outcomes.append(want)
+            messages = [o for o in outcomes if isinstance(o, str)]
+            assert len(messages) < len(outcomes)
+            assert any("is not a canonical base" in m for m in messages)
+            assert any(m.startswith(("super-Virasoro label needs", "osp label needs")) for m in messages)
+
     def test_sabotaged_rules_keep_the_dictionary_and_are_caught(self):
         for rule in SABOTAGED_RULES:
             alg = sabotaged(rule)
             for n, m in product(range(1, 7), repeat=2):
                 assert _outcome(alg.to_induced, sbase(n, m)) == _outcome(svir_to_induced, sbase(n, m))
             assert not restriction_oracle_check(alg, sbase(2, 2), sbase(2, 2), truncate=10), rule
+
+
+def _answer_or_message(call, *args):
+    """What `call(*args)` returns, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as e:
+        return str(e)
 
 
 def _outcome(call, *args):
