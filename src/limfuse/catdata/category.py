@@ -20,8 +20,8 @@ denominator.  Each category has one weight formula over a label's flat
 `indices`, `_weight_ints`, reduced once (a Deligne product adds its factors'
 integers, aligned by the integer form of `via_t_of_s`); `weight_vec` reads
 it on a memo miss, the induction layer on index tuples.  `WeightVec.format`
-prints a weight.  `weight_of` returns the same weight as a `RatFunc`, converted
-once per label and cached, for callers outside the engine.
+prints a weight.  `weight_of` returns it as a `RatFunc`, for callers outside
+the engine: the view the memoized `WeightVec` builds once and keeps.
 """
 
 from __future__ import annotations
@@ -68,10 +68,8 @@ class CategorySpec:
     unit: SimpleLabel
 
     def __init__(self):
-        # the memos of weight_vec, weight_of and fusion_of, keyed by label
-        # and by label pair
+        # the memos of weight_vec and fusion_of, keyed by label and by label pair
         self._vec_cache: dict = {}
-        self._weight_cache: dict = {}
         self._fusion_cache: dict = {}
 
     def contains(self, x: SimpleLabel) -> bool:
@@ -102,11 +100,7 @@ class CategorySpec:
         return hit
 
     def weight_of(self, x: SimpleLabel) -> RatFunc:
-        cache = self._weight_cache
-        hit = cache.get(x)
-        if hit is None or not isinstance(x, SimpleLabel):
-            hit = cache[x] = self.weight_vec(x).to_ratfunc()
-        return hit
+        return self.weight_vec(x).to_ratfunc()
 
     def fusion_of(self, x: SimpleLabel, y: SimpleLabel) -> FusionElement:
         cache = self._fusion_cache

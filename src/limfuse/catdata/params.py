@@ -11,7 +11,9 @@ span_Q{x, 1, 1/x, 1/(x+1)}, x the category's formal variable, with
 denominators dividing 8.  The engine computes with `WeightVec`, a weight's
 integer numerators in that basis over one denominator; the builders and the
 two reparametrizations are integer formulas, and `Fraction` and `RatFunc`
-appear only when a value leaves the engine (`format` prints the integers).
+appear only when a value leaves the engine: `to_ratfunc` builds a weight's
+`RatFunc` view once and keeps it on the vector, and `format` prints the
+integers through `format_intfrac`.
 Builders and maps send their five integers to `vec`, `_vec` or the hooks' `_ints`.
 The `RatFunc` formulas below are the independent reference.
 """
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from limfuse.exact import Poly, RatFunc
-from limfuse.exact.ratfunc import format_intpoly
+from limfuse.exact.ratfunc import format_intfrac
 
 _F = Fraction
 
@@ -39,7 +41,7 @@ class WeightVec:
     coordinates as Fractions.
     """
 
-    __slots__ = ("ints",)
+    __slots__ = ("ints", "_ratfunc")
 
     def __new__(cls, a=0, b=0, c=0, d=0):
         coords = [_F(v) for v in (a, b, c, d)]
@@ -98,19 +100,18 @@ class WeightVec:
         return (b, a), (n,)
 
     def to_ratfunc(self) -> RatFunc:
-        """The same function as a normalized RatFunc, built without a gcd."""
-        num, den = self._numerator()
-        n = den[-1]
-        return RatFunc.coprime(Poly([_F(v, n) for v in num]), Poly([v // n for v in den]))
+        """The same function as a normalized RatFunc, built once without a gcd and kept."""
+        try:
+            return self._ratfunc
+        except AttributeError:
+            num, den = self._numerator()
+            n = den[-1]
+            self._ratfunc = RatFunc.coprime(Poly([_F(v, n) for v in num]), Poly([v // n for v in den]))
+            return self._ratfunc
 
     def format(self, var: str) -> str:
         """`format_ratfunc(self.to_ratfunc(), var)`, written from the integers."""
-        a, b, c, d, n = self.ints
-        if not (a or c or d):
-            return str(b) if n == 1 else f"{b}/{n}"
-        num, den = self._numerator()
-        num_s = format_intpoly(num, var)
-        return num_s if den == (1,) else f"({num_s})/({format_intpoly(den, var)})"
+        return format_intfrac(*self._numerator(), var)
 
     def __repr__(self) -> str:
         return f"WeightVec{tuple(str(v) for v in self)}"

@@ -35,14 +35,12 @@ import types
 from typing import Callable, NamedTuple
 
 from limfuse.catdata.category import CategorySpec, category_by_name
-from limfuse.catdata.labels import ForeignLabel, SimpleLabel
-from limfuse.exact import Poly, format_ratfunc, parse_rat
-from limfuse.exact.ratfunc import RatFunc
+from limfuse.catdata.labels import SimpleLabel
+from limfuse.exact.ratfunc import format_intfrac, format_ratfunc, parse_rat
 from limfuse.fusion.monodromy import monodromy, mueger_scan
-from limfuse.fusion.ring import CategoryMismatch
 from limfuse.induction.algebra import AlgebraObject, algebra_by_name
-from limfuse.induction.fused import NotLocal, induced_fusion
-from limfuse.induction.induced import TruncationTooSmall, induce, min_weight_summand
+from limfuse.induction.fused import induced_fusion
+from limfuse.induction.induced import induce, min_weight_summand
 from limfuse.induction.frobenius import frobenius_dim
 from limfuse.induction.locality import locality
 
@@ -167,12 +165,8 @@ def cmd_locality(args) -> int:
     alg = _config(algebra_by_name, args.algebra)
     base = _canonical_base(alg, [args.n, args.m])
     cert = locality(alg, base)
-    family = (
-        # a polynomial over the monic 1 is already in lowest terms
-        format_ratfunc(RatFunc.coprime(cert.exponent_family, Poly(1)), "r")
-        if cert.exponent_family is not None
-        else "-"
-    )
+    fam = cert.exponent_family
+    family = format_intfrac(fam[:3], fam[3:], "r") if fam is not None else "-"
     rows = [[str(base), cert.verdict, str(cert.witness) if cert.witness else "-", family]]
     _emit(args.format, "locality", ["base", "verdict", "witness", "family"], rows,
           {"algebra": alg.name})
@@ -365,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NotLocal, TruncationTooSmall, ForeignLabel, CategoryMismatch, ValueError) as e:
+    except ValueError as e:  # NotLocal, TruncationTooSmall, ForeignLabel and CategoryMismatch among them
         print(f"error: {e}", file=sys.stderr)
         return 1
 

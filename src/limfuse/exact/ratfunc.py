@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from limfuse.exact.poly import Poly, Rat
 
@@ -192,7 +192,7 @@ def _int_scaled(f: RatFunc) -> tuple[list[int], list[int]]:
     return num, den
 
 
-def format_intpoly(coeffs: list[int], var: str) -> str:
+def format_intpoly(coeffs: Sequence[int], var: str) -> str:
     if not coeffs:
         return "0"
     parts: list[str] = []
@@ -212,20 +212,22 @@ def format_intpoly(coeffs: list[int], var: str) -> str:
     return "".join(parts) if parts else "0"
 
 
-def format_ratfunc(f: RatFunc, var: str = "t") -> str:
-    c = f.as_constant()
-    if c is not None:
-        return format_rat(c)
-    num, den = _int_scaled(f)
+def format_intfrac(num: Sequence[int], den: Sequence[int], var: str) -> str:
+    """The canonical text of num/den, coprime integer coefficient lists
+    (ascending) with a positive leading denominator: p or p/q for a constant,
+    else the numerator alone over a denominator of one, else (num)/(den)."""
     num_s = format_intpoly(num, var)
-    if den == [1]:
-        return num_s
-    den_s = format_intpoly(den, var)
-    return f"({num_s})/({den_s})"
+    if len(den) == 1 and (den[0] == 1 or not any(num[1:])):
+        return num_s if den[0] == 1 else f"{num_s}/{den[0]}"
+    return f"({num_s})/({format_intpoly(den, var)})"
+
+
+def format_ratfunc(f: RatFunc, var: str = "t") -> str:
+    return format_intfrac(*_int_scaled(f), var)
 
 
 def format_rat(q: Rat) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return format_intfrac((q.numerator,), (q.denominator,), "")
 
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")

@@ -7,15 +7,15 @@ e^{2*pi*i*(h_Z - h_X - h_Y)}.  Exponents are computed and classified as
 counts as trivial only when it is an integer constant (the parameter is
 generic, so a parameter-dependent exponent cannot be an integer).  The
 `exponent` of an entry or certificate is the same value as an exact
-`RatFunc` of the category parameter, built on first access.
+`RatFunc` of the category parameter: the view its `WeightVec` builds on
+first access and keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.catdata.params import WeightVec
@@ -30,7 +30,7 @@ NON_INTEGER_CONSTANT = "non-integer-constant"
 PARAMETER_DEPENDENT = "parameter-dependent"
 
 
-def exponent_status(e: Union[WeightVec, RatFunc]) -> str:
+def exponent_status(e: WeightVec) -> str:
     c = e.as_constant()
     if c is None:
         return PARAMETER_DEPENDENT
@@ -43,7 +43,7 @@ class MonodromyEntry:
     exponent_vec: WeightVec
     status: str
 
-    @cached_property
+    @property
     def exponent(self) -> RatFunc:
         return self.exponent_vec.to_ratfunc()
 

@@ -12,7 +12,8 @@ w(r0 + u) = w(r0) + u*d1 + u(u-1)/2 * d2, with `WeightVec` steps d1, d2 fixed
 by the slices r0, r0+1, r0+2.  The slices below r0 are read directly.
 The family and the min-weight candidates weigh flat index tuples
 (`AlgebraObject.slice_indices`) by the weight hook `_weight_ints`; only the
-winner's label is read, from its memoized slice, for its `weight_of`.
+winner's label is read, from its memoized slice, for its `weight_of`: the
+`RatFunc` view that its memoized `WeightVec` keeps.
 """
 
 from __future__ import annotations

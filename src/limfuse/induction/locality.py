@@ -11,6 +11,8 @@ when e0, e1, e2 are integer constants, that is, when the exponents at u = 0,
 with an exponent that is not an integer constant is the smallest witness.
 Each exponent is one integer difference of the weight hook `_weight_ints` on
 flat index tuples: no label, fusion element, monodromy report or slice family.
+The exponent family stays in integers too: the coefficients of 1, r and r^2
+over one positive denominator, in lowest terms, which `format_intfrac` prints.
 
 Certificates are memoized per base in the algebra's `_locality_cache`; every
 induction entry point that needs local modules (induced fusion, the
@@ -20,11 +22,10 @@ restriction oracle) reads its verdicts from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from limfuse.catdata.labels import SimpleLabel
-from limfuse.exact import Poly
 from limfuse.induction.algebra import AlgebraObject
 
 LOCAL = "local"
@@ -34,13 +35,13 @@ NON_LOCAL = "non-local"
 @dataclass(frozen=True)
 class LocalityCertificate:
     """The verdict with its smallest witness r, if any, and, when every slice
-    has one summand with a parameter-free exponent, that exponent as a
-    polynomial in r."""
+    has one summand with a parameter-free exponent, that exponent as
+    (c0, c1, c2, den): (c0 + c1 r + c2 r^2)/den in lowest terms, den > 0."""
 
     base: SimpleLabel
     verdict: str
     witness: Optional[int] = None
-    exponent_family: Optional[Poly] = None
+    exponent_family: Optional[tuple[int, int, int, int]] = None
 
     @property
     def is_local(self) -> bool:
@@ -81,9 +82,10 @@ def _decide(alg: AlgebraObject, base: SimpleLabel) -> LocalityCertificate:
     # every slot is 1 at r = 1 (summand(1) is the unit), so each slice has one
     # summand exactly when r0 = 1, and then e(1), e(2), e(3) fix the family
     if r0 == 1 and None not in constants:
-        # e1 + (r-1)*d1 + (r-1)(r-2)/2 * d2, d1 = e2 - e1, d2 = e3 - 2*e2 + e1, over one q
+        # e1 + (r-1)*d1 + (r-1)(r-2)/2 * d2, d1 = e2 - e1, d2 = e3 - 2*e2 + e1, over one 2q
         (p1, q1), (p2, q2), (p3, q3) = constants
         q, e1, e2, e3 = q1 * q2 * q3, p1 * q2 * q3, p2 * q1 * q3, p3 * q1 * q2
-        family = Poly((Fraction(3 * e1 - 3 * e2 + e3, q), Fraction(8 * e2 - 5 * e1 - 3 * e3, 2 * q),
-                       Fraction(e1 - 2 * e2 + e3, 2 * q)))
+        family = (6 * e1 - 6 * e2 + 2 * e3, 8 * e2 - 5 * e1 - 3 * e3, e1 - 2 * e2 + e3, 2 * q)
+        g = gcd(*family)
+        family = tuple(v // g for v in family)
     return LocalityCertificate(base, NON_LOCAL if witness else LOCAL, witness, family)

@@ -2,7 +2,9 @@
 needs it.
 
 - `interpolate` and `first_non_integer_positive`: the polynomial fit of the
-  former locality route (`fit_oracle` in `test_induction.py`).
+  former locality route (`fit_oracle` in `test_induction.py`), and
+  `int_family`, which writes its fitted `Poly` in the integer form of
+  `LocalityCertificate.exponent_family`.
 - `parse_ratfunc`: the inverse of `format_ratfunc`, for round trips.
 - `central_charge_t` and `central_charge_super`: the two central charges of
   the coset identity.
@@ -100,6 +102,15 @@ def interpolate(points: Sequence[tuple[Union[int, Rat], Union[int, Rat]]]) -> Po
         for i in range(len(out) - 1):
             out[i] -= xk * out[i + 1]
     return Poly(out)
+
+
+def int_family(p: Poly) -> tuple[int, ...]:
+    """p as (c0, c1, c2, den), (c0 + c1 r + c2 r^2)/den in lowest terms with
+    den > 0, the form of `LocalityCertificate.exponent_family`; a p of higher
+    degree gives a longer tuple, which no family equals."""
+    coeffs = [Fraction(c) for c in p.coeffs] + [Fraction(0)] * (3 - len(p.coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
+    return (*(int(c * den) for c in coeffs), den)
 
 
 _TERM_RE = re.compile(

@@ -286,6 +286,15 @@ class TestWeights:
         with pytest.raises(ForeignLabel):
             VT.weight_of(SuperVir(2, 2))
 
+    def test_weight_of_is_the_memoized_vectors_view(self):
+        # one memo: weight_of reads the RatFunc that the memoized WeightVec
+        # built once and keeps, and a monodromy exponent reads its vector's
+        for cat in (VT, SV, PAIR_CAT):
+            for x in cat.labels_up_to(3):
+                assert cat.weight_of(x) is cat.weight_vec(x).to_ratfunc() is cat.weight_of(x)
+        for e in monodromy(SV, SuperVir(2, 4), SuperVir(3, 1)).entries:
+            assert e.exponent is e.exponent_vec.to_ratfunc() is e.exponent
+
     def test_central_charge_coset_identity(self):
         # the two Virasoro central charges must add up to the super one plus
         # the free-fermion 1/2 after the parameter alignment

@@ -19,7 +19,11 @@ import pytest
 import limfuse
 from limfuse import cli
 from limfuse.catdata.category import CategorySpec
+from limfuse.catdata.labels import ForeignLabel
 from limfuse.cli import MAX_CASES, MAX_LABELS, MAX_TRUNCATE, build_parser, main
+from limfuse.fusion.ring import CategoryMismatch
+from limfuse.induction.fused import NotLocal
+from limfuse.induction.induced import TruncationTooSmall
 
 
 def run(capsys, *argv):
@@ -152,6 +156,11 @@ class TestExitCodes:
                            "--n", "4", "--m", "4", "--truncate", "4")
         assert code == 1
         assert "truncat" in err.lower()
+
+    def test_computation_errors_are_value_errors(self):
+        # main sends every ValueError that is not a ConfigError to exit 1
+        for error in (NotLocal, TruncationTooSmall, ForeignLabel, CategoryMismatch):
+            assert issubclass(error, ValueError) and not issubclass(error, cli.ConfigError), error
 
     def test_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -466,7 +475,7 @@ def _full_parse_main(argv):
     except cli.ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (cli.NotLocal, cli.TruncationTooSmall, cli.ForeignLabel, cli.CategoryMismatch, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

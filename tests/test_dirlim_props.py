@@ -3,8 +3,8 @@
 import random
 
 from limfuse.dirlim import DirectedPoset, DirectSystem, GradeMap, Limit, direct_limit
-from limfuse.dirlim import selftest
-from limfuse.dirlim.randgen import random_system
+from limfuse.dirlim import selftest, tensor
+from limfuse.dirlim.randgen import random_fubini_triple, random_system
 from limfuse.dirlim.selftest import (
     check_fubini_case,
     check_inclusion_case,
@@ -33,6 +33,36 @@ def test_q_map_injective_on_200_inclusion_systems():
 def test_fubini_extra_seeds():
     for seed in range(100, 120):
         assert check_fubini_case(seed) == []
+
+
+def test_fubini_verdict_sees_a_zeroed_inner_limit(monkeypatch):
+    # fubini_compare takes three limits: the multiple one, then the inner
+    # b (x) c, then the iterated one.  Zeroing the inner limit's legs zeroes
+    # the comparison map, so wherever the multiple limit is not zero the
+    # verdict must turn False; a verdict that is always True fails here
+    calls = []
+
+    def zero_second(sys):
+        lim = direct_limit(sys)
+        calls.append(sys)
+        if len(calls) != 2:
+            return lim
+        legs = {i: GradeMap(leg.source, leg.target, [[0] * leg.source.dim for _ in range(leg.target.dim)])
+                for i, leg in lim.legs.items()}
+        return Limit(lim.space, legs, sys)
+
+    caught = 0
+    for seed in range(100):
+        a, b, c = random_fubini_triple(seed)
+        if not tensor.fubini_compare(a, b, c).multiple.space.dim:
+            continue
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "direct_limit", zero_second)
+            assert not tensor.fubini_compare(a, b, c).is_isomorphism, seed
+        assert len(calls) == 3
+        caught += 1
+    assert caught == 22
 
 
 def test_shuffled_elements_on_200_systems():

@@ -16,6 +16,7 @@ from limfuse.exact import (
     format_ratfunc,
     parse_rat,
 )
+from limfuse.exact.ratfunc import format_intfrac
 from limfuse.catdata import VirasoroTCategory, WeightVec
 from limfuse.fusion import PARAMETER_DEPENDENT, MonodromyEntry, exponent_status
 from oracles import first_non_integer_positive, interpolate, parse_ratfunc
@@ -253,6 +254,16 @@ class TestTextForm:
                 continue
             f = RatFunc(num, den)
             assert parse_ratfunc(format_ratfunc(f)) == f
+
+    def test_integer_fractions(self):
+        # the one printer of every integer fraction: p or p/q for a constant,
+        # a denominator of one omitted, zero coefficients skipped
+        assert format_intfrac((0, 0, 0), (1,), "r") == "0"
+        assert format_intfrac((-3, 0), (4,), "t") == "-3/4"
+        assert format_intfrac((5,), (1,), "t") == "5"
+        assert format_intfrac((1, -1, 0), (1,), "r") == "-r+1"
+        assert format_intfrac((1, -1, 0), (2,), "r") == "(-r+1)/(2)"
+        assert format_intfrac((3, -6, 3), (0, 4), "t") == "(3*t^2-6*t+3)/(4*t)"
 
     def test_rejects_junk(self):
         for bad in ["", "t//2", "(t", "t^-1", "2t", "t+*3", "x+y"]:

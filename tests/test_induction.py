@@ -26,7 +26,7 @@ from limfuse.catdata import (
     super_weight,
 )
 from limfuse.catdata.params import _ints
-from limfuse.exact import Poly, RatFunc
+from limfuse.exact import RatFunc
 from limfuse.fusion import FusionElement
 from limfuse.fusion.monodromy import INTEGER, exponent_status
 from limfuse.induction import (
@@ -57,6 +57,7 @@ from oracles import (
     cli_canonical_base,
     first_non_integer_positive,
     hom_dim,
+    int_family,
     interpolate,
     label_at,
     restriction_sides,
@@ -305,13 +306,13 @@ class TestLocality:
     def test_even_sum_base_family(self):
         cert = locality(SVX, sbase(2, 2))
         assert cert.verdict == LOCAL
-        assert cert.exponent_family == Poly((1, -1))  # 1 - r
+        assert cert.exponent_family == (1, -1, 0, 1)  # 1 - r
 
     def test_odd_sum_base_witness(self):
         cert = locality(SVX, sbase(2, 1))
         assert cert.verdict == NON_LOCAL
         assert cert.witness == 2
-        assert cert.exponent_family == Poly((F(1, 2), F(-1, 2)))
+        assert cert.exponent_family == (1, -1, 0, 2)  # (1 - r)/2
 
     def test_parity_grid(self):
         for n in range(1, 9):
@@ -326,10 +327,8 @@ class TestLocality:
             if not cert.is_local:
                 assert cert.witness == 2
             else:
-                # family is -(n-1)(r-1)/2
-                assert cert.exponent_family == Poly(
-                    (F(n - 1, 2), F(-(n - 1), 2))
-                )
+                # family is -(n-1)(r-1)/2, n odd
+                assert cert.exponent_family == ((n - 1) // 2, (1 - n) // 2, 0, 1)
 
     def test_multi_summand_falls_back(self):
         cert = locality(SVX, Pair(VirasoroKp2(1, 2), VirasoroT(1, 2)))
@@ -1028,7 +1027,8 @@ def fit_oracle(alg, base, truncate=40):
     """The former locality route, kept as an oracle: fit one polynomial
     through the exponents of slices 1..5 when each has a single summand
     with a constant exponent, validate it on slices 6 and 7, and otherwise
-    scan `truncate` slices for a non-integral exponent."""
+    scan `truncate` slices for a non-integral exponent.  The fitted family
+    is returned in the certificate's integer form (`int_family`)."""
     cat = alg.base_category
 
     def exponents(r):
@@ -1046,7 +1046,7 @@ def fit_oracle(alg, base, truncate=40):
         family = interpolate(list(enumerate(values[:5], start=1)))
         if family.degree <= 4 and all(family.eval(r) == values[r - 1] for r in (6, 7)):
             witness = first_non_integer_positive(family)
-            return (NON_LOCAL if witness else LOCAL), witness, family
+            return (NON_LOCAL if witness else LOCAL), witness, int_family(family)
     for r in range(1, truncate + 1):
         if any(exponent_status(e) != INTEGER for e in exponents(r)):
             return NON_LOCAL, r, None

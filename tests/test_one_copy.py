@@ -13,6 +13,9 @@ back.
 The self-test certifies a universal map's uniqueness by the top leg's rank
 alone, so no sampled perturbation sweep (`_uniqueness_by_perturbation`) or
 its entry count (`perturb_entries`) comes back.
+A weight is memoized once, as a `WeightVec` in `_vec_cache`, and the vector
+keeps its own `RatFunc` view, so no second memo of `RatFunc` weights
+(`_weight_cache`) comes back.
 """
 
 import ast
@@ -21,7 +24,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "limfuse"
 GONE = {"class Phase", "def _pack", "_packed_cache",
         "_stray", "def _require_graded", "def grade_violations", "def is_grade_preserving", "def _weight_raw",
-        "def _uniqueness_by_perturbation", "perturb_entries"}
+        "def _uniqueness_by_perturbation", "perturb_entries", "_weight_cache"}
 
 
 def second_copies(text: str) -> set[str]:
@@ -43,7 +46,8 @@ def test_guard_sees_each_copy():
     text = ("class Phase:\n    pass\ndef _pack(alg):\n    return alg._packed_cache\ndef _packed_side(): pass\n"
             "def _require_graded(f):\n    return f._stray\ndef grade_violations(): pass\ndef is_grade_preserving(): pass\n"
             "class C:\n    def _weight_raw(self, x): pass\n"
-            "def _uniqueness_by_perturbation(f, perturb_entries=8): pass\n")
+            "def _uniqueness_by_perturbation(f, perturb_entries=8): pass\n"
+            "def weight_of(cat, x):\n    return cat._weight_cache[x]\n")
     assert second_copies(text) == GONE
     assert second_copies("def _packed_side(alg):\n    return alg._restrict_cache\n") == set()
 
