@@ -2,7 +2,9 @@
 
 A GradedSpace is a finite list of basis vectors, each carrying a rational
 weight; its grades (basis indices per weight) are computed at construction,
-weights ordered as integers over the lcm of their denominators.  A GradeMap
+weights ordered as integers over the lcm of their denominators.  A tensor
+product takes each vector's grade from its factors' grade keys, with one sum
+of Fractions per pair of factor grades and no re-grading.  A GradeMap
 holds, per weight of both spaces, one block of integers over the least
 common denominator, keyed by the weight's (numerator, denominator), which
 hashes far faster than a Fraction.  Composition, equality, rank, kernel,
@@ -14,9 +16,12 @@ counting the nonzero entries it reads; an all-int input needs no common
 denominator, and the input is searched for the joining entry only when it
 has more nonzero entries than its blocks.
 
-Kernels skip exact elimination on blocks of full column rank modulo the prime
-2^61 - 1: a maximal minor nonzero mod the prime is a nonzero integer, so such
-a block has full column rank over Q and no kernel (`linalg.injective_mod_p`).
+Kernels skip exact elimination where a block's shape decides: an absent or
+all-zero block gives its unit vectors, and an identity block or one of full
+column rank modulo the prime 2^61 - 1 gives none (a maximal minor nonzero mod
+the prime is a nonzero integer, so the rank over Q is full too;
+`linalg.injective_mod_p`).  A block with fewer rows than columns has a kernel
+and goes straight to exact elimination, as does any block not certified.
 
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are
@@ -25,7 +30,6 @@ ever used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -39,10 +43,9 @@ Weight = Fraction
 GradeKey = tuple[int, int]
 Block = tuple[tuple[tuple[int, ...], ...], int]
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
 class GradedSpace:
     """Basis ids with rational weights.  `grades` (basis indices per weight,
     weights ascending, indices in basis order, keyed by the weight's
@@ -50,29 +53,37 @@ class GradedSpace:
     the grade) of each basis index) are computed at construction; equality
     and hashing see `basis` only."""
 
-    basis: tuple[tuple[str, Weight], ...]
+    __slots__ = ("basis", "grades", "positions", "_tensor")
 
-    def __post_init__(self):
-        if len({b for b, _ in self.basis}) != len(self.basis):
-            raise ValueError("duplicate basis ids")
+    def __init__(self, basis: tuple[tuple[str, Weight], ...]):
         found: dict[GradeKey, list[int]] = {}
-        for k, (_, w) in enumerate(self.basis):
-            key = w.as_integer_ratio()
-            ix = found.get(key)
-            if ix is None:
-                found[key] = [k]
-            else:
-                ix.append(k)
+        for k, (_, w) in enumerate(basis):
+            found.setdefault(w.as_integer_ratio(), []).append(k)
+        self._set(basis, found)
+
+    def _set(self, basis, found: dict[GradeKey, list[int]]) -> None:
+        """Keep `basis` with its grades, `found` in any order of weights."""
+        if len({b for b, _ in basis}) != len(basis):
+            raise ValueError("duplicate basis ids")
         keys = found
         if len(found) > 1:  # weights in order, as integers over one denominator
             scale = lcm(*(d for _, d in found))
             keys = sorted(found, key=lambda key: key[0] * (scale // key[1]))
         grades = {key: tuple(found[key]) for key in keys}
-        positions: list = [None] * len(self.basis)
+        positions: list = [None] * len(basis)
         for key, ix in grades.items():
             for p, k in enumerate(ix):
                 positions[k] = (key, p)
-        self.__dict__.update(grades=grades, positions=tuple(positions))
+        self.basis, self.grades, self.positions, self._tensor = basis, grades, tuple(positions), None
+
+    def __eq__(self, other) -> bool:
+        return self.basis == other.basis if other.__class__ is GradedSpace else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.basis,))
+
+    def __repr__(self) -> str:
+        return f"GradedSpace(basis={self.basis!r})"
 
     @staticmethod
     def make(basis: Sequence[tuple[str, Union[int, Fraction]]]) -> "GradedSpace":
@@ -97,15 +108,27 @@ class GradedSpace:
         return {Fraction(*key): len(ix) for key, ix in self.grades.items()}
 
     def tensor(self, other: "GradedSpace") -> "GradedSpace":
-        """Tensor product: basis pairs, weights add.  Kept per factor, so the
-        tensor maps between the same spaces share their source and target."""
-        memo = self.__dict__.setdefault("_tensor", {})
-        hit = memo.get(id(other))
+        """Tensor product: basis pairs, weights add, graded from the factors'
+        keys.  Kept per factor, so the tensor maps between the same spaces
+        share their source and target."""
+        if self._tensor is None:
+            self._tensor = {}
+        hit = self._tensor.get(id(other))
         if hit is None or hit[0] is not other:
-            product = GradedSpace(
-                tuple((f"({a})*({b})", wa + wb) for a, wa in self.basis for b, wb in other.basis)
-            )
-            hit = memo[id(other)] = (other, product)
+            sums, found = {}, {}  # pair of factor grade keys -> product weight; product grades
+            n2 = other.dim
+            for k1, ix1 in self.grades.items():
+                w1 = self.basis[ix1[0]][1]
+                for k2, ix2 in other.grades.items():
+                    w = sums[k1, k2] = w1 + other.basis[ix2[0]][1]
+                    ix, key = [i * n2 + j for i in ix1 for j in ix2], w.as_integer_ratio()
+                    found[key] = sorted(found[key] + ix) if key in found else ix
+            basis = tuple((f"({a})*({b})", sums[k1, k2])
+                          for (a, _), (k1, _) in zip(self.basis, self.positions)
+                          for (b, _), (k2, _) in zip(other.basis, other.positions))
+            product = object.__new__(GradedSpace)
+            product._set(basis, found)
+            hit = self._tensor[id(other)] = (other, product)
         return hit[1]
 
 
@@ -264,13 +287,15 @@ class GradeMap:
     def kernel(self) -> Rows:
         """Canonical basis of the kernel, as vectors in source coordinates:
         the block kernels side by side, ordered by pivot; computed once.
-        Only the blocks `linalg.injective_mod_p` does not certify are
-        reduced exactly."""
+        Only blocks whose shape or certificate does not decide are reduced."""
         if self._kernel is None:
             found = []
             for key, cols in self.source.grades.items():
-                block = self._blocks.get(key, ((), 1))  # no target vectors of this weight: all of it
-                if block != _identity_block(len(cols)) and not linalg.injective_mod_p(block[0], len(cols)):
+                block = self._blocks.get(key)  # None: no target vectors of this weight
+                if block is None or not any(map(any, block[0])):
+                    found += [(c, (c,), (_ONE,)) for c in cols]
+                elif len(block[0]) < len(cols) or (block != _identity_block(len(cols))
+                                                   and not linalg.injective_mod_p(block[0], len(cols))):
                     found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
             self._kernel = _spread(found, self.source.dim)
         return self._kernel

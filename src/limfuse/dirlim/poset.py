@@ -112,7 +112,8 @@ class DirectedPoset:
     def product(self, other: "DirectedPoset") -> "DirectedPoset":
         """Componentwise order on pairs "(a,b)"; kept per right factor, so
         products of the same factors are one poset."""
-        memo = self.__dict__.setdefault("_product", {})
+        if (memo := self.__dict__.get("_product")) is None:
+            memo = self.__dict__["_product"] = {}
         hit = memo.get(id(other))
         if hit is None or hit[0] is not other:
             elements = tuple(f"({a},{b})" for a in self.elements for b in other.elements)

@@ -75,8 +75,9 @@ class ValidationReport:
 
 class TransitionMaps(Mapping):
     """Read-only transition maps of a system: the given ones and every other
-    strict pair, composed on first use.  A composite whose route meets a
-    missing cover map raises ValueError naming that cover."""
+    strict pair, composed on first use.  A stored map is returned by one
+    lookup; only a composite not yet kept walks its route, and one whose
+    route meets a missing cover map raises ValueError naming that cover."""
 
     def __init__(self, poset: DirectedPoset, given: Mapping[tuple[str, str], GradeMap]):
         self._poset = poset
@@ -94,6 +95,8 @@ class TransitionMaps(Mapping):
         return key in self._keys
 
     def __getitem__(self, key: tuple[str, str]) -> GradeMap:
+        if (hit := self._known.get(key)) is not None:
+            return hit
         if key not in self._keys:
             raise KeyError(key)
         known, (i, k) = self._known, key

@@ -151,6 +151,19 @@ class TestValidate:
         with pytest.raises(TypeError):
             sys.maps[("1", "3")] = maps[("1", "3")]
 
+    def test_stored_maps_are_returned_without_a_route_walk(self, monkeypatch):
+        step = GradeMap.make(Q2, Q2, [[1, 1], [0, 1]])
+        sys = DirectSystem.on_chain([Q2] * 4, [step] * 3)
+        routes, route = [], type(sys.maps).route
+        monkeypatch.setattr(type(sys.maps), "route", lambda self, i, k: routes.append(i) or route(self, i, k))
+        assert sys.maps[("1", "2")] is step and not routes
+        leg = sys.maps[("1", "4")]
+        assert leg == step @ step @ step and routes == ["1", "2"]
+        assert sys.maps[("1", "4")] is leg and sys.maps[("2", "4")] == step @ step and routes == ["1", "2"]
+        for key in (("4", "1"), ("1", "1"), ("1", "5")):
+            with pytest.raises(KeyError):
+                sys.maps[key]
+
     def test_work_count_on_twelve_chain(self, monkeypatch):
         # a chain given by covers has no diamonds, so validation composes
         # nothing; the legs f_i^12 are composed once down the chain (10
@@ -1033,6 +1046,60 @@ class TestGradeMapAgainstDense:
         assert (graded @ graded).matrix == ((F(1), F(0)), (F(0), F(9)))
         assert graded.kernel() == () and graded.rank() == 2
         assert GradeMap.make(half, mixed, [[0], [0]]).kernel() == ((F(1),),)
+
+
+
+class TestKernelBlockShapes:
+    """Absent, all-zero and identity blocks skip both the certificate and
+    elimination, wide blocks (fewer rows than columns) skip the certificate,
+    and other square blocks are certified; every kernel matches the dense
+    oracle."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls, original = [], getattr(linalg, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+        return calls
+
+    @staticmethod
+    def _shape_maps(rng, shape):
+        """Seeded maps each of whose blocks has the given shape."""
+        weights = [F(0), F(1, 2), F(-1), F(5, 3)]
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            dims = [rng.randint(2 if shape == "wide" else 1, 4) for _ in range(n)]
+            rows = [rng.randint(1, d - 1) if shape == "wide" else d for d in dims]
+            source = GradedSpace.make([(f"s{w}{k}", w) for w, d in zip(weights, dims) for k in range(d)])
+            if shape == "no rows":  # the target shares no weight with the source
+                target = GradedSpace.make([(f"t{k}", F(7, 2)) for k in range(rng.randint(0, 3))])
+            else:
+                target = GradedSpace.make([(f"t{w}{k}", w) for w, r in zip(weights, rows) for k in range(r)])
+            if shape == "wide":
+                rows = [[rng.choice([0, 1, -2, 3, F(1, 2)]) if source.weight(c) == target.weight(r) else 0
+                         for c in range(source.dim)] for r in range(target.dim)]
+            elif shape in ("identity", "unitriangular"):
+                rows = [[int(r == c) if c <= r or shape == "identity" or source.weight(c) != target.weight(r)
+                         else rng.choice([0, 2, -1]) for c in range(source.dim)] for r in range(target.dim)]
+            else:
+                rows = [[0] * source.dim for _ in range(target.dim)]
+            yield GradeMap.make(source, target, rows)
+
+    @pytest.mark.parametrize("shape, certified, reduced", [
+        ("no rows", False, False), ("zero", False, False), ("wide", False, True), ("identity", False, False),
+        ("unitriangular", True, False)])
+    def test_kernel_by_block_shape_matches_dense_kernel(self, monkeypatch, shape, certified, reduced):
+        rng = random.Random(17)
+        certificates = self._count(monkeypatch, "injective_mod_p")
+        reductions = self._count(monkeypatch, "null_space")
+        for f in self._shape_maps(rng, shape):
+            assert f.kernel() == _dense_kernel(f.matrix, f.source.dim)
+            assert f.rank() == len(_reference_rref(_dense_columns(f.matrix, f.source.dim), f.target.dim)[1])
+        assert bool(certificates) == certified and bool(reductions) == reduced
 
 
 def _old_covers(poset):

@@ -1,9 +1,10 @@
 """Construction of direct systems: shared chain and product posets, grades
-computed at construction, one-pass grade maps that refuse an entry joining
-distinct weights, constant systems and products whose report is taken from
-the poset and the factors (fubini's iterated system from its outer factor),
-fubini's comparison solved at the top stage, and the inclusion order read
-from containment, each against a reference built from scratch."""
+computed at construction (products' from their factors' keys), one-pass
+grade maps that refuse an entry joining distinct weights, constant systems
+and products whose report is taken from the poset and the factors (fubini's
+iterated system from its outer factor), fubini's comparison solved at the
+top stage, and the inclusion order read from containment, each against a
+reference built from scratch."""
 
 from fractions import Fraction as F
 
@@ -62,16 +63,34 @@ def _assert_matches_reference(source, target, matrix):
     return g
 
 
+# denominators 1, 2 and 3, negative weights, and pairs of grades whose sums meet
+PRODUCT_WEIGHTS = [F(0), F(1), F(-2), F(1, 2), F(-1, 2), F(3, 2), F(1, 3), F(-2, 3), F(5, 3)]
+
+
+def _assert_graded_as_sorted(space):
+    assert list(space.grades.items()) == list(space_grades(space).items())
+    for key, ix in space.grades.items():
+        for p, k in enumerate(ix):
+            assert space.positions[k] == (key, p)
+    assert len(space.positions) == space.dim
+
+
 class TestGradedSpace:
     def test_grades_and_positions_match_the_fraction_sort(self):
         rng = random.Random(3)
         for _ in range(300):
-            space = _space(rng, WEIGHTS[:rng.randint(1, len(WEIGHTS))], 8, "b")
-            assert list(space.grades.items()) == list(space_grades(space).items())
-            for key, ix in space.grades.items():
-                for p, k in enumerate(ix):
-                    assert space.positions[k] == (key, p)
-            assert len(space.positions) == space.dim
+            _assert_graded_as_sorted(_space(rng, WEIGHTS[:rng.randint(1, len(WEIGHTS))], 8, "b"))
+        for _ in range(300):  # products are graded from their factors' keys
+            a = _space(rng, rng.sample(PRODUCT_WEIGHTS, rng.randint(1, 5)), 5, "a")
+            b = _space(rng, rng.sample(PRODUCT_WEIGHTS, rng.randint(1, 5)), 5, "b")
+            product = a.tensor(b)
+            _assert_graded_as_sorted(product)
+            assert product.basis == tuple((f"({x})*({y})", wa + wb) for x, wa in a.basis for y, wb in b.basis)
+            assert all(type(w) is F for _, w in product.basis)
+            fresh = GradedSpace(product.basis)
+            assert product == fresh and hash(product) == hash(fresh)
+            assert product.grades == fresh.grades and product.positions == fresh.positions
+            assert a.tensor(b) is product
 
     def test_equality_and_hash_see_the_basis_only(self):
         a = GradedSpace.make([("x", F(1, 2)), ("y", 0)])
@@ -80,6 +99,15 @@ class TestGradedSpace:
         assert repr(a) == "GradedSpace(basis=(('x', Fraction(1, 2)), ('y', Fraction(0, 1))))"
         with pytest.raises(ValueError, match="duplicate basis ids"):
             GradedSpace.make([("x", 0), ("x", 1)])
+
+    def test_products_stay_hashable_with_the_basis_repr(self):
+        a = GradedSpace.make([("x", F(1, 2)), ("y", 0)])
+        product = a.tensor(GradedSpace.make([("z", 1)]))
+        assert repr(product) == "GradedSpace(basis=(('(x)*(z)', Fraction(3, 2)), ('(y)*(z)', Fraction(1, 1))))"
+        assert {product: 1}[GradedSpace(product.basis)] == 1 and len({a, product, GradedSpace(a.basis)}) == 2
+        assert a != a.basis and a.__eq__(a.basis) is NotImplemented
+        with pytest.raises(ValueError, match="duplicate basis ids"):  # "(x)*(y)*(z)" twice
+            GradedSpace.make([("x)*(y", 0), ("x", 0)]).tensor(GradedSpace.make([("z", 0), ("y)*(z", 0)]))
 
 
 class TestGradeMapAgainstReference:
