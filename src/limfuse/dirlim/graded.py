@@ -17,11 +17,12 @@ denominator, and the input is searched for the joining entry only when it
 has more nonzero entries than its blocks.
 
 Kernels skip exact elimination where a block's shape decides: an absent or
-all-zero block gives its unit vectors, and an identity block or one of full
-column rank modulo the prime 2^61 - 1 gives none (a maximal minor nonzero mod
-the prime is a nonzero integer, so the rank over Q is full too;
-`linalg.injective_mod_p`).  A block with fewer rows than columns has a kernel
-and goes straight to exact elimination, as does any block not certified.
+all-zero block gives its unit vectors, and a nonzero block of one column, an
+identity block or one of full column rank modulo the prime 2^30 - 35 gives
+none (a maximal minor nonzero mod the prime is a nonzero integer, so the
+rank over Q is full too; `linalg.injective_mod_p`).  A block with fewer rows
+than columns has a kernel and goes straight to exact elimination, as does
+any block not certified.
 
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are
@@ -294,8 +295,8 @@ class GradeMap:
                 block = self._blocks.get(key)  # None: no target vectors of this weight
                 if block is None or not any(map(any, block[0])):
                     found += [(c, (c,), (_ONE,)) for c in cols]
-                elif len(block[0]) < len(cols) or (block != _identity_block(len(cols))
-                                                   and not linalg.injective_mod_p(block[0], len(cols))):
+                elif len(cols) > 1 and (len(block[0]) < len(cols) or (
+                        block != _identity_block(len(cols)) and not linalg.injective_mod_p(block[0], len(cols)))):
                     found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
             self._kernel = _spread(found, self.source.dim)
         return self._kernel

@@ -5,9 +5,11 @@ which makes the inclusion order directed; an empty input yields the
 one-element system on the zero subspace.  The order is containment, already
 reflexive and transitive: one rank test against each strictly larger subspace
 (whose canonical rows are independent) decides it, as distinct subspaces of
-one dimension never contain each other.  The canonical map from the limit
-(the greatest subspace) into the ambient space is its embedding, injective
-always and surjective exactly when the subspaces cover.
+one dimension never contain each other.  Canonical bases are reduced grade
+by grade, on each grade's own columns, and spread back to ambient length.
+The canonical map from the limit (the greatest subspace) into the ambient
+space is its embedding, injective always and surjective exactly when the
+subspaces cover.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from limfuse.dirlim import linalg
-from limfuse.dirlim.graded import GradedSpace, GradeMap
+from limfuse.dirlim.graded import GradedSpace, GradeMap, _spread
 from limfuse.dirlim.linalg import Rows, Vec
 from limfuse.dirlim.poset import DirectedPoset
 from limfuse.dirlim.system import DirectSystem, Limit, direct_limit
@@ -42,8 +44,8 @@ def canonical_subspace(ambient: GradedSpace, rows: Sequence[Sequence[Fraction]])
         clean.append(v)
     comp_rows: list[Vec] = []
     for cols in ambient.grades.values():
-        proj = [tuple(x if c in cols else Fraction(0) for c, x in enumerate(v)) for v in clean]
-        comp_rows.extend(linalg.span_rows(proj, dim))
+        red, pivots = linalg.rref([[v[c] for c in cols] for v in clean], len(cols))
+        comp_rows += _spread([(p, cols, row) for p, row in zip(pivots, red)], dim)
     if len(comp_rows) != linalg.rank(clean, dim):
         raise NotASubspace("span is not closed under the grading")
     return tuple(comp_rows)

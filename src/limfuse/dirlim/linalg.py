@@ -8,10 +8,12 @@ Fractions occurs once at the end, producing the canonical reduced row
 echelon form.
 
 `injective_mod_p` certifies full column rank without it, by elimination of an
-integer block modulo the prime P = 2^61 - 1: a minor nonzero mod P is a
-nonzero integer, so rank mod P never exceeds rank over Q.  A False answer
-proves nothing (a rank-deficient block, or P divides each maximal minor);
-the caller then reduces exactly.
+integer block modulo the prime P = 2^30 - 35: a minor nonzero mod P is a
+nonzero integer, so rank mod P never exceeds rank over Q.  P is below 2^30,
+so every residue is a one-digit CPython int and each multiply-and-reduce
+stays on the small-int path.  A False answer proves nothing (a
+rank-deficient block, or P divides each maximal minor); the caller then
+reduces exactly.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return len(rref(rows, ncols)[1])
 
 
-P = (1 << 61) - 1
+P = (1 << 30) - 35  # the largest prime below 2^30
 
 
 def injective_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> bool:
@@ -160,9 +162,3 @@ def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]], nco
                     acc[k] += v * x
         out.append(tuple(acc))
     return tuple(out)
-
-
-def span_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Rows:
-    """Canonical basis (RREF rows) of the row space; the subspace fingerprint."""
-    return rref(rows, ncols)[0]
-

@@ -25,10 +25,13 @@ f_j^k o f_i^j = f_i^k.  The triples through a route hold by construction
 once the given non-cover maps are checked, so only those claims and the
 diamonds are left; chains and trees have no diamonds.  The same telescoping
 along saturated chains lets universal maps check their cocone along covers
-only.  A system's report is computed once and kept on the system, whose
-spaces and maps are read-only.  On a valid system the sum over j >= i of
-ker f_i^j is ker f_i^top, as top is one of the j, so `kernel_union` is one
-kernel, that of the leg f_i^top of `direct_limit`.
+only.  A target made of the system's own legs (the stored f_i^top, the
+identity at top) is a cocone by functoriality, which validation certified,
+so a cover between two such legs is not recomposed; every other cover is.
+A system's report is computed once and kept on the system, whose spaces and
+maps are read-only.  On a valid system the sum over j >= i of ker f_i^j is
+ker f_i^top, as top is one of the j, so `kernel_union` is one kernel, that
+of the leg f_i^top of `direct_limit`.
 """
 
 from __future__ import annotations
@@ -302,21 +305,25 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
 
     Each psi_i is a GradeMap, so it preserves the grading, and so does F.
     The limit's system must be valid (InvalidSystem otherwise; its report
-    is memoized).  The cocone is checked along covers, and F is solved from
-    the top stage alone: phi_top is onto, and phi_i = phi_top o f_i^top."""
+    is memoized).  The cocone is checked along covers, but not on one between
+    two of the system's own legs (see the module docstring).  F is solved
+    from the top stage alone: phi_top is onto, and phi_i = phi_top o f_i^top."""
     sys = lim.system
     _require_valid(sys)
+    top, known = sys.poset.greatest(), sys.maps._known
+    own = set()  # stages whose psi is the system's own map into top
     for i in sys.poset.elements:
         psi = tgt.psis.get(i)
         if psi is None:
             raise IncompatibleTarget(f"missing target map for {i}")
         if psi.source != sys.spaces[i] or psi.target != tgt.space:
             raise IncompatibleTarget(f"target map for {i} has wrong source or target")
+        if psi is known.get((i, top)) or (i == top and psi == GradeMap.identity(tgt.space)):
+            own.add(i)
     for i, c in sys.poset.covers():
-        if tgt.psis[c] @ sys.map(i, c) != tgt.psis[i]:
+        if not (i in own and c in own) and tgt.psis[c] @ sys.map(i, c) != tgt.psis[i]:
             raise IncompatibleTarget(f"psi_{c} o f_{i}^{c} != psi_{i}")
 
-    top = sys.poset.greatest()
     f = tgt.psis[top].factor_through(lim.legs[top])
     if f is None:
         raise IncompatibleTarget("target maps are inconsistent with the limit")

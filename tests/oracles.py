@@ -34,6 +34,10 @@ needs it.
   comparison taken through `universal_map`, which checks their cocone.
 - `inclusion_order`: the former inclusion order, the closure of the strict
   containments, each found by rank tests in both directions over all pairs.
+- `canonical_subspace_by_projection`: the former `canonical_subspace`, which
+  projected every row onto each grade as a dense vector over the whole
+  ambient dimension and reduced it there, against which the reduction on
+  each grade's own columns is checked.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ from limfuse.catdata import (
     VirasoroT,
 )
 from limfuse.cli import ConfigError
-from limfuse.dirlim import (DirectedPoset, DirectSystem, GradeMap, Limit, Target, direct_limit, linalg, tensor_system,
-                            universal_map)
+from limfuse.dirlim import (DirectedPoset, DirectSystem, GradeMap, Limit, NotASubspace, Target, direct_limit, linalg,
+                            tensor_system, universal_map)
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
 from limfuse.fusion import FusionElement
 from limfuse.fusion.ring import _require_element, ring_mul
@@ -384,3 +388,22 @@ def inclusion_order(ambient, subspace_rows) -> DirectedPoset:
     strict = [(i, j) for i, si in subspace_rows.items() for j, sj in subspace_rows.items()
               if i != j and contains(sj, si) and not contains(si, sj)]
     return DirectedPoset.from_covers(list(subspace_rows), strict)
+
+
+def canonical_subspace_by_projection(ambient, rows) -> tuple:
+    """Canonical homogeneous basis of the span of `rows`: per grade, every
+    row projected onto the grade's columns at full ambient length and row
+    reduced over all columns.  NotASubspace as `canonical_subspace`."""
+    dim, clean = ambient.dim, []
+    for v in rows:
+        v = tuple(Fraction(x) for x in v)
+        if len(v) != dim:
+            raise NotASubspace(f"vector of length {len(v)} in ambient of dimension {dim}")
+        clean.append(v)
+    comp_rows = []
+    for cols in ambient.grades.values():
+        proj = [tuple(x if c in cols else Fraction(0) for c, x in enumerate(v)) for v in clean]
+        comp_rows.extend(linalg.rref(proj, dim)[0])
+    if len(comp_rows) != linalg.rank(clean, dim):
+        raise NotASubspace("span is not closed under the grading")
+    return tuple(comp_rows)

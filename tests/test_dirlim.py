@@ -383,6 +383,43 @@ class TestUniversalMap:
         for e in sys.poset.elements:
             assert f @ lim.legs[e] == psis[e]
 
+    @staticmethod
+    def _own_leg_systems():
+        """A chain, a tree and a product of two chains, with their tops."""
+        step = GradeMap.make(Q2, Q2, [[1, 1], [0, 0]])
+        chain = DirectSystem.on_chain([Q2] * 5, [step] * 4)
+        swap = GradeMap.make(Q2, Q2, [[0, 1], [1, 0]])
+        tree = DirectSystem(DirectedPoset.from_covers("abcde", [("a", "c"), ("b", "c"), ("c", "e"), ("d", "e")]),
+                            {e: Q2 for e in "abcde"},
+                            {("a", "c"): step, ("b", "c"): swap, ("c", "e"): step, ("d", "e"): swap})
+        x = DirectSystem.on_chain([Q1, Q2], [GradeMap.make(Q1, Q2, [[1], [2]])], "x")
+        y = DirectSystem.on_chain([Q2, Q2, Q1], [step, GradeMap.make(Q2, Q1, [[1, 3]])], "y")
+        return [(chain, "5"), (tree, "e"), (tensor_system(x, y), "(x2,y3)")]
+
+    def test_own_legs_are_not_recomposed(self, monkeypatch):
+        # a target of the system's own maps into top is a cocone by
+        # functoriality, which validation certified: no composition at all
+        calls, compose = [], GradeMap.__matmul__
+        monkeypatch.setattr(GradeMap, "__matmul__", lambda self, other: calls.append(1) or compose(self, other))
+        for sys, top in self._own_leg_systems():
+            lim = direct_limit(sys)
+            psis = {e: sys.map(e, top) for e in sys.poset.elements}
+            calls.clear()
+            f = universal_map(lim, Target(sys.space(top), psis))
+            assert calls == [] and f == GradeMap.identity(sys.space(top))
+
+    def test_copies_of_own_legs_take_the_composed_check(self, monkeypatch):
+        calls, compose = [], GradeMap.__matmul__
+        monkeypatch.setattr(GradeMap, "__matmul__", lambda self, other: calls.append(1) or compose(self, other))
+        for sys, top in self._own_leg_systems():
+            lim = direct_limit(sys)
+            psis = {e: sys.map(e, top) for e in sys.poset.elements}
+            copies = {e: GradeMap(psi.source, psi.target, psi.matrix) for e, psi in psis.items()}
+            assert all(copies[e] == psis[e] and copies[e] is not psis[e] for e in psis)
+            calls.clear()
+            f = universal_map(lim, Target(sys.space(top), copies))
+            assert len(calls) == len(sys.poset.covers()) and f == GradeMap.identity(sys.space(top))
+
     def test_zero_target(self):
         sys = inclusion_chain()
         lim = direct_limit(sys)
@@ -837,8 +874,9 @@ class TestLinalg:
 
 
 class TestKernelCertificate:
-    """`linalg.injective_mod_p` certifies full column rank modulo P = 2^61 - 1;
-    the exact reduction decides every block it does not certify."""
+    """`linalg.injective_mod_p` certifies full column rank modulo the prime
+    P = 2^30 - 35, below 2^30 so that every residue is a one-digit int; the
+    exact reduction decides every block it does not certify."""
 
     def test_certificate_agrees_with_exact_rank_on_small_entries(self):
         # every minor here is far below P, so rank mod P equals rank over Q
@@ -853,7 +891,7 @@ class TestKernelCertificate:
 
     def test_blocks_singular_mod_p_fall_back_to_the_exact_kernel(self):
         p = linalg.P
-        assert p == 2**61 - 1
+        assert p < 2**30 and all(p % d for d in range(2, math.isqrt(p) + 1))
         for block in ([[p]], [[p, 0], [0, 1]], [[1, 1], [1, p + 1]], [[3 * p, 1], [0, p], [p, 0]]):
             n = len(block[0])
             assert not linalg.injective_mod_p(block, n)
@@ -927,7 +965,7 @@ def _closure_in_rounds(ambient, subspaces):
         work = []
         for a in range(len(canon)):
             for b in range(a + 1, len(canon)):
-                s = canonical_subspace(ambient, linalg.span_rows(canon[a] + canon[b], ambient.dim))
+                s = canonical_subspace(ambient, linalg.rref(canon[a] + canon[b], ambient.dim)[0])
                 if s not in seen:
                     seen.add(s)
                     work.append(s)
@@ -1050,10 +1088,10 @@ class TestGradeMapAgainstDense:
 
 
 class TestKernelBlockShapes:
-    """Absent, all-zero and identity blocks skip both the certificate and
-    elimination, wide blocks (fewer rows than columns) skip the certificate,
-    and other square blocks are certified; every kernel matches the dense
-    oracle."""
+    """Absent, all-zero, identity and nonzero one-column blocks skip both the
+    certificate and elimination, wide blocks (fewer rows than columns) skip
+    the certificate, and other square blocks are certified; every kernel
+    matches the dense oracle."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -1072,8 +1110,9 @@ class TestKernelBlockShapes:
         weights = [F(0), F(1, 2), F(-1), F(5, 3)]
         for _ in range(60):
             n = rng.randint(1, 3)
-            dims = [rng.randint(2 if shape == "wide" else 1, 4) for _ in range(n)]
-            rows = [rng.randint(1, d - 1) if shape == "wide" else d for d in dims]
+            dims = [1 if shape == "column" else rng.randint(2 if shape == "wide" else 1, 4) for _ in range(n)]
+            rows = [rng.randint(1, d - 1) if shape == "wide" else rng.randint(1, 3) if shape == "column" else d
+                    for d in dims]
             source = GradedSpace.make([(f"s{w}{k}", w) for w, d in zip(weights, dims) for k in range(d)])
             if shape == "no rows":  # the target shares no weight with the source
                 target = GradedSpace.make([(f"t{k}", F(7, 2)) for k in range(rng.randint(0, 3))])
@@ -1082,6 +1121,11 @@ class TestKernelBlockShapes:
             if shape == "wide":
                 rows = [[rng.choice([0, 1, -2, 3, F(1, 2)]) if source.weight(c) == target.weight(r) else 0
                          for c in range(source.dim)] for r in range(target.dim)]
+            elif shape == "column":  # n x 1 blocks, each with a nonzero first entry
+                first = {target.weight(r): r for r in reversed(range(target.dim))}
+                rows = [[rng.choice([3, -1, F(2, 5)] if r == first[target.weight(r)] else [0, 1, -2, F(1, 2)])
+                         if source.weight(c) == target.weight(r) else 0 for c in range(source.dim)]
+                        for r in range(target.dim)]
             elif shape in ("identity", "unitriangular"):
                 rows = [[int(r == c) if c <= r or shape == "identity" or source.weight(c) != target.weight(r)
                          else rng.choice([0, 2, -1]) for c in range(source.dim)] for r in range(target.dim)]
@@ -1090,8 +1134,8 @@ class TestKernelBlockShapes:
             yield GradeMap.make(source, target, rows)
 
     @pytest.mark.parametrize("shape, certified, reduced", [
-        ("no rows", False, False), ("zero", False, False), ("wide", False, True), ("identity", False, False),
-        ("unitriangular", True, False)])
+        ("no rows", False, False), ("zero", False, False), ("column", False, False), ("wide", False, True),
+        ("identity", False, False), ("unitriangular", True, False)])
     def test_kernel_by_block_shape_matches_dense_kernel(self, monkeypatch, shape, certified, reduced):
         rng = random.Random(17)
         certificates = self._count(monkeypatch, "injective_mod_p")

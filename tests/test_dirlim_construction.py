@@ -3,8 +3,9 @@ computed at construction (products' from their factors' keys), one-pass
 grade maps that refuse an entry joining distinct weights, constant systems
 and products whose report is taken from the poset and the factors (fubini's
 iterated system from its outer factor), fubini's comparison solved at the
-top stage, and the inclusion order read from containment, each against a
-reference built from scratch."""
+top stage, the inclusion order read from containment, and canonical
+subspaces reduced on each grade's own columns, each against a reference
+built from scratch."""
 
 from fractions import Fraction as F
 
@@ -18,6 +19,8 @@ from limfuse.dirlim import (
     DirectSystem,
     GradedSpace,
     GradeMap,
+    NotASubspace,
+    canonical_subspace,
     inclusion_system,
     tensor_system,
     validate_system,
@@ -28,7 +31,8 @@ from limfuse.dirlim.randgen import (random_chain_system, random_fubini_triple, r
 from limfuse.dirlim.system import _validate
 from limfuse.dirlim.tensor import fubini_compare
 
-from oracles import fubini_by_stages, grade_map_parts, inclusion_order, space_grades
+from oracles import (canonical_subspace_by_projection, fubini_by_stages, grade_map_parts, inclusion_order,
+                     space_grades)
 
 WEIGHTS = [F(0), F(1, 2), F(1), F(2), F(-1, 3), F(5, 6)]
 
@@ -322,3 +326,33 @@ class TestInclusionOrder:
             assert poset.leq == reference.leq
             assert poset.covers() == reference.covers()
             assert poset.violations() == ()
+
+
+class TestCanonicalSubspace:
+    def test_per_grade_reduction_matches_the_dense_projection(self):
+        # seeded homogeneous rows with int and Fraction entries, the first two
+        # of distinct grades of the ambient space; their sum stands in for them in 3 of 5 cases, so
+        # that the span is not closed under the grading unless other rows
+        # restore it
+        rng = random.Random(29)
+        entries = [0, 0, 1, -2, 3, F(1, 3), F(-5, 2)]
+        outcomes = {"closed": 0, "refused": 0}
+        for _ in range(400):
+            ambient = _space(rng, WEIGHTS[:4], 6, "e")
+            present = sorted({w for _, w in ambient.basis})
+            grades = rng.sample(present, min(2, len(present))) + rng.choices(WEIGHTS[:4], k=2)
+            rows = [[rng.choice(entries) if ambient.weight(c) == w else 0 for c in range(ambient.dim)]
+                    for w in grades[:rng.randint(1, 4)]]
+            if len(rows) > 1 and rng.random() < 0.6:
+                rows[:2] = [[x + y for x, y in zip(rows[0], rows[1])]]
+            try:
+                expected = canonical_subspace_by_projection(ambient, rows)
+            except NotASubspace as e:
+                with pytest.raises(NotASubspace, match=f"^{re.escape(str(e))}$"):
+                    canonical_subspace(ambient, rows)
+                outcomes["refused"] += 1
+            else:
+                got = canonical_subspace(ambient, rows)
+                assert got == expected and {type(x) for row in got for x in row} <= {F}
+                outcomes["closed"] += 1
+        assert min(outcomes.values()) > 40, outcomes  # both outcomes are exercised
