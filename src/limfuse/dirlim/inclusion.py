@@ -2,14 +2,14 @@
 
 The input list is closed under pairwise sums (sums are adjoined when absent),
 which makes the inclusion order directed; an empty input yields the
-one-element system on the zero subspace.  The order is containment, already
-reflexive and transitive: one rank test against each strictly larger subspace
-(whose canonical rows are independent) decides it, as distinct subspaces of
-one dimension never contain each other.  Canonical bases are reduced grade
-by grade, on each grade's own columns, and spread back to ambient length.
-The canonical map from the limit (the greatest subspace) into the ambient
-space is its embedding, injective always and surjective exactly when the
-subspaces cover.
+one-element system on the zero subspace.  The order is read off the sums the
+closure records: S_a is contained in S_b exactly when S_a + S_b = S_b.
+Canonical bases are reduced grade by grade, on each grade's own columns, and
+spread back to ambient length, so each basis row is 1 at its pivot, where
+every other row of its subspace is 0; the entries of a vector of the span at
+the pivots are its coordinates, which give the cover maps.  The canonical
+map from the limit (the greatest subspace) into the ambient space is its
+embedding, injective always and surjective exactly when the subspaces cover.
 """
 
 from __future__ import annotations
@@ -68,48 +68,36 @@ class InclusionSystem:
 
 def inclusion_system(ambient: GradedSpace, subspaces: Sequence[Sequence[Sequence[Fraction]]]) -> InclusionSystem:
     """Build the directed system of the given subspaces under inclusion."""
-    canon = []
-    seen = set()
+    index: dict[Rows, int] = {}
     for rows in subspaces:
-        c = canonical_subspace(ambient, rows)
-        if c not in seen:
-            seen.add(c)
-            canon.append(c)
-    if not canon:
-        canon = [()]
-        seen = {()}
+        index.setdefault(canonical_subspace(ambient, rows), len(index))
+    index = index or {(): 0}
+    canon = list(index)
     # close under pairwise sums in one pass: each pair is spanned once, when
-    # its later member is reached; new sums are appended and reached in turn
-    for k, new in enumerate(canon):
-        for old in canon[:k]:
-            s = canonical_subspace(ambient, old + new)
-            if s not in seen:
-                seen.add(s)
+    # its later member is reached; new sums are appended and reached in turn.
+    # sums[a, b] is the index of S_a + S_b, so S_a <= S_b exactly when it is b
+    sums: dict[tuple[int, int], int] = {}
+    for b, new in enumerate(canon):
+        sums[b, b] = b
+        for a in range(b):
+            s = canonical_subspace(ambient, canon[a] + new)
+            if s not in index:
+                index[s] = len(canon)
                 canon.append(s)
+            sums[a, b] = sums[b, a] = index[s]
 
-    canon.sort(key=lambda rows: (len(rows), rows))
-    names = [f"S{k}" for k in range(len(canon))]
-    by_name = dict(zip(names, canon))
+    order = sorted(range(len(canon)), key=lambda k: (len(canon[k]), canon[k]))
+    names = {k: f"S{n}" for n, k in enumerate(order)}
+    by_name = {names[k]: canon[k] for k in order}
+    poset = DirectedPoset(tuple(by_name), frozenset((names[a], names[b]) for (a, b), s in sums.items() if s == b))
 
-    leq = frozenset((na, nb) for a, na in enumerate(names) for b, nb in enumerate(names)
-                    if a == b or (len(canon[a]) < len(canon[b])
-                                  and linalg.rank(canon[b] + canon[a], ambient.dim) == len(canon[b])))
-    poset = DirectedPoset(tuple(names), leq)
-
-    # every basis row is a nonzero canonical row, of the weight of its first nonzero entry
-    spaces = {
-        name: GradedSpace(tuple((f"v{k}", ambient.weight(next(c for c, v in enumerate(row) if v)))
-                                for k, row in enumerate(rows)))
-        for name, rows in by_name.items()
-    }
-
-    maps: dict[tuple[str, str], GradeMap] = {}
-    for i, j in poset.covers():
-        small, big = by_name[i], by_name[j]
-        # coordinates of each small basis row in the big basis (unique)
-        bt = tuple(tuple(row[c] for row in big) for c in range(ambient.dim))
-        vt = tuple(tuple(row[c] for row in small) for c in range(ambient.dim))
-        maps[(i, j)] = GradeMap(spaces[i], spaces[j], linalg.solve_matrix(bt, vt, len(big), len(small)))
+    # a canonical row is 1 at its pivot, its first nonzero entry, and every
+    # other row of its subspace is 0 there: entries at the pivots are coordinates
+    pivots = {name: [next(c for c, x in enumerate(row) if x) for row in rows] for name, rows in by_name.items()}
+    spaces = {name: GradedSpace(tuple((f"v{k}", ambient.weight(p)) for k, p in enumerate(pivots[name])))
+              for name in by_name}
+    maps = {(i, j): GradeMap(spaces[i], spaces[j], tuple(tuple(v[p] for v in by_name[i]) for p in pivots[j]))
+            for i, j in poset.covers()}
     return InclusionSystem(DirectSystem(poset, spaces, maps), ambient, by_name)
 
 

@@ -34,6 +34,9 @@ needs it.
   comparison taken through `universal_map`, which checks their cocone.
 - `inclusion_order`: the former inclusion order, the closure of the strict
   containments, each found by rank tests in both directions over all pairs.
+- `inclusion_maps_by_solve`: the former cover maps of `inclusion_system`,
+  extended to every strict pair: the coordinates of each smaller basis row
+  in the larger basis, solved from the dense transposed system.
 - `canonical_subspace_by_projection`: the former `canonical_subspace`, which
   projected every row onto each grade as a dense vector over the whole
   ambient dimension and reduced it there, against which the reduction on
@@ -388,6 +391,20 @@ def inclusion_order(ambient, subspace_rows) -> DirectedPoset:
     strict = [(i, j) for i, si in subspace_rows.items() for j, sj in subspace_rows.items()
               if i != j and contains(sj, si) and not contains(si, sj)]
     return DirectedPoset.from_covers(list(subspace_rows), strict)
+
+
+def inclusion_maps_by_solve(incsys) -> dict:
+    """The inclusion map S_i -> S_j for every strict pair i < j of the
+    system's order, its columns solved from the transposed bases."""
+    rows, spaces, dim = incsys.subspace_rows, incsys.system.spaces, incsys.ambient.dim
+    maps = {}
+    for i, j in incsys.system.poset.leq:
+        if i != j:
+            small, big = rows[i], rows[j]
+            bt = tuple(tuple(row[c] for row in big) for c in range(dim))
+            vt = tuple(tuple(row[c] for row in small) for c in range(dim))
+            maps[(i, j)] = GradeMap(spaces[i], spaces[j], linalg.solve_matrix(bt, vt, len(big), len(small)))
+    return maps
 
 
 def canonical_subspace_by_projection(ambient, rows) -> tuple:

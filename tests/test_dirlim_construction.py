@@ -3,9 +3,9 @@ computed at construction (products' from their factors' keys), one-pass
 grade maps that refuse an entry joining distinct weights, constant systems
 and products whose report is taken from the poset and the factors (fubini's
 iterated system from its outer factor), fubini's comparison solved at the
-top stage, the inclusion order read from containment, and canonical
-subspaces reduced on each grade's own columns, each against a reference
-built from scratch."""
+top stage, the inclusion order and maps read off the closure's sums and the
+canonical rows' pivots, and canonical subspaces reduced on each grade's own
+columns, each against a reference built from scratch."""
 
 from fractions import Fraction as F
 
@@ -25,14 +25,15 @@ from limfuse.dirlim import (
     tensor_system,
     validate_system,
 )
+from limfuse.dirlim import inclusion, linalg
 from limfuse.dirlim import system as dirlim_system
 from limfuse.dirlim.randgen import (random_chain_system, random_fubini_triple, random_grade_map, random_inclusion_case,
                                     random_space)
 from limfuse.dirlim.system import _validate
 from limfuse.dirlim.tensor import fubini_compare
 
-from oracles import (canonical_subspace_by_projection, fubini_by_stages, grade_map_parts, inclusion_order,
-                     space_grades)
+from oracles import (canonical_subspace_by_projection, fubini_by_stages, grade_map_parts, inclusion_maps_by_solve,
+                     inclusion_order, space_grades)
 
 WEIGHTS = [F(0), F(1, 2), F(1), F(2), F(-1, 3), F(5, 6)]
 
@@ -314,18 +315,73 @@ class TestFubiniTopStage:
             assert report.is_isomorphism
 
 
+def _inclusion_cases():
+    """250 seeded cases and hand inputs: empty inputs, a single subspace,
+    repeated inputs, an input equal to the sum of two earlier ones, nested
+    inputs largest first, and zero and one-grade ambients."""
+    q3, mixed = GradedSpace.std(3), GradedSpace.make([("a", 0), ("b", 1), ("c", 0), ("d", 1)])
+    e1, e2, e3 = [(F(1), F(0), F(0))], [(F(0), F(1), F(0))], [(F(0), F(0), F(1))]
+    line, plane = [(F(1), F(0), F(-2), F(0))], [(F(0), F(1), F(0), F(3)), (F(1), F(0), F(0), F(0))]
+    hand = [
+        (q3, []),
+        (GradedSpace.zero(), []),
+        (q3, [[(F(1), F(1), F(0))]]),
+        (q3, [e1 + e3]),
+        (mixed, [plane]),
+        (q3, [e1, e1, [(F(2), F(0), F(0))], e2, e1]),
+        (mixed, [line, plane, line, plane]),
+        (q3, [e1, e2, e1 + e2]),
+        (mixed, [line, plane, line + plane]),
+        (q3, [e1 + e2 + e3, e1 + e2, e1]),
+        (mixed, [line + plane, plane, [(F(1), F(0), F(0), F(0))]]),
+        (GradedSpace.zero(), [[()]]),
+        (GradedSpace.zero(), [[()], [(), ()]]),
+        (GradedSpace.std(1, F(1, 2)), [[(F(3),)]]),
+        (GradedSpace.std(4, 2), [[(F(1), F(1), F(0), F(0))], [(F(0), F(0), F(1), F(-1))],
+                                 [(F(1), F(1), F(1), F(-1)), (F(0), F(0), F(1), F(-1))]]),
+    ]
+    return ([random_inclusion_case(random.Random(seed)) for seed in range(250)]
+            + [inclusion_system(ambient, subspaces) for ambient, subspaces in hand])
+
+
 class TestInclusionOrder:
     def test_order_is_the_closure_of_strict_containments(self):
-        q3 = GradedSpace.std(3)
-        cases = [random_inclusion_case(random.Random(seed)) for seed in range(250)]
-        cases += [inclusion_system(q3, []), inclusion_system(GradedSpace.zero(), []),
-                  inclusion_system(q3, [[(F(1), F(1), F(0))]])]
-        for incsys in cases:
+        for incsys in _inclusion_cases():
             poset, reference = incsys.system.poset, inclusion_order(incsys.ambient, incsys.subspace_rows)
             assert poset.elements == reference.elements
             assert poset.leq == reference.leq
             assert poset.covers() == reference.covers()
             assert poset.violations() == ()
+
+    def test_maps_match_the_solve_on_every_strict_pair(self):
+        pairs = 0
+        for incsys in _inclusion_cases():
+            reference = inclusion_maps_by_solve(incsys)
+            assert {(i, j) for i, j in incsys.system.maps if i != j} == set(reference)
+            for (i, j), f in reference.items():
+                assert incsys.system.maps[(i, j)] == f, (i, j)
+            pairs += len(reference)
+        assert pairs > 500
+
+    def test_no_solve_and_one_rank_test_per_canonical_subspace(self, monkeypatch):
+        # the order is read from the sums and the maps from the pivots, so
+        # the only rank test is canonical_subspace's grading check
+        calls = {"rank": 0, "solve_matrix": 0, "canonical": 0}
+        rank, solve, canonical = linalg.rank, linalg.solve_matrix, inclusion.canonical_subspace
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "rank", counted("rank", rank))
+        monkeypatch.setattr(linalg, "solve_matrix", counted("solve_matrix", solve))
+        monkeypatch.setattr(inclusion, "canonical_subspace", counted("canonical", canonical))
+        cases = _inclusion_cases()
+        assert sum(len(c.system.poset.covers()) for c in cases) > 300
+        assert calls["solve_matrix"] == 0
+        assert calls["rank"] == calls["canonical"] > 1000
 
 
 class TestCanonicalSubspace:
