@@ -1,10 +1,15 @@
 """Graded vector spaces over Q and grade-preserving linear maps.
 
 A GradedSpace is a finite list of basis vectors, each carrying a rational
-weight; its grades (basis indices per weight) are computed at construction,
-weights ordered as integers over the lcm of their denominators.  A tensor
-product takes each vector's grade from its factors' grade keys, with one sum
-of Fractions per pair of factor grades and no re-grading.  A GradeMap
+weight.  Its grades (basis indices per weight, weights ordered as integers
+over the lcm of their denominators) and positions depend only on its
+sequence of weight keys, so they are computed once per sequence in a bounded
+cache, and every space with that sequence points at the same grading; the
+grading also keeps the blocks of its identity map once one is asked for.  A
+tensor product's weights and grading depend only on its factors' gradings
+and are computed once per pair of them, with one sum of Fractions per pair
+of factor grades; the product space itself is kept per factor.  Spaces are
+compared, hashed and printed by their basis alone.  A GradeMap
 holds, per weight of both spaces, one block of integers over the least
 common denominator, keyed by the weight's (numerator, denominator), which
 hashes far faster than a Fraction.  Composition, equality, rank, kernel,
@@ -22,7 +27,9 @@ identity block or one of full column rank modulo the prime 2^30 - 35 gives
 none (a maximal minor nonzero mod the prime is a nonzero integer, so the
 rank over Q is full too; `linalg.injective_mod_p`).  A block with fewer rows
 than columns has a kernel and goes straight to exact elimination, as does
-any block not certified.
+any block not certified.  A caller that has proved some grades injective
+(the leg kernels of `system`) can have them skipped unread, and learns which
+grades may add kernel vectors.
 
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are
@@ -35,47 +42,67 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Container, Optional, Sequence, Union
 
 from limfuse.dirlim import linalg
-from limfuse.dirlim.linalg import Rows
+from limfuse.dirlim.linalg import _ONE, _ZERO, Rows
 
 Weight = Fraction
 GradeKey = tuple[int, int]
 Block = tuple[tuple[tuple[int, ...], ...], int]
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+
+class _Grading:
+    """Grades and positions of one sequence of weight keys, shared through
+    `_grading` by every space with that sequence, and the blocks of its
+    identity map once one is asked for."""
+
+    __slots__ = ("grades", "positions", "identity")
+
+    def __init__(self, keys: tuple[GradeKey, ...]):
+        found: dict[GradeKey, list[int]] = {}
+        for k, key in enumerate(keys):
+            found.setdefault(key, []).append(k)
+        if len(found) > 1:  # weights in order, as integers over one denominator
+            scale = lcm(*(d for _, d in found))
+            found = {key: found[key] for key in sorted(found, key=lambda key: key[0] * (scale // key[1]))}
+        self.grades = {key: tuple(ix) for key, ix in found.items()}
+        positions: list = [None] * len(keys)
+        for key, ix in self.grades.items():
+            for p, k in enumerate(ix):
+                positions[k] = (key, p)
+        self.positions, self.identity = tuple(positions), None
+
+
+_grading = lru_cache(maxsize=256)(_Grading)
+
+
+@lru_cache(maxsize=256)
+def _product(a: _Grading, b: _Grading) -> tuple[tuple[Weight, ...], _Grading]:
+    """Weights and grading of the tensor product of spaces graded by a and b,
+    with one sum of Fractions per pair of factor grades."""
+    sums = {(k1, k2): Fraction(*k1) + Fraction(*k2) for k1 in a.grades for k2 in b.grades}
+    weights = tuple(sums[k1, k2] for k1, _ in a.positions for k2, _ in b.positions)
+    return weights, _grading(tuple([w.as_integer_ratio() for w in weights]))
 
 
 class GradedSpace:
     """Basis ids with rational weights.  `grades` (basis indices per weight,
     weights ascending, indices in basis order, keyed by the weight's
     (numerator, denominator)) and `positions` ((grade key, position within
-    the grade) of each basis index) are computed at construction; equality
-    and hashing see `basis` only."""
+    the grade) of each basis index) are those of the space's shared grading;
+    equality and hashing see `basis` only."""
 
-    __slots__ = ("basis", "grades", "positions", "_tensor")
+    __slots__ = ("basis", "grades", "positions", "_grading", "_tensor")
 
     def __init__(self, basis: tuple[tuple[str, Weight], ...]):
-        found: dict[GradeKey, list[int]] = {}
-        for k, (_, w) in enumerate(basis):
-            found.setdefault(w.as_integer_ratio(), []).append(k)
-        self._set(basis, found)
+        self._set(basis, _grading(tuple([w.as_integer_ratio() for _, w in basis])))
 
-    def _set(self, basis, found: dict[GradeKey, list[int]]) -> None:
-        """Keep `basis` with its grades, `found` in any order of weights."""
+    def _set(self, basis, grading: _Grading) -> None:
         if len({b for b, _ in basis}) != len(basis):
             raise ValueError("duplicate basis ids")
-        keys = found
-        if len(found) > 1:  # weights in order, as integers over one denominator
-            scale = lcm(*(d for _, d in found))
-            keys = sorted(found, key=lambda key: key[0] * (scale // key[1]))
-        grades = {key: tuple(found[key]) for key in keys}
-        positions: list = [None] * len(basis)
-        for key, ix in grades.items():
-            for p, k in enumerate(ix):
-                positions[k] = (key, p)
-        self.basis, self.grades, self.positions, self._tensor = basis, grades, tuple(positions), None
+        self.basis, self.grades, self.positions = basis, grading.grades, grading.positions
+        self._grading, self._tensor = grading, None
 
     def __eq__(self, other) -> bool:
         return self.basis == other.basis if other.__class__ is GradedSpace else NotImplemented
@@ -109,26 +136,17 @@ class GradedSpace:
         return {Fraction(*key): len(ix) for key, ix in self.grades.items()}
 
     def tensor(self, other: "GradedSpace") -> "GradedSpace":
-        """Tensor product: basis pairs, weights add, graded from the factors'
-        keys.  Kept per factor, so the tensor maps between the same spaces
-        share their source and target."""
+        """Tensor product: basis pairs, weights add, weights and grading
+        shared per pair of factor gradings.  Kept per factor, so the tensor
+        maps between the same spaces share their source and target."""
         if self._tensor is None:
             self._tensor = {}
         hit = self._tensor.get(id(other))
         if hit is None or hit[0] is not other:
-            sums, found = {}, {}  # pair of factor grade keys -> product weight; product grades
-            n2 = other.dim
-            for k1, ix1 in self.grades.items():
-                w1 = self.basis[ix1[0]][1]
-                for k2, ix2 in other.grades.items():
-                    w = sums[k1, k2] = w1 + other.basis[ix2[0]][1]
-                    ix, key = [i * n2 + j for i in ix1 for j in ix2], w.as_integer_ratio()
-                    found[key] = sorted(found[key] + ix) if key in found else ix
-            basis = tuple((f"({a})*({b})", sums[k1, k2])
-                          for (a, _), (k1, _) in zip(self.basis, self.positions)
-                          for (b, _), (k2, _) in zip(other.basis, other.positions))
+            weights, grading = _product(self._grading, other._grading)
+            ids = [f"({a})*({b})" for a, _ in self.basis for b, _ in other.basis]
             product = object.__new__(GradedSpace)
-            product._set(basis, found)
+            product._set(tuple(zip(ids, weights)), grading)
             hit = self._tensor[id(other)] = (other, product)
         return hit[1]
 
@@ -236,7 +254,10 @@ class GradeMap:
 
     @staticmethod
     def identity(space: GradedSpace) -> "GradeMap":
-        return GradeMap._of(space, space, {key: _identity_block(len(ix)) for key, ix in space.grades.items()})
+        grading = space._grading
+        if grading.identity is None:
+            grading.identity = {key: _identity_block(len(ix)) for key, ix in grading.grades.items()}
+        return GradeMap._of(space, space, grading.identity)
 
     @staticmethod
     def zero(source: GradedSpace, target: GradedSpace) -> "GradeMap":
@@ -290,16 +311,28 @@ class GradeMap:
         the block kernels side by side, ordered by pivot; computed once.
         Only blocks whose shape or certificate does not decide are reduced."""
         if self._kernel is None:
-            found = []
-            for key, cols in self.source.grades.items():
-                block = self._blocks.get(key)  # None: no target vectors of this weight
-                if block is None or not any(map(any, block[0])):
-                    found += [(c, (c,), (_ONE,)) for c in cols]
-                elif len(cols) > 1 and (len(block[0]) < len(cols) or (
-                        block != _identity_block(len(cols)) and not linalg.injective_mod_p(block[0], len(cols)))):
-                    found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
-            self._kernel = _spread(found, self.source.dim)
+            self._solve_kernel(())
         return self._kernel
+
+    def _solve_kernel(self, known: Container[GradeKey]) -> list[GradeKey]:
+        """Fill the kernel memo, taking each grade in `known` to add no kernel
+        vector without reading its block; returns the grades that may add
+        some (every other grade adds none)."""
+        found, open_grades = [], []
+        for key, cols in self.source.grades.items():
+            if key in known:
+                continue
+            block = self._blocks.get(key)  # None: no target vectors of this weight
+            if block is None or not any(map(any, block[0])):
+                found += [(c, (c,), (_ONE,)) for c in cols]
+            elif len(cols) > 1 and (len(block[0]) < len(cols) or (
+                    block != _identity_block(len(cols)) and not linalg.injective_mod_p(block[0], len(cols)))):
+                found += [(cols[p], cols, v) for p, v in linalg.null_space(block[0], len(cols))]
+            else:
+                continue
+            open_grades.append(key)
+        self._kernel = _spread(found, self.source.dim)
+        return open_grades
 
     def image(self) -> Rows:
         """Canonical basis of the image, as vectors in target coordinates."""

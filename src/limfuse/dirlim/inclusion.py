@@ -38,7 +38,7 @@ def canonical_subspace(ambient: GradedSpace, rows: Sequence[Sequence[Fraction]])
     dim = ambient.dim
     clean: list[Vec] = []
     for v in rows:
-        v = tuple(Fraction(x) for x in v)
+        v = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
         if len(v) != dim:
             raise NotASubspace(f"vector of length {len(v)} in ambient of dimension {dim}")
         clean.append(v)

@@ -1,11 +1,14 @@
 """Exact row reduction and subspace arithmetic over the rationals.
 
 Rows hold ints or Fractions; the graded maps pass their integer weight
-blocks.  Elimination runs fraction-free: rows are scaled to integers and
-updated by cross-multiplication with per-row gcd reduction, so no rational
-arithmetic happens inside the pivot loops.  Pivot normalization back to
-Fractions occurs once at the end, producing the canonical reduced row
-echelon form.
+blocks.  Elimination runs fraction-free, in one helper that `rref`, `rank`
+and `null_space` share: rows are scaled to integers and updated by
+cross-multiplication with per-row gcd reduction, so no rational arithmetic
+happens inside the pivot loops.  `rref` normalizes the pivots back to
+Fractions once at the end, producing the canonical reduced row echelon
+form; `rank` counts pivots and builds no Fraction; `null_space` reads each
+kernel vector off the integer rows and builds a Fraction only for a nonzero
+entry.  Every zero entry of an output is one shared Fraction(0).
 
 `injective_mod_p` certifies full column rank without it, by elimination of an
 integer block modulo the prime P = 2^30 - 35: a minor nonzero mod P is a
@@ -24,6 +27,8 @@ from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Rows = tuple[Vec, ...]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -48,8 +53,10 @@ def _reduce_content(row: list[int]) -> list[int]:
     return row
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Rows, tuple[int, ...]]:
-    """Canonical RREF (unit pivots, zero rows dropped) and pivot columns."""
+def _eliminate(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: integer rows, the m-th nonzero
+    at pivots[m] and zero in every other pivot column, zero rows dropped, and
+    the pivot columns."""
     mat = [_reduce_content(r) for r in _int_rows(rows)]
     nrows = len(mat)
     pivots: list[int] = []
@@ -77,15 +84,18 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Rows, tuple[in
         prow += 1
         if prow == nrows:
             break
-    out = []
-    for m, col in enumerate(pivots):
-        pv = mat[m][col]
-        out.append(tuple(Fraction(v, pv) for v in mat[m]))
-    return tuple(out), tuple(pivots)
+    return mat[:prow], pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Rows, tuple[int, ...]]:
+    """Canonical RREF (unit pivots, zero rows dropped) and pivot columns."""
+    mat, pivots = _eliminate(rows, ncols)
+    red = tuple(tuple(Fraction(v, row[p]) if v else _ZERO for v in row) for row, p in zip(mat, pivots))
+    return red, tuple(pivots)
 
 
 def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return len(_eliminate(rows, ncols)[1])
 
 
 P = (1 << 30) - 35  # the largest prime below 2^30
@@ -112,17 +122,20 @@ def injective_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> bool:
 
 def null_space(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, Vec]]:
     """Canonical RREF basis of the right kernel as (pivot, row) pairs, pivots
-    ascending, from one reduction of the column-reversed matrix: the kernel
-    vector of a free column f there is 1 at f and nonzero elsewhere only at
-    pivots left of f, so read back in order it is already reduced."""
-    red, pivots = rref([tuple(reversed(r)) for r in rows], ncols)
+    ascending, from one integer elimination of the column-reversed matrix:
+    the kernel vector of a free column f there is 1 at f and -row[f]/row[p]
+    at the pivot p of each row, nonzero only at pivots left of f, so read
+    back in order it is already reduced.  Only nonzero entries are built as
+    Fractions."""
+    mat, pivots = _eliminate([r[::-1] for r in rows], ncols)
     out = []
     for f in reversed(range(ncols)):
         if f not in pivots:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for m, p in enumerate(pivots):
-                v[p] = -red[m][f]
+            v = [_ZERO] * ncols
+            v[f] = _ONE
+            for row, p in zip(mat, pivots):
+                if row[f]:
+                    v[p] = Fraction(-row[f], row[p])
             out.append((ncols - 1 - f, tuple(reversed(v))))
     return out
 
@@ -140,7 +153,7 @@ def solve_matrix(
     """
     aug = [tuple(ra) + tuple(rb) for ra, rb in zip(a_rows, b_rows)]
     red, pivots = rref(aug, ncols_a + ncols_b)
-    x = [[Fraction(0)] * ncols_b for _ in range(ncols_a)]
+    x = [[_ZERO] * ncols_b for _ in range(ncols_a)]
     for m, p in enumerate(pivots):
         if p >= ncols_a:
             return None

@@ -32,6 +32,22 @@ A system's report is computed once and kept on the system, whose spaces and
 maps are read-only.  On a valid system the sum over j >= i of ker f_i^j is
 ker f_i^top, as top is one of the j, so `kernel_union` is one kernel, that
 of the leg f_i^top of `direct_limit`.
+
+Leg kernels follow the square-grade rule.  On a valid system f_i^top =
+f_c^top o f_i^c, c the route of i to top.  If f_i^top is injective on a
+grade w (decided by the block's shape, the identity skip, the mod-p
+certificate or exact elimination) and dim V_i(w) = dim V_c(w), then f_i^c
+is injective on w, hence bijective, and f_c^top is injective on w.  So the
+kernel of the leg at i marks w for c, beside the system's report, and the
+kernel of the leg at c skips that block (top, whose leg is the identity,
+gets no marks).  Asked bottom-up, a chain of injective square grades makes
+one certificate per grade.  The rule needs the identity f_i^top = f_c^top o
+f_i^c, which validation certifies, and it speaks of the system's own legs
+only: a mark is read and written only for the map the system itself holds
+as f_c^top, and a limit whose legs are other maps (such as
+`quotient_limit`'s) has them reduced on their own.  A mark goes one step up
+the route, so asked in another order the legs make more certificates, never
+other kernels.
 """
 
 from __future__ import annotations
@@ -331,8 +347,15 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
 
 
 def kernel_of_leg(lim: Limit, i: str) -> Rows:
-    """Canonical basis of ker phi_i, as vectors in the stage-i coordinates."""
-    return lim.leg(i).kernel()
+    """Canonical basis of ker phi_i, as vectors in the stage-i coordinates.
+    A leg that is a validated system's own f_i^top, as every leg of
+    `direct_limit` is, goes through the square-grade rule (see the module
+    docstring); any other leg, such as one of `quotient_limit`, is reduced
+    on its own."""
+    leg, sys = lim.leg(i), lim.system
+    if leg._kernel is None and leg is sys.maps._known.get((i, sys.poset.greatest())) and sys.__dict__.get("_validation"):
+        _mark_up(sys, i, leg)
+    return leg.kernel()
 
 
 def kernel_union(sys: DirectSystem, i: str) -> Rows:
@@ -342,4 +365,21 @@ def kernel_union(sys: DirectSystem, i: str) -> Rows:
     if i not in sys.spaces:
         raise UnknownElement(i)
     _require_valid(sys)
-    return sys.map(i, sys.poset.greatest()).kernel()
+    leg = sys.map(i, sys.poset.greatest())
+    if leg._kernel is None:
+        _mark_up(sys, i, leg)
+    return leg.kernel()
+
+
+def _mark_up(sys: DirectSystem, i: str, leg: GradeMap) -> None:
+    """Fill the kernel memo of f_i^top, `leg` the valid system's own, by the
+    square-grade rule: grades marked for stage i skip their blocks, and each
+    grade on which f_i^top is injective and V_i, V_c have one dimension is
+    marked for c, the route of i to top, unless c is top."""
+    marks = sys.__dict__.setdefault("_injective", {})
+    open_grades = leg._solve_kernel(marks.get(i, ()))
+    up = sys.poset.upper_covers().get(i)  # none at top; each lies below top
+    if up and up[0] != sys.poset.greatest():
+        src, mid = sys.spaces[i].grades, sys.spaces[up[0]].grades
+        marks.setdefault(up[0], []).extend(
+            key for key, ix in src.items() if key not in open_grades and len(mid.get(key, ())) == len(ix))

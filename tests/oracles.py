@@ -41,6 +41,9 @@ needs it.
   projected every row onto each grade as a dense vector over the whole
   ambient dimension and reduced it there, against which the reduction on
   each grade's own columns is checked.
+- `null_space_by_rref`: the former `linalg.null_space`, which read the
+  kernel off the Fraction RREF of the column-reversed matrix, against which
+  the kernel read off the integer elimination is checked.
 """
 
 from __future__ import annotations
@@ -424,3 +427,18 @@ def canonical_subspace_by_projection(ambient, rows) -> tuple:
     if len(comp_rows) != linalg.rank(clean, dim):
         raise NotASubspace("span is not closed under the grading")
     return tuple(comp_rows)
+
+
+def null_space_by_rref(rows, ncols: int) -> list:
+    """Canonical RREF basis of the right kernel as (pivot, row) pairs, pivots
+    ascending, from `linalg.rref` of the column-reversed matrix."""
+    red, pivots = linalg.rref([tuple(reversed(r)) for r in rows], ncols)
+    out = []
+    for f in reversed(range(ncols)):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for m, p in enumerate(pivots):
+                v[p] = -red[m][f]
+            out.append((ncols - 1 - f, tuple(reversed(v))))
+    return out

@@ -39,6 +39,8 @@ from limfuse.dirlim import inclusion, linalg, randgen
 from limfuse.dirlim.randgen import random_system
 from limfuse.dirlim.system import quotient_limit
 
+from oracles import null_space_by_rref
+
 Q1 = GradedSpace.std(1, 0)
 Q2 = GradedSpace.std(2, 0)
 Q3 = GradedSpace.std(3, 0)
@@ -528,6 +530,150 @@ class TestKernels:
         assert checked > 100
 
 
+def _one_grade_chain(rng, n, d, singular):
+    """n stages of a d-dimensional grade; `singular` steps kill a vector now
+    and then, the others are dense and almost always invertible."""
+    space = GradedSpace.std(d)
+    steps = []
+    for _ in range(n - 1):
+        rows = [[rng.choice([-1, 1, 1, 2]) for _ in range(d)] for _ in range(d)]
+        if singular and rng.random() < 0.4:
+            rows = [[0] * d] + rows[1:]
+        steps.append(GradeMap.make(space, space, rows))
+    return DirectSystem.on_chain([space] * n, steps)
+
+
+def _unitriangular_chain(rng, n):
+    grades = [F(0), F(0), F(1, 2), F(1), F(1)]
+    space = GradedSpace.make([(f"u{k}", w) for k, w in enumerate(grades)])
+    steps = [GradeMap.make(space, space, [[1 if r == c else rng.choice([-2, -1, 0, 1, 2])
+                                           if c > r and grades[r] == grades[c] else 0 for c in range(5)]
+                                          for r in range(5)]) for _ in range(n - 1)]
+    return DirectSystem.on_chain([space] * n, steps)
+
+
+def _leg_kernel_cases():
+    """Builders of fresh systems (kernels are kept on the maps, so each
+    request order needs its own copy)."""
+    cases = [lambda s=s: random_system(s) for s in range(200)]
+    for s in range(20):
+        cases.append(lambda s=s: _one_grade_chain(random.Random(s), random.Random(s).randint(2, 6), 4, s % 2))
+        cases.append(lambda s=s: _unitriangular_chain(random.Random(s), 12))
+        cases.append(lambda s=s: randgen.random_tree_system(random.Random(s)))
+        cases.append(lambda s=s: randgen.random_product_system(random.Random(s)))
+    # V_1(0) is one-dimensional and V_2(0) two-dimensional: f_1^3 is
+    # injective on the grade while f_2^3 is not, so nothing may be marked
+    v1, v2, v3 = GradedSpace.std(1, 0, "a"), GradedSpace.std(2, 0, "b"), GradedSpace.std(1, 0, "c")
+    cases.append(lambda: DirectSystem.on_chain(
+        [v1, v2, v3], [GradeMap.make(v1, v2, [[1], [0]]), GradeMap.make(v2, v3, [[1, 0]])]))
+    return cases
+
+
+class TestLegKernels:
+    """On a valid system a grade on which the leg f_i^top is injective, and
+    on which V_i and V_c (c the route of i to top) have one dimension, is
+    marked injective for f_c^top, whose kernel then skips that block.  The
+    kernels must not depend on the order in which they are asked for."""
+
+    @staticmethod
+    def _orders(sys, rng):
+        below = {e: sum(sys.poset.le(x, e) for x in sys.poset.elements) for e in sys.poset.elements}
+        bottom_up = sorted(sys.poset.elements, key=below.get)
+        shuffled = list(bottom_up)
+        rng.shuffle(shuffled)
+        return {"bottom-up": bottom_up, "top-down": bottom_up[::-1], "shuffled": shuffled}
+
+    def test_kernels_do_not_depend_on_request_order(self):
+        rng = random.Random(31)
+        nonzero = 0
+        for k, build in enumerate(_leg_kernel_cases()):
+            for name in ("bottom-up", "top-down", "shuffled"):
+                sys = build()
+                lim = direct_limit(sys)
+                top = sys.poset.greatest()
+                for i in self._orders(sys, rng)[name]:
+                    d = sys.spaces[i].dim
+                    expected = _dense_kernel(sys.map(i, top).matrix, d) if d else ()
+                    asks = [lambda: kernel_of_leg(lim, i), lambda: kernel_union(sys, i)]
+                    rng.shuffle(asks)
+                    for ask in asks:
+                        assert ask() == expected, (k, name, i)
+                    nonzero += bool(expected)
+        assert nonzero > 300
+
+    def test_one_certificate_up_a_square_one_grade_chain(self, monkeypatch):
+        calls, certify = [], linalg.injective_mod_p
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return certify(rows, ncols)
+
+        monkeypatch.setattr(linalg, "injective_mod_p", counted)
+        space = GradedSpace.std(5)
+        jordan = GradeMap.make(space, space, [[int(c in (r, r + 1)) for c in range(5)] for r in range(5)])
+        for n in (3, 6, 12):
+            sys = DirectSystem.on_chain([space] * n, [jordan] * (n - 1))
+            lim = direct_limit(sys)
+            calls.clear()
+            for i in sys.poset.elements:  # bottom-up
+                assert kernel_of_leg(lim, i) == () and kernel_union(sys, i) == ()
+            assert calls == [5], n
+            # top-down each leg is certified, as the mark goes one step up
+            sys = DirectSystem.on_chain([space] * n, [GradeMap(space, space, jordan.matrix)] * (n - 1))
+            calls.clear()
+            for i in reversed(sys.poset.elements):
+                assert kernel_union(sys, i) == ()
+            assert len(calls) == n - 1
+
+    def test_marks_wait_for_a_valid_system_and_the_own_legs(self):
+        # a limit whose legs are not the system's own maps (quotient_limit's)
+        # is reduced on its own and leaves no mark
+        sys = _unitriangular_chain(random.Random(2), 4)
+        oracle = quotient_limit(sys)
+        for i in sys.poset.elements:
+            assert kernel_of_leg(oracle, i) == _dense_kernel(oracle.legs[i].matrix, sys.spaces[i].dim)
+        assert "_injective" not in sys.__dict__
+        for i in sys.poset.elements:
+            kernel_union(sys, i)
+        assert sys.__dict__["_injective"]
+
+
+class TestKernelIdentityBites:
+    """The self-test's kernel identity compares `kernel_union` with the
+    kernels of `quotient_limit`'s legs, which never read the marks, so it
+    still fails when either side is wrong."""
+
+    @staticmethod
+    def _planted():
+        f12 = GradeMap.make(Q2, Q2, [[0, 0], [0, 1]])  # kills e1
+        return DirectSystem.on_chain([Q2, Q2, Q2], [f12, GradeMap.make(Q2, Q2, [[1, 1], [0, 1]])])
+
+    def test_a_zeroed_quotient_leg_row_is_reported(self, monkeypatch):
+        from limfuse.dirlim import selftest
+
+        assert selftest.check_system(self._planted()) == []
+
+        def tampered(sys):
+            lim = quotient_limit(sys)
+            leg = lim.legs["2"]
+            rows = [list(row) for row in leg.matrix]
+            rows[next(r for r, row in enumerate(rows) if any(row))] = [F(0)] * leg.source.dim
+            return Limit(lim.space, {**lim.legs, "2": GradeMap(leg.source, leg.target, rows)}, sys)
+
+        monkeypatch.setattr(selftest, "quotient_limit", tampered)
+        assert "kernel identity fails at 2" in selftest.check_system(self._planted())
+
+    def test_marks_never_reach_the_quotient_legs(self):
+        from limfuse.dirlim import selftest
+
+        sys = self._planted()
+        # a false mark on every grade of every stage: kernel_union now
+        # misses e1 at stage 1, and the quotient side still sees it
+        sys.__dict__["_injective"] = {e: list(sys.spaces[e].grades) for e in sys.poset.elements}
+        assert kernel_of_leg(quotient_limit(sys), "1") == ((F(1), F(0)),)
+        assert "kernel identity fails at 1" in selftest.check_system(sys)
+
+
 class TestInclusionSystems:
     def test_three_chain(self):
         subs = [
@@ -871,6 +1017,46 @@ class TestLinalg:
             n, m = rng.randint(0, 5), rng.randint(1, 6)
             rows = _random_matrix(rng, n, m)
             assert linalg.rref(rows, m) == _reference_rref(rows, m)
+
+
+class TestIntegerNullSpace:
+    """`null_space` reads the kernel off the integer elimination it shares
+    with `rref`; the former route through the Fraction RREF is the oracle."""
+
+    def test_matches_the_fraction_route(self):
+        rng = random.Random(41)
+        p = linalg.P
+        shapes = {"tall": lambda: (rng.randint(3, 6), rng.randint(1, 3)),
+                  "wide": lambda: (rng.randint(1, 3), rng.randint(3, 6)),
+                  "square": lambda: (rng.randint(1, 5),) * 2}
+        blocks = []
+        for name, shape in shapes.items():
+            for _ in range(150):
+                n, m = shape()
+                rows = [[rng.choice([0, 0, 1, -1, 2, 3, -5]) for _ in range(m)] for _ in range(n)]
+                if n > 1 and rng.random() < 0.5:  # a dependent row
+                    rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+                blocks += [(rows, m), (_random_matrix(rng, n, m), m)]
+        blocks += [([[0] * m for _ in range(n)], m) for n in range(4) for m in range(1, 4)]  # zero blocks
+        blocks += [(rows, len(rows[0])) for rows in (  # singular mod P
+            [[p]], [[p, 0], [0, 1]], [[1, 1], [1, p + 1]], [[3 * p, 1], [0, p], [p, 0]], [[p, 2 * p], [1, 2]],
+            [[2, p], [4, 2 * p]])]
+        for rows, m in blocks:
+            got = linalg.null_space(rows, m)
+            assert got == null_space_by_rref(rows, m)
+            assert repr(got) == repr(null_space_by_rref(rows, m))
+            assert all(type(x) is F for _, v in got for x in v)
+            for _, v in got:
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+    def test_zero_entries_share_one_fraction(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            n, m = rng.randint(1, 5), rng.randint(1, 6)
+            rows = _random_matrix(rng, n, m)
+            for out in (linalg.rref(rows, m)[0], [v for _, v in linalg.null_space(rows, m)]):
+                zeros = {id(x) for row in out for x in row if not x}
+                assert len(zeros) <= 1
 
 
 class TestKernelCertificate:

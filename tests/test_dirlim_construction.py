@@ -25,7 +25,7 @@ from limfuse.dirlim import (
     tensor_system,
     validate_system,
 )
-from limfuse.dirlim import inclusion, linalg
+from limfuse.dirlim import graded, inclusion, linalg
 from limfuse.dirlim import system as dirlim_system
 from limfuse.dirlim.randgen import (random_chain_system, random_fubini_triple, random_grade_map, random_inclusion_case,
                                     random_space)
@@ -113,6 +113,49 @@ class TestGradedSpace:
         assert a != a.basis and a.__eq__(a.basis) is NotImplemented
         with pytest.raises(ValueError, match="duplicate basis ids"):  # "(x)*(y)*(z)" twice
             GradedSpace.make([("x)*(y", 0), ("x", 0)]).tensor(GradedSpace.make([("z", 0), ("y)*(z", 0)]))
+
+
+class TestSharedGradings:
+    """A space's grades and positions depend on its weight keys alone, and a
+    product's grading and weights on its factors' gradings: each is computed
+    once in a bounded cache and shared."""
+
+    def test_equal_weight_sequences_share_one_grading(self):
+        a = GradedSpace.make([("x", F(1, 2)), ("y", 0), ("z", F(1, 2))])
+        b = GradedSpace.make([("p", F(1, 2)), ("q", 0), ("r", F(1, 2))])
+        assert a != b and a.grades is b.grades and a.positions is b.positions
+        assert GradedSpace.make([("x", F(1, 2)), ("y", 1)]).grades is not a.grades
+        assert GradeMap.identity(a)._blocks is GradeMap.identity(b)._blocks
+        assert GradeMap.identity(a) == GradeMap.make(a, a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        c = GradedSpace.make([("u", 1), ("v", F(-1, 3))])
+        d = GradedSpace.make([("s", 1), ("t", F(-1, 3))])
+        ac, bd = a.tensor(c), b.tensor(d)
+        assert ac != bd and ac.grades is bd.grades and ac.positions is bd.positions
+        assert [w for _, w in ac.basis] == [w for _, w in bd.basis]
+        assert a.tensor(c) is ac and b.tensor(d) is bd  # the per-factor memo
+        assert GradedSpace(ac.basis).grades is ac.grades
+
+    def test_shared_gradings_are_exact_and_bounded(self):
+        # denominators 1, 2 and 3, negative weights and products, from an
+        # empty cache to well past its bound
+        bound = graded._grading.cache_info().maxsize
+        assert bound and graded._product.cache_info().maxsize
+        graded._grading.cache_clear()
+        graded._product.cache_clear()
+        rng = random.Random(19)
+        kept = []
+        for k in range(2 * bound):
+            a = _space(rng, rng.sample(PRODUCT_WEIGHTS, rng.randint(1, 5)), 7, "a")
+            b = _space(rng, rng.sample(PRODUCT_WEIGHTS, rng.randint(1, 5)), 4, "b")
+            for space in (a, b, a.tensor(b)):
+                _assert_graded_as_sorted(space)
+            if k % 50 == 0:
+                kept.append(a.tensor(b))
+        assert graded._grading.cache_info().misses > bound
+        assert graded._grading.cache_info().currsize <= bound
+        assert graded._product.cache_info().currsize <= graded._product.cache_info().maxsize
+        for space in kept:  # spaces made before an eviction keep their grading
+            _assert_graded_as_sorted(space)
 
 
 class TestGradeMapAgainstReference:
@@ -410,5 +453,9 @@ class TestCanonicalSubspace:
             else:
                 got = canonical_subspace(ambient, rows)
                 assert got == expected and {type(x) for row in got for x in row} <= {F}
+                assert repr(got) == repr(expected)
+                # canonical rows passed back, as the sum closure does, are kept
+                again = canonical_subspace(ambient, got + tuple(tuple(F(x) for x in row) for row in rows))
+                assert again == got and repr(again) == repr(got)
                 outcomes["closed"] += 1
         assert min(outcomes.values()) > 40, outcomes  # both outcomes are exercised
