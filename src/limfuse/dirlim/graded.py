@@ -27,9 +27,9 @@ identity block or one of full column rank modulo the prime 2^30 - 35 gives
 none (a maximal minor nonzero mod the prime is a nonzero integer, so the
 rank over Q is full too; `linalg.injective_mod_p`).  A block with fewer rows
 than columns has a kernel and goes straight to exact elimination, as does
-any block not certified.  A caller that has proved some grades injective
-(the leg kernels of `system`) can have them skipped unread, and learns which
-grades may add kernel vectors.
+any block not certified.  The leg kernel pass of `system` has the grades it
+proved injective skipped unread, and learns which grades may add kernel
+vectors.
 
 These stand in for the graded modules that the limit constructions act on;
 only kernels, images, sums, and tensor products of the underlying spaces are

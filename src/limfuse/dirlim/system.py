@@ -33,21 +33,13 @@ maps are read-only.  On a valid system the sum over j >= i of ker f_i^j is
 ker f_i^top, as top is one of the j, so `kernel_union` is one kernel, that
 of the leg f_i^top of `direct_limit`.
 
-Leg kernels follow the square-grade rule.  On a valid system f_i^top =
-f_c^top o f_i^c, c the route of i to top.  If f_i^top is injective on a
-grade w (decided by the block's shape, the identity skip, the mod-p
-certificate or exact elimination) and dim V_i(w) = dim V_c(w), then f_i^c
-is injective on w, hence bijective, and f_c^top is injective on w.  So the
-kernel of the leg at i marks w for c, beside the system's report, and the
-kernel of the leg at c skips that block (top, whose leg is the identity,
-gets no marks).  Asked bottom-up, a chain of injective square grades makes
-one certificate per grade.  The rule needs the identity f_i^top = f_c^top o
-f_i^c, which validation certifies, and it speaks of the system's own legs
-only: a mark is read and written only for the map the system itself holds
-as f_c^top, and a limit whose legs are other maps (such as
-`quotient_limit`'s) has them reduced on their own.  A mark goes one step up
-the route, so asked in another order the legs make more certificates, never
-other kernels.
+Leg kernels are computed once per valid system, in one pass up a linear
+extension of the poset (stages by decreasing up-set) and kept beside the
+report.  On a valid system f_i^top = f_c^top o f_i^c, c the route of i to
+top.  If f_i^top is injective on a grade w and dim V_i(w) = dim V_c(w), then
+f_i^c is injective on w, hence bijective, and f_c^top is injective on w, so
+the pass skips that block of f_c^top: a chain of injective square grades
+makes one certificate per grade.  Top's kernel is empty, with no reduction.
 """
 
 from __future__ import annotations
@@ -348,38 +340,40 @@ def universal_map(lim: Limit, tgt: Target) -> GradeMap:
 
 def kernel_of_leg(lim: Limit, i: str) -> Rows:
     """Canonical basis of ker phi_i, as vectors in the stage-i coordinates.
-    A leg that is a validated system's own f_i^top, as every leg of
-    `direct_limit` is, goes through the square-grade rule (see the module
-    docstring); any other leg, such as one of `quotient_limit`, is reduced
-    on its own."""
+    On a validated system the leg kernel pass runs first (see the module
+    docstring), which fills the kernel memo of every leg of `direct_limit`;
+    any other leg, such as one of `quotient_limit`, is reduced on its own."""
     leg, sys = lim.leg(i), lim.system
-    if leg._kernel is None and leg is sys.maps._known.get((i, sys.poset.greatest())) and sys.__dict__.get("_validation"):
-        _mark_up(sys, i, leg)
+    if leg._kernel is None and sys.__dict__.get("_validation"):
+        _leg_kernels(sys)
     return leg.kernel()
 
 
 def kernel_union(sys: DirectSystem, i: str) -> Rows:
     """Sum over j >= i of ker f_i^j, computed without constructing the limit:
-    on a valid system it is ker f_i^top (see the module docstring).  Raises
-    InvalidSystem on a system with defects."""
+    on a valid system it is ker f_i^top, read off the leg kernel pass.
+    Raises InvalidSystem on a system with defects."""
     if i not in sys.spaces:
         raise UnknownElement(i)
     _require_valid(sys)
-    leg = sys.map(i, sys.poset.greatest())
-    if leg._kernel is None:
-        _mark_up(sys, i, leg)
-    return leg.kernel()
+    return _leg_kernels(sys)[i]
 
 
-def _mark_up(sys: DirectSystem, i: str, leg: GradeMap) -> None:
-    """Fill the kernel memo of f_i^top, `leg` the valid system's own, by the
-    square-grade rule: grades marked for stage i skip their blocks, and each
-    grade on which f_i^top is injective and V_i, V_c have one dimension is
-    marked for c, the route of i to top, unless c is top."""
-    marks = sys.__dict__.setdefault("_injective", {})
-    open_grades = leg._solve_kernel(marks.get(i, ()))
-    up = sys.poset.upper_covers().get(i)  # none at top; each lies below top
-    if up and up[0] != sys.poset.greatest():
-        src, mid = sys.spaces[i].grades, sys.spaces[up[0]].grades
-        marks.setdefault(up[0], []).extend(
-            key for key, ix in src.items() if key not in open_grades and len(mid.get(key, ())) == len(ix))
+def _leg_kernels(sys: DirectSystem) -> dict[str, Rows]:
+    """ker f_e^top for every stage e of the valid system, computed once
+    bottom-up; a grade proved injective for the leg at e and of one
+    dimension at e and at c, the route of e to top, is skipped for c."""
+    kernels = sys.__dict__.get("_kernels")
+    if kernels is None:
+        poset, up = sys.poset, sys.poset._up()
+        top, injective = poset.greatest(), {}
+        kernels = {top: ()}
+        for e in sorted(poset.elements, key=lambda e: -len(up[e]))[:-1]:
+            leg, c = sys.maps[(e, top)], poset.upper_covers()[e][0]
+            open_grades = leg._solve_kernel(injective.get(e, ()))
+            kernels[e] = leg._kernel
+            src, mid = sys.spaces[e].grades, sys.spaces[c].grades
+            injective.setdefault(c, set()).update(
+                key for key, ix in src.items() if key not in open_grades and len(mid.get(key, ())) == len(ix))
+        sys.__dict__["_kernels"] = kernels
+    return kernels

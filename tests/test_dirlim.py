@@ -572,8 +572,9 @@ def _leg_kernel_cases():
 class TestLegKernels:
     """On a valid system a grade on which the leg f_i^top is injective, and
     on which V_i and V_c (c the route of i to top) have one dimension, is
-    marked injective for f_c^top, whose kernel then skips that block.  The
-    kernels must not depend on the order in which they are asked for."""
+    injective for f_c^top, whose kernel then skips that block.  Neither the
+    kernels nor the work done for them may depend on the order in which
+    they are asked for."""
 
     @staticmethod
     def _orders(sys, rng):
@@ -610,38 +611,74 @@ class TestLegKernels:
 
         monkeypatch.setattr(linalg, "injective_mod_p", counted)
         space = GradedSpace.std(5)
-        jordan = GradeMap.make(space, space, [[int(c in (r, r + 1)) for c in range(5)] for r in range(5)])
-        for n in (3, 6, 12):
-            sys = DirectSystem.on_chain([space] * n, [jordan] * (n - 1))
-            lim = direct_limit(sys)
-            calls.clear()
-            for i in sys.poset.elements:  # bottom-up
-                assert kernel_of_leg(lim, i) == () and kernel_union(sys, i) == ()
-            assert calls == [5], n
-            # top-down each leg is certified, as the mark goes one step up
-            sys = DirectSystem.on_chain([space] * n, [GradeMap(space, space, jordan.matrix)] * (n - 1))
-            calls.clear()
-            for i in reversed(sys.poset.elements):
-                assert kernel_union(sys, i) == ()
-            assert len(calls) == n - 1
+        jordan = [[int(c in (r, r + 1)) for c in range(5)] for r in range(5)]
 
-    def test_marks_wait_for_a_valid_system_and_the_own_legs(self):
-        # a limit whose legs are not the system's own maps (quotient_limit's)
-        # is reduced on its own and leaves no mark
+        def chain(n, top_first):
+            sys = DirectSystem.on_chain([space] * n, [GradeMap.make(space, space, jordan)] * (n - 1))
+            if top_first:  # the same chain, its elements listed top first
+                poset = DirectedPoset(sys.poset.elements[::-1], sys.poset.leq)
+                sys = DirectSystem(poset, sys.spaces, {k: sys.maps[k] for k in sys.maps.given})
+            return sys
+
+        rng = random.Random(5)
+        for n in (3, 6, 12):
+            for top_first in (False, True):
+                for name in ("bottom-up", "top-down", "shuffled"):
+                    sys = chain(n, top_first)
+                    lim = direct_limit(sys)
+                    calls.clear()
+                    for i in self._orders(sys, rng)[name]:
+                        assert kernel_of_leg(lim, i) == () and kernel_union(sys, i) == ()
+                    assert calls == [5], (n, top_first, name)
+
+    def test_each_leg_is_solved_once_and_the_top_one_never(self, monkeypatch):
+        solved, solve = [], GradeMap._solve_kernel
+
+        def counted(self, known):
+            solved.append(self)
+            return solve(self, known)
+
+        monkeypatch.setattr(GradeMap, "_solve_kernel", counted)
+        rng = random.Random(87)
+        for k, build in enumerate(_leg_kernel_cases()[::5]):
+            for name in ("bottom-up", "top-down", "shuffled"):
+                sys = build()
+                lim = direct_limit(sys)
+                top = sys.poset.greatest()
+                solved.clear()
+                for i in self._orders(sys, rng)[name]:
+                    kernel_union(sys, i)
+                    kernel_of_leg(lim, i)
+                # each f_e^top once, and the limit's top leg (an identity
+                # built by direct_limit) once for kernel_of_leg; none for
+                # kernel_union(sys, top)
+                legs = [sys.maps[(e, top)] for e in sys.poset.elements if e != top]
+                assert sorted(map(id, solved)) == sorted(map(id, [*legs, lim.legs[top]])), (k, name)
+
+    def test_the_pass_waits_for_a_valid_system_and_spares_other_legs(self):
+        # quotient_limit's legs are other maps and are reduced on their own,
+        # also once the system's pass has run
         sys = _unitriangular_chain(random.Random(2), 4)
         oracle = quotient_limit(sys)
         for i in sys.poset.elements:
-            assert kernel_of_leg(oracle, i) == _dense_kernel(oracle.legs[i].matrix, sys.spaces[i].dim)
-        assert "_injective" not in sys.__dict__
-        for i in sys.poset.elements:
             kernel_union(sys, i)
-        assert sys.__dict__["_injective"]
+        for i in sys.poset.elements:
+            assert kernel_of_leg(oracle, i) == _dense_kernel(oracle.legs[i].matrix, sys.spaces[i].dim)
+        # an unvalidated system whose given f_1^3 is a false claim: the rule
+        # would carry its injectivity up to f_2^3, which kills V_2
+        v = GradedSpace.std(1)
+        one, zero = GradeMap.make(v, v, [[1]]), GradeMap.make(v, v, [[0]])
+        sys = DirectSystem(DirectedPoset.chain(3), {e: v for e in "123"},
+                           {("1", "2"): one, ("2", "3"): zero, ("1", "3"): one})
+        lim = Limit(v, {"1": one, "2": zero, "3": GradeMap.identity(v)}, sys)
+        assert kernel_of_leg(lim, "1") == () and kernel_of_leg(lim, "2") == ((F(1),),)
+        assert not validate_system(sys).ok
 
 
 class TestKernelIdentityBites:
     """The self-test's kernel identity compares `kernel_union` with the
-    kernels of `quotient_limit`'s legs, which never read the marks, so it
-    still fails when either side is wrong."""
+    kernels of `quotient_limit`'s legs, which are reduced apart from the
+    system's pass, so it still fails when either side is wrong."""
 
     @staticmethod
     def _planted():
@@ -663,13 +700,13 @@ class TestKernelIdentityBites:
         monkeypatch.setattr(selftest, "quotient_limit", tampered)
         assert "kernel identity fails at 2" in selftest.check_system(self._planted())
 
-    def test_marks_never_reach_the_quotient_legs(self):
+    def test_a_wrong_system_kernel_is_reported(self):
         from limfuse.dirlim import selftest
 
         sys = self._planted()
-        # a false mark on every grade of every stage: kernel_union now
-        # misses e1 at stage 1, and the quotient side still sees it
-        sys.__dict__["_injective"] = {e: list(sys.spaces[e].grades) for e in sys.poset.elements}
+        # ker f_1^3 is spanned by e1; an empty kernel planted in the memo
+        # of the system's pass reaches kernel_union but not the quotient side
+        sys.__dict__["_kernels"] = {e: () for e in sys.poset.elements}
         assert kernel_of_leg(quotient_limit(sys), "1") == ((F(1), F(0)),)
         assert "kernel identity fails at 1" in selftest.check_system(sys)
 
