@@ -81,11 +81,14 @@ def _canonical_base(alg: AlgebraObject, values: list[int | None]) -> SimpleLabel
     return _config(alg.canonical_base, [v for v in values if v is not None])
 
 
+def _write_tsv(rows: list[list[str]]) -> None:
+    """The rows as tab-separated lines, in one write."""
+    sys.stdout.write("".join(["\t".join(row) + "\n" for row in rows]))
+
+
 def _emit(fmt: str, command: str, header: list[str], rows: list[list[str]], extra: dict | None = None) -> None:
     if fmt == "tsv":
-        for row in rows:
-            print("\t".join(row))
-        return
+        return _write_tsv(rows)
     import json
 
     doc = {"command": command, "rows": [dict(zip(header, row)) for row in rows]}
@@ -156,8 +159,7 @@ def cmd_monodromy(args) -> int:
         print(json.dumps({"command": "monodromy", "category": cat.name, "x": str(x),
                           "y": str(y), "rows": report.to_json()}, indent=2, sort_keys=True))
     else:
-        for e in report.to_json():
-            print("\t".join([e["summand"], e["exponent"], e["status"], e["phase"] or "-"]))
+        _write_tsv([[e["summand"], e["exponent"], e["status"], e["phase"] or "-"] for e in report.to_json()])
     return 0
 
 

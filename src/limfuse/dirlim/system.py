@@ -266,7 +266,9 @@ def direct_limit(sys: DirectSystem) -> Limit:
     one the identity); isomorphic to `quotient_limit` by the canonical map."""
     _require_valid(sys)
     top = sys.poset.greatest()
-    return Limit(sys.spaces[top], {e: sys.map(e, top) for e in sys.poset.elements}, sys)
+    legs = {e: sys.map(e, top) for e in sys.poset.elements}
+    legs[top]._kernel = ()  # an identity: the leg kernel pass's entry for top
+    return Limit(sys.spaces[top], legs, sys)
 
 
 def quotient_limit(sys: DirectSystem) -> Limit:

@@ -5,17 +5,20 @@ The double braiding acts on a simple summand Z of the fusion of X and Y by
 e^{2*pi*i*(h_Z - h_X - h_Y)}.  Exponents are computed and classified as
 `WeightVec`s, differences of the fixed-basis weight vectors; an exponent
 counts as trivial only when it is an integer constant (the parameter is
-generic, so a parameter-dependent exponent cannot be an integer).  The
-`exponent` of an entry or certificate is the same value as an exact
-`RatFunc` of the category parameter: the view its `WeightVec` builds on
-first access and keeps.
+generic, so a parameter-dependent exponent cannot be an integer).  One
+generator, `_exponents`, yields the exponents of a product in canonical
+order: `monodromy` reads all of them into a report, while `is_transparent`
+stops at the first one that is not an integer constant and builds only
+that certificate.  The `exponent` of an entry or certificate is the same
+value as an exact `RatFunc` of the category parameter: the view its
+`WeightVec` builds on first access and keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from limfuse.catdata.labels import SimpleLabel
 from limfuse.catdata.params import WeightVec
@@ -31,10 +34,19 @@ PARAMETER_DEPENDENT = "parameter-dependent"
 
 
 def exponent_status(e: WeightVec) -> str:
-    c = e.as_constant()
-    if c is None:
+    a, _, c, d, den = e.ints
+    if a or c or d:
         return PARAMETER_DEPENDENT
-    return INTEGER if c.denominator == 1 else NON_INTEGER_CONSTANT
+    return INTEGER if den == 1 else NON_INTEGER_CONSTANT
+
+
+def _exponents(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> Iterator[tuple[SimpleLabel, WeightVec]]:
+    """(Z, h_Z - h_X - h_Y) for each simple summand Z of the fusion of x with y, in canonical order."""
+    if not cat.contains(x) or not cat.contains(y):
+        raise CategoryMismatch(f"labels must come from {cat.name}")
+    hxy = cat.weight_vec(x) + cat.weight_vec(y)
+    for z, _ in cat.fusion_of(x, y):
+        yield z, cat.weight_vec(z) - hxy
 
 
 @dataclass(frozen=True)
@@ -85,14 +97,8 @@ class MonodromyReport:
 
 def monodromy(cat: CategorySpec, x: SimpleLabel, y: SimpleLabel) -> MonodromyReport:
     """Per-summand exponents of the double braiding of x with y."""
-    if not cat.contains(x) or not cat.contains(y):
-        raise CategoryMismatch(f"labels must come from {cat.name}")
-    hxy = cat.weight_vec(x) + cat.weight_vec(y)
-    entries = []
-    for z, _ in cat.fusion_of(x, y):
-        e = cat.weight_vec(z) - hxy
-        entries.append(MonodromyEntry(z, e, exponent_status(e)))
-    return MonodromyReport(x, y, cat.base_parameter, tuple(entries))
+    entries = tuple(MonodromyEntry(z, e, exponent_status(e)) for z, e in _exponents(cat, x, y))
+    return MonodromyReport(x, y, cat.base_parameter, entries)
 
 
 @dataclass(frozen=True)
@@ -107,12 +113,12 @@ def is_transparent(
     cat: CategorySpec, x: SimpleLabel, witnesses: Sequence[SimpleLabel]
 ) -> tuple[bool, Optional[TransparencyCertificate]]:
     """True when every monodromy exponent of x against every witness is an
-    integer constant; otherwise the first certificate in scan order."""
+    integer constant; otherwise the first certificate in scan order, built
+    from the first exponent that is not."""
     for w in witnesses:
-        report = monodromy(cat, x, w)
-        for e in report.entries:
-            if not e.trivial:
-                return False, TransparencyCertificate(e.summand, e.exponent_vec, e.status, witness=w)
+        for z, e in _exponents(cat, x, w):
+            if (status := exponent_status(e)) != INTEGER:
+                return False, TransparencyCertificate(z, e, status, witness=w)
     return True, None
 
 

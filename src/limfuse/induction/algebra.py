@@ -7,7 +7,8 @@ in the flat layout of `Pair.indices`, so slot i of summand r is index i of
 the label.  The affine slots are what make every downstream sum provably
 finite: a slot that grows past a fixed bound stays past it, so only the
 summands up to `last_summand(tops)` can keep every slot within `tops`.
-Restriction and Frobenius both read their windows from it.
+Truncated restriction reads its window from it; a slice's index box
+(`slice_indices`) and the Frobenius count read the slots directly.
 
 The slots also give the label dictionary: the canonical base of selectors
 v_1 .. v_k holds them in the constant slots and e(1) in each growing slot e;
@@ -141,8 +142,9 @@ class AlgebraObject:
         """The r-th simple summand of the algebra, r >= 1.
 
         Memoized per r on the algebra, so each summand label is built and
-        validated once; restriction, induction and Frobenius read the memo,
-        while locality and slice families read the slots.
+        validated once; truncated restriction and the min-weight answer read
+        the memo, while slices, Frobenius, locality and slice families read
+        the slots.
         """
         if r < 1:
             raise ValueError("summand index must be >= 1")

@@ -1,7 +1,11 @@
 """Induced modules, their restriction slices as quadratics in the summand
 index, and the minimum-weight slice.
 
-Slice r of the module induced from a base is summand(r) fused with the base.
+Slice r of the module induced from a base is summand(r) fused with the base:
+its index box, the parity range of each slot against the base index at the
+same position (`AlgebraObject.slice_indices`), each label once.
+`InducedModule.restriction` builds the slice from that box, with no fusion
+product and no summand label.
 A growing slot e(r) = a*r + b of `AlgebraObject.slots` fuses with the base
 index x at the same position of `indices` to e(r)-x+1 .. e(r)+x-1 once
 e(r) >= x.  So from r0 (`AlgebraObject.r0`), the first r at which every
@@ -37,14 +41,19 @@ class TruncationTooSmall(ValueError):
 @dataclass(frozen=True)
 class InducedModule:
     """Module induced from a base-category simple; its restriction back to
-    the base category is computed lazily, one algebra summand at a time."""
+    the base category is read lazily, one slice at a time, off each slice's
+    index box."""
 
     algebra: AlgebraObject
     base: SimpleLabel
 
     def restriction(self, r: int) -> FusionElement:
-        """Multiplicities of the r-th slice: fusion of summand(r) with the base."""
-        return self.algebra.base_category.fusion_of(self.algebra.summand(r), self.base)
+        """Multiplicities of the r-th slice, summand(r) fused with the base:
+        each label of the slice's index box once."""
+        if r < 1:
+            raise ValueError("summand index must be >= 1")
+        alg = self.algebra
+        return FusionElement._canonical(dict.fromkeys(map(alg._label, alg.slice_indices(r, self.base.indices)), 1))
 
 
 def induce(alg: AlgebraObject, base: SimpleLabel) -> InducedModule:
@@ -145,4 +154,4 @@ def min_weight_summand(
         raise TruncationTooSmall(
             f"minimum at the truncation edge r={truncate}; increase truncate"
         )
-    return r_star, cat.weight_of(mod.restriction(r_star).terms()[k_star][0])
+    return r_star, cat.weight_of(cat.fusion_of(alg.summand(r_star), base).terms()[k_star][0])

@@ -9,7 +9,13 @@ needs it.
 - `central_charge_t` and `central_charge_super`: the two central charges of
   the coset identity.
 - `hom_dim`: the multiplicity pairing of two fusion elements, the Frobenius
-  oracle (`frobenius_dim` sums it over a window of summands).
+  oracle summed over the summands that can reach the first base.
+- `frobenius_by_window`: the former `frobenius_dim`, which fused every
+  summand up to `last_summand` with the second base and summed the first
+  base's multiplicities, against which the count on the index box is checked.
+- `is_transparent_by_reports`: the former `is_transparent`, which built the
+  whole `monodromy` report of each witness and read its entries, against
+  which the scan that stops at the first non-integer exponent is checked.
 - `sort_key`: the canonical label order, written out per kind from the
   named fields, against which the tuple labels' own order is checked.
 - `restriction_sides`: the two routes of `restriction_oracle_check` summed
@@ -68,6 +74,7 @@ from limfuse.dirlim import (DirectedPoset, DirectSystem, GradeMap, Limit, NotASu
                             tensor_system, universal_map)
 from limfuse.exact import DivisionByZero, Poly, Rat, RatFunc
 from limfuse.fusion import FusionElement
+from limfuse.fusion.monodromy import TransparencyCertificate, monodromy
 from limfuse.fusion.ring import _require_element, ring_mul
 from limfuse.induction import restrict_truncated
 
@@ -220,6 +227,29 @@ def hom_dim(cat: CategorySpec, a: FusionElement, b: FusionElement) -> int:
     _require_element(cat, a)
     _require_element(cat, b)
     return sum(ma * b.mult(x) for x, ma in a)
+
+
+def frobenius_by_window(alg, base1: SimpleLabel, base2: SimpleLabel) -> int:
+    """The multiplicity of base1 in summand(r) fused with base2, summed over r
+    up to the last summand whose growing slots all stay within x1 + x2 - 1:
+    a slot index e fused with x2 gives indices >= e - x2 + 1, so no later
+    summand reaches base1."""
+    cat = alg.base_category
+    cat._require(base1)
+    cat._require(base2)
+    r_max = alg.last_summand([a + b - 1 for a, b in zip(base1.indices, base2.indices)])
+    return sum(cat.fusion_of(alg.summand(r), base2).mult(base1) for r in range(1, r_max + 1))
+
+
+def is_transparent_by_reports(cat: CategorySpec, x: SimpleLabel, witnesses) -> tuple:
+    """(True, None) when every entry of every report of x against a witness
+    is trivial; otherwise False and the first non-trivial entry as a
+    certificate."""
+    for w in witnesses:
+        for e in monodromy(cat, x, w).entries:
+            if not e.trivial:
+                return False, TransparencyCertificate(e.summand, e.exponent_vec, e.status, witness=w)
+    return True, None
 
 
 def sort_key(x) -> tuple:

@@ -35,7 +35,7 @@ from limfuse.fusion import (
     mueger_scan,
     ring_mul,
 )
-from oracles import hom_dim
+from oracles import hom_dim, is_transparent_by_reports
 
 X = RatFunc.var()
 VT = VirasoroTCategory()
@@ -249,6 +249,25 @@ class TestTransparency:
                     e.summand, e.exponent_vec, e.status, w)
                 assert cert.exponent == e.exponent and cert.phase == e.phase and not cert.trivial
         assert found
+
+    def test_matches_the_report_scan(self):
+        # every candidate of each box up to 6 against shuffled witness lists
+        # of every length, so that certificates come from varied witnesses
+        rng = random.Random(41)
+        statuses = set()
+        for cat in (SV, OSP, VT, category_by_name("kl-sl2")):
+            labels = cat.labels_up_to(6)
+            for x in labels:
+                witnesses = rng.sample(labels, rng.randint(0, len(labels)))
+                got = is_transparent(cat, x, witnesses)
+                assert got == is_transparent_by_reports(cat, x, witnesses), (cat.name, x, witnesses)
+                statuses.add(got[1].status if got[1] else INTEGER)
+        assert statuses == {INTEGER, NON_INTEGER_CONSTANT, PARAMETER_DEPENDENT}
+
+    def test_foreign_labels_are_refused(self):
+        for x, witnesses in [(VirasoroT(1, 1), [SV.unit]), (SV.unit, [SV.unit, VirasoroT(1, 1)])]:
+            with pytest.raises(CategoryMismatch):
+                is_transparent(SV, x, witnesses)
 
     def test_unit_always_transparent(self):
         ok, cert = is_transparent(SV, SV.unit, SV.labels_up_to(6))

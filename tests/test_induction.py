@@ -56,6 +56,7 @@ from oracles import (
     DICTIONARIES,
     cli_canonical_base,
     first_non_integer_positive,
+    frobenius_by_window,
     hom_dim,
     int_family,
     interpolate,
@@ -292,6 +293,22 @@ class TestInduce:
         with pytest.raises(ForeignLabel):
             induce(SVX, SuperVir(2, 2))
 
+    def test_restriction_is_the_fusion_of_the_summand(self):
+        # in the same canonical order, so that printed slices agree too
+        for alg in (SVX, OSPX, SKEW_SVIR, SKEW_OSP):
+            cat = alg.base_category
+            for base in cat.labels_up_to(5):
+                mod = induce(alg, base)
+                for r in range(1, 9):
+                    want = cat.fusion_of(alg.summand(r), base)
+                    assert mod.restriction(r).terms() == want.terms(), (alg.name, base, r)
+
+    def test_restriction_below_one_is_refused(self):
+        mod = induce(SVX, sbase(3, 5))
+        for r in (0, -2):
+            with pytest.raises(ValueError, match="summand index must be >= 1"):
+                mod.restriction(r)
+
     def test_first_slice_is_the_base(self):
         for alg, base in [
             (SVX, sbase(4, 2)),
@@ -486,18 +503,37 @@ class TestFrobenius:
                 nonzero += got > 0
         assert nonzero >= 100
 
-    def test_reads_exactly_the_window(self):
-        # summand r can reach base1 from base2 only while each growing slot
-        # stays within x1 + x2 - 1; a wider loop would read more summands
+    def test_matches_the_window_on_every_small_pair(self):
+        # every base pair with indices <= 6 of the rules with three slots and
+        # <= 3 of those with four (1296**2 pairs at 6); slopes 1, 2 and 3,
+        # with and without a constant slot, offsets of both parities
+        for alg, bound in [(OSPX, 6), (SKEW_OSP, 6), *((a, 6) for a in STEEP_OSP),
+                           (SVX, 3), (SKEW_SVIR, 3), (STEEP_SVIR, 3)]:
+            labels = alg.base_category.labels_up_to(bound)
+            nonzero = 0
+            for b1 in labels:
+                for b2 in labels:
+                    got = frobenius_dim(alg, b1, b2)
+                    assert got == frobenius_by_window(alg, b1, b2), (alg.slots, b1, b2)
+                    nonzero += got > 0
+            assert nonzero > len(labels), alg.slots
+
+    def test_builds_no_summand(self):
+        # the count reads the slots alone: no summand label is built
         rng = random.Random(5)
         for make in (svir_extension, osp_extension):
             labels = make().base_category.labels_up_to(6)
             for _ in range(20):
                 alg = make()
+                alg._summands.clear()
                 b1, b2 = rng.choice(labels), rng.choice(labels)
                 frobenius_dim(alg, b1, b2)
-                tops = [x + y - 1 for x, y in zip(b1.indices, b2.indices)]
-                assert max(alg._summands) == brute_last_summand(alg, tops), (b1, b2)
+                assert not alg._summands, (b1, b2)
+
+    def test_foreign_bases_are_refused(self):
+        for b1, b2 in [(obase(1), SVX.base_category.unit), (SVX.base_category.unit, obase(1))]:
+            with pytest.raises(ForeignLabel):
+                frobenius_dim(SVX, b1, b2)
 
 
 def windowed_hom_dim(alg, base1, base2):
@@ -912,6 +948,16 @@ SKEW_OSP = algebra_from_json(
         ],
     }
 )
+
+
+# hand-built rules with slopes 2 and 3 and offsets of both parities
+STEEP_OSP = [
+    algebra_from_json({"base_category": "deligne(kl-sl2,virasoro-t)", "summand_rule": [
+        {"kind": "kl-sl2", "indices": [left]}, {"kind": "virasoro-t", "indices": right}]})
+    for left, right in [("2*r-1", ["3*r-2", "1"]), ("3*r-2", ["2*r-1", "2*r-1"])]
+]
+STEEP_SVIR = algebra_from_json({"base_category": "deligne(virasoro-kp2,virasoro-t)", "summand_rule": [
+    {"kind": "virasoro-kp2", "indices": ["2*r-1", "3*r-2"]}, {"kind": "virasoro-t", "indices": ["1", "2*r-1"]}]})
 
 
 class TestRestrictionMemo:
